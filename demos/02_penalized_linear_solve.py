@@ -19,7 +19,6 @@ from maviscid import (
     FeSpace,
     PenaltyParams,
     ScalarField,
-    SparseMatrix,
     apply_dirichlet,
     assemble_Ah_sigma,
     assemble_linearized_rhs,
@@ -60,8 +59,7 @@ for n in (4, 8, 16, 32):
     coeffs = np.zeros(space.ndofs)
     coeffs[space.boundary_dofs] = bvals
     rhs_i = rhs[interior] - (A @ coeffs)[interior]
-    sub = SparseMatrix(A.csr[np.ix_(interior, interior)])
-    coeffs[interior] = sparse_solve(sub, rhs_i)
+    coeffs[interior] = sparse_solve(A[np.ix_(interior, interior)], rhs_i)
 
     e = error_norms(u_star, space.function(coeffs))
     marker = ""

@@ -44,7 +44,7 @@ field = CoefficientField.cofactor_of_hessian(w)
 ii = space.interior_dofs
 
 for sigma in (1.0, 0.0):
-    A = assemble_Ah_sigma(space, field, PenaltyParams(sigma, 0.1, "full")).csr
+    A = assemble_Ah_sigma(space, field, PenaltyParams(sigma, 0.1, "full"))
     worst = np.inf
     for s in range(100):
         rng = np.random.default_rng(s)

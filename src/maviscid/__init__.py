@@ -4,7 +4,7 @@ regularization of the Monge-Ampere equation on the unit square/cube.
 The regularized problem reads  -eps lap^2 u + det(D^2 u) = f  with u = g
 and lap u = eps on the boundary; as eps decreases the discrete solutions
 approach the viscosity solution of det(D^2 u) = f.  The package provides
-structured simplicial meshes, Lagrange spaces of any degree, the penalized
+structured simplicial meshes, Lagrange spaces of degree 2 and 3, the penalized
 bilinear forms and their consistent Newton linearization, a damped Newton
 solver with epsilon-continuation, error/rate reporting, six built-in
 experiments, and a command-line runner.
@@ -12,10 +12,7 @@ experiments, and a command-line runner.
 
 from maviscid.mesh import (
     SimplicialMesh,
-    InteriorFace,
-    BoundaryFace,
     build_structured_mesh,
-    face_topology,
     dump_off,
 )
 from maviscid.elements import (
@@ -29,7 +26,6 @@ from maviscid.elements import (
     interpolate,
 )
 from maviscid.assembly import (
-    SparseMatrix,
     CoefficientField,
     PenaltyParams,
     BoundaryData,
@@ -74,11 +70,10 @@ from maviscid.cases import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SimplicialMesh", "InteriorFace", "BoundaryFace",
-    "build_structured_mesh", "face_topology", "dump_off",
+    "SimplicialMesh", "build_structured_mesh", "dump_off",
     "QuadratureRule", "ReferenceElement", "FeSpace", "FeFunction",
     "cell_quadrature", "face_quadrature", "eval_fe", "interpolate",
-    "SparseMatrix", "CoefficientField", "PenaltyParams", "BoundaryData",
+    "CoefficientField", "PenaltyParams", "BoundaryData",
     "det_and_cofactor", "assemble_Ah_sigma", "assemble_linearized_rhs",
     "assemble_nonlinear_residual", "assemble_jacobian",
     "assemble_residual_and_jacobian", "apply_dirichlet",

@@ -17,8 +17,14 @@ from typing import Optional
 
 import numpy as np
 
-from maviscid.assembly import _bilap_csr, _cell_tables, _face_penalty_consistency
-from maviscid.elements import cell_quadrature
+from maviscid.assembly import (
+    _bilap_csr,
+    _cell_tables,
+    _face_penalty_consistency,
+    _phys_hessians,
+    _scatter_matrix,
+)
+from maviscid.elements import _MAX_EXACTNESS, cell_quadrature
 
 __all__ = [
     "ScalarField",
@@ -32,7 +38,6 @@ __all__ = [
     "format_rate_table",
 ]
 
-_MAX_EXACTNESS = {2: 10, 3: 8}
 _CHUNK = 512
 
 
@@ -132,24 +137,16 @@ def _hess_gram(space, exactness):
     key = ("hess_gram", exactness)
     if key in space._cache:
         return space._cache[key]
-    import scipy.sparse as sp
-
     rule, _, _, hess_ref = _cell_tables(space, exactness)
-    acc = sp.csr_matrix((space.ndofs, space.ndofs))
+    acc = None
     M = space.mesh.num_cells
     for start in range(0, M, _CHUNK):
         cells = np.arange(start, min(start + _CHUNK, M))
-        ji = space.jac_inv[cells]
-        hp = np.einsum("cki,qbkl,clj->cqbij", ji, hess_ref, ji, optimize=True)
+        hp = _phys_hessians(space, cells, hess_ref)
         wq = rule.weights[None, :] * space.jac_det[cells][:, None]
         local = np.einsum("cq,cqaij,cqbij->cab", wq, hp, hp, optimize=True)
-        nb = local.shape[1]
-        dofs = space.cell_dofs[cells]
-        rows = np.repeat(dofs, nb, axis=1).ravel()
-        cols = np.tile(dofs, (1, nb)).ravel()
-        acc = acc + sp.coo_matrix(
-            (local.ravel(), (rows, cols)), shape=(space.ndofs, space.ndofs)
-        ).tocsr()
+        part = _scatter_matrix(space, space.cell_dofs[cells], local)
+        acc = part if acc is None else acc + part
     space._cache[key] = acc
     return acc
 

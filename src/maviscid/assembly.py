@@ -37,7 +37,6 @@ import scipy.sparse as sp
 from maviscid.elements import cell_quadrature, face_quadrature
 
 __all__ = [
-    "SparseMatrix",
     "CoefficientField",
     "PenaltyParams",
     "BoundaryData",
@@ -57,53 +56,16 @@ _FACE_CHUNK = 2048
 # --------------------------------------------------------------------- types
 
 
-class SparseMatrix:
-    """CSR-backed sparse matrix with deterministic, duplicate-free entries."""
-
-    def __init__(self, csr):
-        csr = sp.csr_matrix(csr)
-        csr.sum_duplicates()
-        csr.sort_indices()
-        self._csr = csr
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("non-finite matrix entries")
-
-    @classmethod
-    def from_coo(cls, rows, cols, values, shape):
-        return cls(sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr())
-
-    @property
-    def shape(self):
-        return self._csr.shape
-
-    @property
-    def nnz(self):
-        return self._csr.nnz
-
-    @property
-    def csr(self):
-        return self._csr
-
-    def triplets(self):
-        """(row, col, value) arrays in compressed row-major order."""
-        coo = self._csr.tocoo()
-        return coo.row, coo.col, coo.data
-
-    def toarray(self):
-        return self._csr.toarray()
-
-    def __matmul__(self, x):
-        return self._csr @ x
-
-    def restrict(self, idx):
-        """Square restriction to an index set (same order rows and columns)."""
-        return SparseMatrix(self._csr[np.ix_(idx, idx)])
+def _check_finite(A):
+    """Return the sparse matrix ``A``, raising ValueError on a NaN or inf entry."""
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("non-finite matrix entries")
+    return A
 
 
 def dump_matrix_market(matrix, path):
     """Write a matrix in MatrixMarket coordinate text format."""
-    csr = matrix.csr if isinstance(matrix, SparseMatrix) else sp.csr_matrix(matrix)
-    scipy.io.mmwrite(str(path), csr.tocoo())
+    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 class CoefficientField:
@@ -486,8 +448,7 @@ def assemble_Ah_sigma(space, field, params, cell_exactness=None, face_exactness=
     bilap = _bilap_csr(space, cell_ex)
     P, C = _face_penalty_consistency(space, face_ex)
     low = _loworder_csr(space, field, cell_ex)
-    A = eps * bilap - eps * C - low + params.jump_weight * P
-    return SparseMatrix(A)
+    return _check_finite(eps * bilap - eps * C - low + params.jump_weight * P)
 
 
 def assemble_linearized_rhs(space, phi, psi, params, cell_exactness=None,
@@ -509,12 +470,36 @@ def _b_form_csr(space, params, face_exactness):
 
 def _check_dirichlet(u_h, g_data):
     space = u_h.space
-    bvals = np.asarray(g_data.g(space.dof_coords[space.boundary_dofs]), dtype=float)
-    if bvals.ndim == 0:
-        bvals = np.full(len(space.boundary_dofs), float(bvals))
+    bvals, _ = apply_dirichlet(space, g_data.g)
     gap = np.max(np.abs(u_h.coeffs[space.boundary_dofs] - bvals)) if len(bvals) else 0.0
     if gap > 1e-10:
         raise ValueError(f"u_h violates Dirichlet dofs by {gap:.2e}")
+
+
+def _linearization(u_h, params, cell_exactness, face_exactness):
+    """Pieces the residual and the Jacobian at ``u_h`` share: the quadrature
+    exactness pair, the (det(D^2 u_h), v_i) vector, the cofactor low-order
+    matrix and the face form b."""
+    space = u_h.space
+    cell_ex = cell_exactness or space.default_cell_exactness()
+    face_ex = face_exactness or space.default_face_exactness()
+    det_vec, low_cof = _nonlinear_cell_terms(space, u_h.coeffs, cell_ex)
+    return cell_ex, face_ex, det_vec, low_cof, _b_form_csr(space, params, face_ex)
+
+
+def _residual(u_h, f, g_data, params, lin):
+    space, eps = u_h.space, params.epsilon
+    cell_ex, face_ex, det_vec, _, b_form = lin
+    r = -eps * (_bilap_csr(space, cell_ex) @ u_h.coeffs) + det_vec - b_form @ u_h.coeffs
+    r -= _load_vector(space, f, cell_ex)
+    r += eps * _boundary_flux_vector(space, g_data.psi_field(eps), face_ex)
+    r[space.boundary_dofs] = 0.0
+    return r
+
+
+def _jacobian(space, params, lin):
+    cell_ex, _, _, low_cof, b_form = lin
+    return _check_finite(-params.epsilon * _bilap_csr(space, cell_ex) + low_cof - b_form)
 
 
 def assemble_nonlinear_residual(u_h, f, g_data, params, cell_exactness=None,
@@ -525,51 +510,25 @@ def assemble_nonlinear_residual(u_h, f, g_data, params, cell_exactness=None,
               - (f, v_i) + eps (psi, grad v_i . n)  on interior dofs,
     with b the penalty-plus-consistency face form; boundary rows are zero.
     """
-    space = u_h.space
     _check_dirichlet(u_h, g_data)
-    cell_ex = cell_exactness or space.default_cell_exactness()
-    face_ex = face_exactness or space.default_face_exactness()
-    eps = params.epsilon
-    det_vec, _ = _nonlinear_cell_terms(space, u_h.coeffs, cell_ex)
-    r = -eps * (_bilap_csr(space, cell_ex) @ u_h.coeffs)
-    r += det_vec
-    r -= _b_form_csr(space, params, face_ex) @ u_h.coeffs
-    r -= _load_vector(space, f, cell_ex)
-    r += eps * _boundary_flux_vector(space, g_data.psi_field(eps), face_ex)
-    r[space.boundary_dofs] = 0.0
-    return r
+    lin = _linearization(u_h, params, cell_exactness, face_exactness)
+    return _residual(u_h, f, g_data, params, lin)
 
 
 def assemble_jacobian(u_h, params, cell_exactness=None, face_exactness=None):
     """Frechet derivative of the nonlinear residual at ``u_h``:
     J(v_i, w_j) = -eps (lap w_j, lap v_i) + (cof(D^2 u_h) : D^2 w_j, v_i)
                   - b(w_j, v_i)."""
-    space = u_h.space
-    cell_ex = cell_exactness or space.default_cell_exactness()
-    face_ex = face_exactness or space.default_face_exactness()
-    eps = params.epsilon
-    _, low_cof = _nonlinear_cell_terms(space, u_h.coeffs, cell_ex)
-    J = -eps * _bilap_csr(space, cell_ex) + low_cof - _b_form_csr(space, params, face_ex)
-    return SparseMatrix(J)
+    lin = _linearization(u_h, params, cell_exactness, face_exactness)
+    return _jacobian(u_h.space, params, lin)
 
 
 def assemble_residual_and_jacobian(u_h, f, g_data, params, cell_exactness=None,
                                    face_exactness=None):
     """Residual and Jacobian in one pass (shares the Hessian tabulation)."""
-    space = u_h.space
     _check_dirichlet(u_h, g_data)
-    cell_ex = cell_exactness or space.default_cell_exactness()
-    face_ex = face_exactness or space.default_face_exactness()
-    eps = params.epsilon
-    det_vec, low_cof = _nonlinear_cell_terms(space, u_h.coeffs, cell_ex)
-    bilap = _bilap_csr(space, cell_ex)
-    b_form = _b_form_csr(space, params, face_ex)
-    r = -eps * (bilap @ u_h.coeffs) + det_vec - b_form @ u_h.coeffs
-    r -= _load_vector(space, f, cell_ex)
-    r += eps * _boundary_flux_vector(space, g_data.psi_field(eps), face_ex)
-    r[space.boundary_dofs] = 0.0
-    J = -eps * bilap + low_cof - b_form
-    return r, SparseMatrix(J)
+    lin = _linearization(u_h, params, cell_exactness, face_exactness)
+    return _residual(u_h, f, g_data, params, lin), _jacobian(u_h.space, params, lin)
 
 
 def apply_dirichlet(space, g):

@@ -158,6 +158,10 @@ def resolve_config(args):
         raise UsageError("degrees, h_list, and eps_list must be non-empty")
     if any(e <= 0 for e in spec.eps_list) or any(h <= 0 for h in spec.h_list):
         raise UsageError("mesh sizes and epsilons must be positive")
+    for h in spec.h_list:
+        n = round(1.0 / h)
+        if n < 1 or abs(1.0 / h - n) > 1e-9:
+            raise UsageError(f"mesh size {h:g} is not 1/n for an integer n")
     if list(spec.eps_list) != sorted(spec.eps_list, reverse=True):
         raise UsageError("eps_list must be decreasing")
     seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
@@ -450,7 +454,7 @@ def _per_sample_max(probe, samples, seed):
 
 
 def _coercivity_probe(space, field, params, samples, seed):
-    A = assemble_Ah_sigma(space, field, params).csr
+    A = assemble_Ah_sigma(space, field, params)
     ii = space.interior_dofs
     worst, worst_seed = np.inf, seed
     for i in range(samples):

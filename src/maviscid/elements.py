@@ -4,14 +4,15 @@ Reference bases are built from the monomial basis through the inverted node
 Vandermonde matrix, so values, gradients, and Hessians are all evaluated from
 one coefficient table.  Quadrature rules are collapsed (Duffy) Gauss-Jacobi
 tensor rules: positive weights, points strictly inside the simplex, arbitrary
-requested exactness up to the supported caps.  Global spaces identify shared
-degrees of freedom geometrically (node hashing with a tolerance-bucket grid).
+requested exactness up to the supported caps.  Global spaces number shared
+degrees of freedom by mesh topology: a node is keyed by the global ids of the
+vertices it combines and its integer barycentric weights, so nodes on shared
+vertices, edges and faces get one dof without comparing coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -196,45 +197,6 @@ class ReferenceElement:
         return val[0], grad[0], hess[0]
 
 
-def _local_nodes_on_face(ref):
-    """For each local face, the local node indices lying on it."""
-    out = []
-    lam0 = 1.0 - ref.node_coords.sum(axis=1)
-    bary = np.column_stack([lam0, ref.node_coords])
-    for lf in range(ref.dim + 1):
-        out.append(np.flatnonzero(np.abs(bary[:, lf]) < 1e-12))
-    return out
-
-
-class _NodeIndex:
-    """Geometric node identification: quantized buckets plus a neighbor scan
-    so that coordinates straddling a bucket edge still match."""
-
-    def __init__(self, dim, tol):
-        self.tol = tol
-        self.inv = 1.0 / tol
-        self.buckets = {}
-        self.coords = []
-        self.offsets = list(itertools.product((-1, 0, 1), repeat=dim))
-
-    def index_of(self, x):
-        key = tuple(int(math.floor(c * self.inv + 0.5)) for c in x)
-        hit = self.buckets.get(key)
-        if hit is not None:
-            return hit
-        for off in self.offsets:
-            nb = tuple(k + o for k, o in zip(key, off))
-            hit = self.buckets.get(nb)
-            if hit is not None and max(
-                abs(a - b) for a, b in zip(self.coords[hit], x)
-            ) <= 4 * self.tol:
-                return hit
-        idx = len(self.coords)
-        self.coords.append(tuple(x))
-        self.buckets[key] = idx
-        return idx
-
-
 class FeSpace:
     """Continuous Lagrange space of degree ``k`` on a simplicial mesh.
 
@@ -260,22 +222,30 @@ class FeSpace:
         phys = self.cell_origin[:, None, :] + np.einsum(
             "cij,nj->cni", self.jac, self.ref.node_coords
         )
-        index = _NodeIndex(d, 1e-10 * mesh.h)
-        M, nb = mesh.num_cells, self.ref.node_count
-        cell_dofs = np.empty((M, nb), dtype=np.int64)
-        for c in range(M):
-            row = phys[c]
-            for a in range(nb):
-                cell_dofs[c, a] = index.index_of(row[a])
-        self.cell_dofs = cell_dofs
-        self.dof_coords = np.array(index.coords)
+        # a node is keyed by the mesh vertices it combines: each global vertex
+        # id paired with the node's integer barycentric weight on it (packed
+        # as id * (k+1) + weight), zero-weight vertices blanked to -1, sorted
+        M, nb, k = mesh.num_cells, self.ref.node_count, self.degree
+        exps = self.ref.exponents
+        weights = np.column_stack([k - exps.sum(axis=1), exps])  # (nb, d+1)
+        pairs = np.where(weights > 0, mesh.cells[:, None, :] * (k + 1) + weights, -1)
+        keys = np.sort(pairs, axis=2).reshape(M * nb, -1)
+        _, first, inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        # number dofs in order of first occurrence over (cell, local node)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.cell_dofs = rank[inverse.ravel()].reshape(M, nb)
+        self.dof_coords = phys.reshape(M * nb, d)[first[order]]
         self.ndofs = len(self.dof_coords)
 
-        nodes_on_face = _local_nodes_on_face(self.ref)
-        bdofs = set()
-        for bf_cell, bf_local in zip(mesh.bface_cells, mesh.bface_locals):
-            bdofs.update(cell_dofs[bf_cell, nodes_on_face[bf_local]].tolist())
-        self.boundary_dofs = np.array(sorted(bdofs), dtype=np.int64)
+        # local nodes on local face f: zero weight on local vertex f
+        on_face = np.array([np.flatnonzero(w == 0) for w in weights.T])
+        self.boundary_dofs = np.unique(
+            self.cell_dofs[mesh.bface_cells[:, None], on_face[mesh.bface_locals]]
+        )
         mask = np.ones(self.ndofs, dtype=bool)
         mask[self.boundary_dofs] = False
         self.interior_dofs = np.flatnonzero(mask)

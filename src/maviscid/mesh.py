@@ -12,47 +12,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "SimplicialMesh",
-    "InteriorFace",
-    "BoundaryFace",
     "build_structured_mesh",
-    "face_topology",
     "dump_off",
 ]
-
-_GEOM_TOL = 1e-12
-
-
-class InteriorFace(NamedTuple):
-    """Codimension-1 face shared by exactly two cells.
-
-    ``plus_cell`` is the cell with the smaller index; ``normal_plus`` is the
-    unit normal pointing out of it (into ``minus_cell``).  ``diameter`` is the
-    diameter of the face simplex and ``measure`` its length/area.
-    """
-
-    plus_cell: int
-    minus_cell: int
-    vertex_ids: tuple
-    normal_plus: np.ndarray
-    diameter: float
-    measure: float
-
-
-class BoundaryFace(NamedTuple):
-    """Codimension-1 face owned by a single cell, with outward unit normal."""
-
-    cell: int
-    local_face: int
-    vertex_ids: tuple
-    normal: np.ndarray
-    diameter: float
-    measure: float
 
 
 def _local_face_indices(dim):
@@ -76,6 +43,15 @@ class SimplicialMesh:
     structure : tuple, optional
         Generator tag used for fast point location, e.g. ``("diag", n)`` or
         ``("kuhn", n)``.  Meshes without it fall back to a linear scan.
+
+    Faces are stored as arrays, numbered in order of first occurrence over
+    (cell, local face); local face i omits local vertex i.  Interior face f
+    has sorted ``iface_vertex_ids[f]``, cells ``iface_cells[f] = (plus,
+    minus)`` with plus the smaller cell index, local face numbers
+    ``iface_locals[f]``, and the unit normal ``iface_normals[f]`` pointing out
+    of the plus cell; ``iface_diameters`` and ``iface_measures`` hold its
+    longest edge and its length/area.  The ``bface_*`` arrays hold the same
+    for boundary faces, with one owning cell and the outward normal.
 
     Immutable after construction; safe to share read-only across threads.
     """
@@ -110,8 +86,6 @@ class SimplicialMesh:
         self.structure = structure
 
         self._build_faces()
-        self._interior_face_list = None
-        self._boundary_face_list = None
 
     @staticmethod
     def _signed_volumes(vertices, cells):
@@ -131,35 +105,34 @@ class SimplicialMesh:
 
     def _build_faces(self):
         dim = self.dim
-        local_faces = _local_face_indices(dim)
-        table = {}
-        for c, cell in enumerate(self.cells.tolist()):
-            for lf, ixs in enumerate(local_faces):
-                key = tuple(sorted(cell[i] for i in ixs))
-                table.setdefault(key, []).append((c, lf))
-
-        int_verts, int_cells, int_locals = [], [], []
-        bnd_verts, bnd_cells, bnd_locals = [], [], []
-        for key, owners in table.items():
-            if len(owners) == 2:
-                int_verts.append(key)
-                int_cells.append((owners[0][0], owners[1][0]))
-                int_locals.append((owners[0][1], owners[1][1]))
-            elif len(owners) == 1:
-                bnd_verts.append(key)
-                bnd_cells.append(owners[0][0])
-                bnd_locals.append(owners[0][1])
-            else:
-                raise ValueError(
-                    f"non-conforming mesh: face {key} shared by {len(owners)} cells"
-                )
-
-        self.iface_vertex_ids = np.array(int_verts, dtype=np.int64).reshape(-1, dim)
-        self.iface_cells = np.array(int_cells, dtype=np.int64).reshape(-1, 2)
-        self.iface_locals = np.array(int_locals, dtype=np.int64).reshape(-1, 2)
-        self.bface_vertex_ids = np.array(bnd_verts, dtype=np.int64).reshape(-1, dim)
-        self.bface_cells = np.array(bnd_cells, dtype=np.int64)
-        self.bface_locals = np.array(bnd_locals, dtype=np.int64)
+        # one row per (cell, local face), keyed by the face's sorted vertex
+        # ids; an interior face's first owner has the smaller cell index
+        keys = np.sort(
+            self.cells[:, _local_face_indices(dim)], axis=2
+        ).reshape(-1, dim)
+        faces, first, inverse, counts = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True,
+            return_counts=True,
+        )
+        order = np.argsort(first)
+        shared = counts[order] > 2
+        if np.any(shared):
+            f = order[np.argmax(shared)]
+            raise ValueError(
+                f"non-conforming mesh: face {tuple(int(v) for v in faces[f])} "
+                f"shared by {counts[f]} cells"
+            )
+        interior = order[counts[order] == 2]
+        boundary = order[counts[order] == 1]
+        # rows grouped by face in cell order: a face's second owner follows
+        # its first
+        owners = np.argsort(inverse.ravel(), kind="stable")
+        second = owners[(np.cumsum(counts) - counts)[interior] + 1]
+        rows = np.column_stack([first[interior], second])
+        self.iface_vertex_ids = faces[interior]
+        self.iface_cells, self.iface_locals = np.divmod(rows, dim + 1)
+        self.bface_vertex_ids = faces[boundary]
+        self.bface_cells, self.bface_locals = np.divmod(first[boundary], dim + 1)
 
         self._check_no_hanging_vertices()
 
@@ -257,40 +230,6 @@ class SimplicialMesh:
                 f"{tuple(int(v) for v in self.bface_vertex_ids[b])}"
             )
 
-    @property
-    def interior_faces(self):
-        """List of :class:`InteriorFace`, built lazily from the face arrays."""
-        if self._interior_face_list is None:
-            self._interior_face_list = [
-                InteriorFace(
-                    int(self.iface_cells[i, 0]),
-                    int(self.iface_cells[i, 1]),
-                    tuple(int(v) for v in self.iface_vertex_ids[i]),
-                    self.iface_normals[i].copy(),
-                    float(self.iface_diameters[i]),
-                    float(self.iface_measures[i]),
-                )
-                for i in range(len(self.iface_cells))
-            ]
-        return self._interior_face_list
-
-    @property
-    def boundary_faces(self):
-        """List of :class:`BoundaryFace`, built lazily from the face arrays."""
-        if self._boundary_face_list is None:
-            self._boundary_face_list = [
-                BoundaryFace(
-                    int(self.bface_cells[i]),
-                    int(self.bface_locals[i]),
-                    tuple(int(v) for v in self.bface_vertex_ids[i]),
-                    self.bface_normals[i].copy(),
-                    float(self.bface_diameters[i]),
-                    float(self.bface_measures[i]),
-                )
-                for i in range(len(self.bface_cells))
-            ]
-        return self._boundary_face_list
-
     # --------------------------------------------------------------- location
 
     def locate(self, points):
@@ -335,15 +274,6 @@ for _r, _p in enumerate(itertools.permutations(range(3))):
     _KUHN_RANK[_p[0] * 9 + _p[1] * 3 + _p[2]] = _r
 
 
-def face_topology(mesh):
-    """Interior and boundary face lists of a mesh.
-
-    Returns ``(interior_faces, boundary_faces)``; the plus cell of each
-    interior face is the one with the smaller index and carries the normal.
-    """
-    return mesh.interior_faces, mesh.boundary_faces
-
-
 def build_structured_mesh(dim, n):
     """Uniform simplicial mesh of (0,1)^dim with ``n`` cells per axis.
 
@@ -366,51 +296,32 @@ def _square_mesh(n):
     axis = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(axis, axis, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))  # below the diagonal
-            cells.append((v00, v11, v01))  # above the diagonal
+    # vertex index = j*(n+1) + i; grid squares in (j, i) order, each split
+    # into the triangle below its diagonal, then the one above
+    J, I = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    v00 = (J * (n + 1) + I).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    cells = np.stack(
+        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])],
+        axis=1,
+    ).reshape(-1, 3)
     return SimplicialMesh(2, verts, cells, structure=("diag", n))
 
 
 def _cube_mesh(n):
     axis = np.linspace(0.0, 1.0, n + 1)
-    stride_j = n + 1
-    stride_k = (n + 1) ** 2
     # vertex index = (k*(n+1) + j)*(n+1) + i
-    verts = np.array(
-        [[axis[i], axis[j], axis[k]]
-         for k in range(n + 1) for j in range(n + 1) for i in range(n + 1)]
+    K, J, I = np.meshgrid(axis, axis, axis, indexing="ij")
+    verts = np.column_stack([I.ravel(), J.ravel(), K.ravel()])
+    # each tet walks from the cube origin to its far corner along the axes in
+    # permutation order: the points whose sorted local coordinates match it
+    strides = np.array([1, n + 1, (n + 1) ** 2])
+    walks = np.array(
+        [np.cumsum([0, *strides[list(p)]]) for p in itertools.permutations(range(3))]
     )
-
-    def vid(i, j, k):
-        return k * stride_k + j * stride_j + i
-
-    eye = np.eye(3, dtype=np.int64)
-    perms = list(itertools.permutations(range(3)))
-    cells = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array((i, j, k), dtype=np.int64)
-                for p in perms:
-                    # walk from the cube origin to its far corner along the
-                    # axes in permutation order; tet = points with sorted
-                    # local coordinates matching that order
-                    c0 = base
-                    c1 = c0 + eye[p[0]]
-                    c2 = c1 + eye[p[1]]
-                    c3 = c2 + eye[p[2]]
-                    cells.append(tuple(vid(*c) for c in (c0, c1, c2, c3)))
+    K, J, I = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    origins = ((K * (n + 1) + J) * (n + 1) + I).ravel()
+    cells = (origins[:, None, None] + walks).reshape(-1, 4)
     return SimplicialMesh(3, verts, cells, structure=("kuhn", n))
 
 

@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from maviscid.assembly import (
     PenaltyParams,
-    SparseMatrix,
+    _check_finite,
     apply_dirichlet,
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
@@ -100,9 +100,10 @@ def sparse_solve(A, b):
     """Direct sparse LU solve of a square interior system.
 
     Solves with SuperLU (partial pivoting; the operator is non-symmetric)
-    and checks the relative residual below 1e-10.
+    and checks the relative residual below 1e-10.  ``A`` is anything
+    ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry raises ValueError.
     """
-    csr = A.csr if isinstance(A, SparseMatrix) else sp.csr_matrix(A)
+    csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
     n = csr.shape[0]
     if csr.shape[0] != csr.shape[1] or b.shape != (n,):
@@ -178,9 +179,7 @@ def newton_solve(f, g_data, params, config=None, initial=None):
                     report,
                 )
             try:
-                step = sparse_solve(
-                    SparseMatrix(J.csr[np.ix_(ii, ii)]), -r[ii]
-                )
+                step = sparse_solve(J[np.ix_(ii, ii)], -r[ii])
             except SingularMatrixError as exc:
                 raise NewtonError(
                     f"singular Jacobian: {exc}", "singular_jacobian", report

@@ -86,17 +86,17 @@ def brute_mesh_norm(v_h):
     frule = face_quadrature(d, space.default_face_exactness())
     ref_meas = 1.0 if d == 2 else 0.5
     jump2 = 0.0
-    for face in mesh.interior_faces:
-        fc = mesh.vertices[np.array(face.vertex_ids)]
+    for f in range(len(mesh.iface_cells)):
+        fc = mesh.vertices[mesh.iface_vertex_ids[f]]
         for q in range(len(frule.weights)):
             x = fc[0] + (fc[1:] - fc[0]).T @ frule.points[q]
-            wq = frule.weights[q] * face.measure / ref_meas
+            wq = frule.weights[q] * mesh.iface_measures[f] / ref_meas
             sides = []
-            for cell in (face.plus_cell, face.minus_cell):
+            for cell in mesh.iface_cells[f]:  # (plus, minus)
                 xref = space.reference_coords(np.array([cell]), x[None, :])[0]
                 _, g, _ = eval_fe(v_h, cell, xref)
-                sides.append(g @ face.normal_plus)
-            jump2 += wq / face.diameter * (sides[0] - sides[1]) ** 2
+                sides.append(g @ mesh.iface_normals[f])
+            jump2 += wq / mesh.iface_diameters[f] * (sides[0] - sides[1]) ** 2
     return np.sqrt(hess2 + jump2)
 
 

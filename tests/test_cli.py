@@ -162,6 +162,26 @@ def test_config_file_with_empty_list_exits_2(tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+def test_mesh_size_not_reciprocal_integer_exits_2(tmp_path, capsys):
+    # 0.3 0.2 0.15 would silently run n = 3, 5, 7 under mislabelled rows
+    code = run(
+        "convergence", "--case", "II", "--degree", "2",
+        "--h-list", "0.3", "0.2", "0.15", "--eps-list", "0.05",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "not 1/n" in capsys.readouterr().err
+
+
+def test_mesh_size_above_one_exits_2(tmp_path, capsys):
+    code = run(
+        "convergence", "--case", "II", "--degree", "2",
+        "--h-list", "3", "--eps-list", "0.05", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "not 1/n" in capsys.readouterr().err
+
+
 def test_invalid_thread_env_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("MAVISCID_THREADS", "many")
     code = run(

@@ -20,7 +20,7 @@ from maviscid.elements import (
     face_quadrature,
     interpolate,
 )
-from maviscid.mesh import build_structured_mesh
+from maviscid.mesh import SimplicialMesh, build_structured_mesh
 
 
 def exact_monomial_integral(alpha):
@@ -172,9 +172,20 @@ def test_dof_counts(dim, degree, n, expected):
     assert space.ndofs == expected
 
 
-def test_dof_count_3d_p3_brute_force():
-    mesh = build_structured_mesh(3, 2)
-    space = FeSpace(mesh, 3)
+def _oracle_mesh(kind):
+    if kind == "shuffled":
+        # hand-built input: a structured mesh with its cells in random order
+        mesh = build_structured_mesh(2, 3)
+        perm = np.random.default_rng(7).permutation(mesh.num_cells)
+        return SimplicialMesh(2, mesh.vertices, mesh.cells[perm])
+    return build_structured_mesh(3, 2) if kind == "3d" else build_structured_mesh(2, 3)
+
+
+@pytest.mark.parametrize("kind", ["2d", "3d", "shuffled"])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_dof_count_brute_force(kind, degree):
+    mesh = _oracle_mesh(kind)
+    space = FeSpace(mesh, degree)
     # oracle: unique physical node coordinates over all cells
     ref = space.ref
     nodes = set()
@@ -182,6 +193,8 @@ def test_dof_count_3d_p3_brute_force():
         phys = space.cell_origin[c] + ref.node_coords @ space.jac[c].T
         for p in phys:
             nodes.add(tuple(np.round(p, 8)))
+        # each local node's dof sits at that node's physical position
+        assert np.max(np.abs(space.dof_coords[space.cell_dofs[c]] - phys)) < 1e-12
     assert space.ndofs == len(nodes)
 
 
@@ -203,11 +216,13 @@ def test_c0_continuity_across_faces(dim, degree, n):
     f = space.function(rng.uniform(-1, 1, space.ndofs))
     frule = face_quadrature(dim, 4)
     saw_jump = False
-    for face in mesh.interior_faces:
-        fc = mesh.vertices[list(face.vertex_ids)]
+    for cells, vids, normal in zip(
+        mesh.iface_cells, mesh.iface_vertex_ids, mesh.iface_normals
+    ):
+        fc = mesh.vertices[vids]
         phys = fc[0] + frule.points @ (fc[1:] - fc[0])
         pair = []
-        for cell in (face.plus_cell, face.minus_cell):
+        for cell in cells:
             ref_pts = space.reference_coords(
                 np.full(len(phys), cell, dtype=int), phys
             )
@@ -216,7 +231,7 @@ def test_c0_continuity_across_faces(dim, degree, n):
             trace = val @ coef
             g_ref = np.einsum("nbd,b->nd", grad, coef)
             g_phys = g_ref @ space.jac_inv[cell]
-            pair.append((trace, g_phys @ face.normal_plus))
+            pair.append((trace, g_phys @ normal))
         assert np.max(np.abs(pair[0][0] - pair[1][0])) < 1e-11
         if np.max(np.abs(pair[0][1] - pair[1][1])) > 1e-6:
             saw_jump = True

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maviscid.mesh import SimplicialMesh, build_structured_mesh, dump_off, face_topology
+from maviscid.mesh import SimplicialMesh, build_structured_mesh, dump_off
 
 
 def brute_simplex_volume(pts):
@@ -35,8 +35,8 @@ def test_unit_square_single():
     mesh = build_structured_mesh(2, 1)
     assert mesh.num_cells == 2
     assert mesh.num_vertices == 4
-    assert len(mesh.interior_faces) == 1
-    assert len(mesh.boundary_faces) == 4
+    assert len(mesh.iface_cells) == 1
+    assert len(mesh.bface_cells) == 4
 
 
 def test_square_counts_and_area():
@@ -53,8 +53,8 @@ def test_cube_counts_and_volume():
     assert mesh.num_vertices == 8
     total = sum(brute_simplex_volume(mesh.vertices[c]) for c in mesh.cells)
     assert abs(total - 1.0) < 1e-12
-    assert len(mesh.interior_faces) == 6
-    assert len(mesh.boundary_faces) == 12
+    assert len(mesh.iface_cells) == 6
+    assert len(mesh.bface_cells) == 12
 
 
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
@@ -72,8 +72,8 @@ def test_volume_partition_and_quasi_uniformity(dim, n):
 def test_face_counts_match_brute_force(dim, n):
     mesh = build_structured_mesh(dim, n)
     interior, boundary = brute_face_count(mesh.cells.tolist(), dim)
-    assert len(mesh.interior_faces) == interior
-    assert len(mesh.boundary_faces) == boundary
+    assert len(mesh.iface_cells) == interior
+    assert len(mesh.bface_cells) == boundary
     if dim == 2:
         assert interior == 3 * n**2 - 2 * n  # 40 at n=4
 
@@ -82,34 +82,36 @@ def test_plus_minus_assignment_and_normals():
     for dim, n in [(2, 3), (3, 2)]:
         mesh = build_structured_mesh(dim, n)
         centroids = mesh.vertices[mesh.cells].mean(axis=1)
-        for f in mesh.interior_faces:
-            assert f.plus_cell < f.minus_cell
-            assert abs(np.linalg.norm(f.normal_plus) - 1.0) < 1e-14
-            gap = centroids[f.minus_cell] - centroids[f.plus_cell]
-            assert np.dot(f.normal_plus, gap) > 0
-            cell_p = set(mesh.cells[f.plus_cell])
-            cell_m = set(mesh.cells[f.minus_cell])
-            assert set(f.vertex_ids) <= cell_p and set(f.vertex_ids) <= cell_m
+        for (plus, minus), vids, normal in zip(
+            mesh.iface_cells, mesh.iface_vertex_ids, mesh.iface_normals
+        ):
+            assert plus < minus
+            assert abs(np.linalg.norm(normal) - 1.0) < 1e-14
+            gap = centroids[minus] - centroids[plus]
+            assert np.dot(normal, gap) > 0
+            cell_p = set(mesh.cells[plus])
+            cell_m = set(mesh.cells[minus])
+            assert set(vids) <= cell_p and set(vids) <= cell_m
 
 
 def test_boundary_normals_point_outward():
     for dim, n in [(2, 2), (3, 2)]:
         mesh = build_structured_mesh(dim, n)
-        for f in mesh.boundary_faces:
-            mid = mesh.vertices[list(f.vertex_ids)].mean(axis=0)
+        for vids, normal in zip(mesh.bface_vertex_ids, mesh.bface_normals):
+            mid = mesh.vertices[vids].mean(axis=0)
             # outward from the unit domain: stepping along n leaves [0,1]^d
-            outside = mid + 1e-6 * f.normal
+            outside = mid + 1e-6 * normal
             assert np.any((outside < -1e-12) | (outside > 1 + 1e-12))
 
 
 def test_face_diameter_is_longest_edge():
     mesh = build_structured_mesh(3, 2)
-    for f in mesh.interior_faces[:20]:
-        pts = mesh.vertices[list(f.vertex_ids)]
+    for vids, diameter in zip(mesh.iface_vertex_ids[:20], mesh.iface_diameters):
+        pts = mesh.vertices[vids]
         longest = max(
             np.linalg.norm(pts[a] - pts[b]) for a in range(3) for b in range(a)
         )
-        assert abs(f.diameter - longest) < 1e-14
+        assert abs(diameter - longest) < 1e-14
 
 
 def test_topology_independent_of_cell_order():
@@ -117,15 +119,24 @@ def test_topology_independent_of_cell_order():
     rng = np.random.default_rng(7)
     perm = rng.permutation(mesh.num_cells)
     shuffled = SimplicialMesh(2, mesh.vertices, mesh.cells[perm])
-    key = lambda faces: {tuple(sorted(f.vertex_ids)) for f in faces}
-    assert key(mesh.interior_faces) == key(shuffled.interior_faces)
-    assert key(mesh.boundary_faces) == key(shuffled.boundary_faces)
+    key = lambda vertex_ids: {tuple(sorted(v)) for v in vertex_ids.tolist()}
+    assert key(mesh.iface_vertex_ids) == key(shuffled.iface_vertex_ids)
+    assert key(mesh.bface_vertex_ids) == key(shuffled.bface_vertex_ids)
 
 
-def test_face_topology_function():
+def test_face_arrays():
     mesh = build_structured_mesh(2, 1)
-    interior, boundary = face_topology(mesh)
+    interior, boundary = mesh.iface_cells, mesh.bface_cells
     assert len(interior) == 1 and len(boundary) == 4
+    for name, shape in (
+        ("iface_vertex_ids", (1, 2)), ("iface_cells", (1, 2)),
+        ("iface_locals", (1, 2)), ("iface_normals", (1, 2)),
+        ("iface_diameters", (1,)), ("iface_measures", (1,)),
+        ("bface_vertex_ids", (4, 2)), ("bface_cells", (4,)),
+        ("bface_locals", (4,)), ("bface_normals", (4, 2)),
+        ("bface_diameters", (4,)), ("bface_measures", (4,)),
+    ):
+        assert getattr(mesh, name).shape == shape
 
 
 def test_nonconforming_mesh_rejected():
@@ -135,6 +146,10 @@ def test_nonconforming_mesh_rejected():
     cells = [(0, 1, 3), (1, 5, 2), (2, 5, 3)]
     with pytest.raises(ValueError):
         SimplicialMesh(2, verts, cells)
+    # three triangles on one edge
+    verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 0.5)]
+    with pytest.raises(ValueError, match=r"face \(0, 1\) shared by 3 cells"):
+        SimplicialMesh(2, verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
 def test_rejects_bad_n():

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from maviscid.assembly import (
     BoundaryData,
     CoefficientField,
     PenaltyParams,
-    SparseMatrix,
     assemble_Ah_sigma,
     assemble_nonlinear_residual,
 )
@@ -37,13 +37,13 @@ def quartic_data(eps):
 
 
 def test_sparse_solve_identity():
-    A = SparseMatrix(np.eye(4))
+    A = np.eye(4)
     b = np.array([3.0, -1.0, 0.5, 2.0])
     assert np.allclose(sparse_solve(A, b), b, atol=1e-14)
 
 
 def test_sparse_solve_2x2_hand_elimination():
-    A = SparseMatrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
     x = sparse_solve(A, np.array([1.0, 1.0]))
     assert np.allclose(x, [0.4, 0.2], atol=1e-14)
 
@@ -52,16 +52,16 @@ def test_sparse_solve_recovers_interpolant():
     # manufactured right-hand side from the assembled operator itself
     space = FeSpace(build_structured_mesh(2, 4), 2)
     params = PenaltyParams(1.0, 0.5, "full")
-    A = assemble_Ah_sigma(space, CoefficientField.identity(2), params).csr
+    A = assemble_Ah_sigma(space, CoefficientField.identity(2), params)
     v = interpolate(space, lambda p: p[:, 0] ** 2 + p[:, 0] * p[:, 1] + p[:, 1] ** 2)
     ii, bb = space.interior_dofs, space.boundary_dofs
     rhs = (A @ v.coeffs)[ii] - A[np.ix_(ii, bb)] @ v.coeffs[bb]
-    x = sparse_solve(SparseMatrix(A[np.ix_(ii, ii)]), rhs)
+    x = sparse_solve(A[np.ix_(ii, ii)], rhs)
     assert np.max(np.abs(x - v.coeffs[ii])) < 1e-9
 
 
 def test_sparse_solve_singular_names_row():
-    A = SparseMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularMatrixError) as err:
         sparse_solve(A, np.array([1.0, 1.0]))
     assert err.value.row == 1
@@ -69,7 +69,17 @@ def test_sparse_solve_singular_names_row():
 
 def test_sparse_solve_shape_mismatch():
     with pytest.raises(ValueError):
-        sparse_solve(SparseMatrix(np.eye(3)), np.ones(2))
+        sparse_solve(np.eye(3), np.ones(2))
+
+
+def test_sparse_solve_rejects_nonfinite_before_factorizing(monkeypatch):
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factorized a matrix with a NaN entry")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_factor)
+    A = sp.csr_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse_solve(A, np.ones(2))
 
 
 # ------------------------------------------------------------------- config
