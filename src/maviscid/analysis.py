@@ -19,9 +19,12 @@ import numpy as np
 
 from maviscid.assembly import (
     _bilap_csr,
+    _cached,
+    _cell_blocks,
     _cell_tables,
     _face_penalty_consistency,
     _phys_hessians,
+    _phys_points,
     _scatter_matrix,
 )
 from maviscid.elements import _MAX_EXACTNESS, cell_quadrature
@@ -37,8 +40,6 @@ __all__ = [
     "rate_table",
     "format_rate_table",
 ]
-
-_CHUNK = 512
 
 
 class ScalarField:
@@ -87,21 +88,7 @@ class RateRow:
 
 
 def _elevated_exactness(space):
-    return min(space.default_cell_exactness() + 2, _MAX_EXACTNESS[space.dim])
-
-
-def _chunk_fields(space, coeffs, rule, val, grad, hess, cells):
-    """Discrete value/gradient/hessian and physical points on a cell block."""
-    ji = space.jac_inv[cells]
-    coef = coeffs[space.cell_dofs[cells]]
-    vh = np.einsum("qb,cb->cq", val, coef)
-    gh = np.einsum("qbj,cji,cb->cqi", grad, ji, coef, optimize=True)
-    hh = np.einsum("cki,qbkl,clj,cb->cqij", ji, hess, ji, coef, optimize=True)
-    phys = space.cell_origin[cells][:, None, :] + np.einsum(
-        "cij,qj->cqi", space.jac[cells], rule.points
-    )
-    wq = rule.weights[None, :] * space.jac_det[cells][:, None]
-    return vh, gh, hh, phys, wq
+    return min(space.cell_rule.exactness + 2, _MAX_EXACTNESS[space.dim])
 
 
 def error_norms(u_exact, u_h):
@@ -112,13 +99,13 @@ def error_norms(u_exact, u_h):
     rule = cell_quadrature(space.dim, _elevated_exactness(space))
     val, grad, hess = space.ref.tabulate(rule.points)
     l2 = h1s = h2s = 0.0
-    M = space.mesh.num_cells
-    for start in range(0, M, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, M))
-        vh, gh, hh, phys, wq = _chunk_fields(
-            space, u_h.coeffs, rule, val, grad, hess, cells
-        )
-        pf = phys.reshape(-1, space.dim)
+    for cells, wq in _cell_blocks(space, rule):
+        ji = space.jac_inv[cells]
+        coef = u_h.coeffs[space.cell_dofs[cells]]
+        vh = np.einsum("qb,cb->cq", val, coef)
+        gh = np.einsum("qbj,cji,cb->cqi", grad, ji, coef, optimize=True)
+        hh = np.einsum("cki,qbkl,clj,cb->cqij", ji, hess, ji, coef, optimize=True)
+        pf = _phys_points(space, cells, rule.points).reshape(-1, space.dim)
         ev = vh - np.asarray(u_exact.value(pf)).reshape(vh.shape)
         eg = gh - np.asarray(u_exact.gradient(pf)).reshape(gh.shape)
         eh = hh - np.asarray(u_exact.hessian(pf)).reshape(hh.shape)
@@ -132,32 +119,24 @@ def error_norms(u_exact, u_h):
     )
 
 
-def _hess_gram(space, exactness):
+@_cached
+def _hess_gram(space):
     """Gram matrix of the broken Hessian inner product, cached per space."""
-    key = ("hess_gram", exactness)
-    if key in space._cache:
-        return space._cache[key]
-    rule, _, _, hess_ref = _cell_tables(space, exactness)
-    acc = None
-    M = space.mesh.num_cells
-    for start in range(0, M, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, M))
+    rule, _, _, hess_ref = _cell_tables(space)
+
+    def block(cells, wq):
         hp = _phys_hessians(space, cells, hess_ref)
-        wq = rule.weights[None, :] * space.jac_det[cells][:, None]
         local = np.einsum("cq,cqaij,cqbij->cab", wq, hp, hp, optimize=True)
-        part = _scatter_matrix(space, space.cell_dofs[cells], local)
-        acc = part if acc is None else acc + part
-    space._cache[key] = acc
-    return acc
+        return _scatter_matrix(space, space.cell_dofs[cells], local)
+
+    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
 def _norm_pieces(space, coeffs):
     """(broken Hessian norm, broken Laplacian norm, jump seminorm)."""
-    cell_ex = space.default_cell_exactness()
-    face_ex = space.default_face_exactness()
-    G = _hess_gram(space, cell_ex)
-    B = _bilap_csr(space, cell_ex)
-    P, _ = _face_penalty_consistency(space, face_ex)
+    G = _hess_gram(space)
+    B = _bilap_csr(space)
+    P, _ = _face_penalty_consistency(space)
     hess2 = max(float(coeffs @ (G @ coeffs)), 0.0)
     lap2 = max(float(coeffs @ (B @ coeffs)), 0.0)
     jump2 = max(float(coeffs @ (P @ coeffs)), 0.0)
@@ -208,10 +187,8 @@ def verify_miranda_talenti(space, samples, seed=0):
 def _linf_estimate(space, coeffs):
     """Max of |v| over dof nodes and cell quadrature points."""
     best = float(np.abs(coeffs).max()) if len(coeffs) else 0.0
-    rule, val, _, _ = _cell_tables(space, space.default_cell_exactness())
-    M = space.mesh.num_cells
-    for start in range(0, M, _CHUNK):
-        cells = np.arange(start, min(start + _CHUNK, M))
+    rule, val, _, _ = _cell_tables(space)
+    for cells, _ in _cell_blocks(space, rule):
         vh = np.einsum("qb,cb->cq", val, coeffs[space.cell_dofs[cells]])
         best = max(best, float(np.abs(vh).max()))
     return best

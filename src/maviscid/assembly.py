@@ -22,10 +22,19 @@ with weight = sigma (eps + eps^-3) ("full"), sigma (eps + eps^-2)
 ("reduced"), or sigma eps ("plain").  The nonlinear residual and its
 Jacobian reuse the same ingredients with the cofactor of the current
 iterate's Hessian as the coefficient field.
+
+Quadrature is fixed per space (``FeSpace.cell_rule`` and ``face_rule``), so
+the tables and matrices cached on a space are keyed by name alone.
+Every cell integral runs through one loop over blocks of cells
+(``_cell_blocks``) and per-block matrices are summed in block order.  The
+residual alone (the line-search evaluation) forms the determinant vector
+from that loop and assembles no matrix; the Newton step forms the residual
+and the Jacobian in one pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,8 +42,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-
-from maviscid.elements import cell_quadrature, face_quadrature
 
 __all__ = [
     "CoefficientField",
@@ -211,13 +218,30 @@ def det_and_cofactor(H):
 # ------------------------------------------------------------ cached tables
 
 
-def _cell_tables(space, exactness):
-    key = ("cell_tables", exactness)
-    if key not in space._cache:
-        rule = cell_quadrature(space.dim, exactness)
-        val, grad, hess = space.ref.tabulate(rule.points)
-        space._cache[key] = (rule, val, grad, hess)
-    return space._cache[key]
+def _cached(build):
+    """Compute ``build(space)`` once per space, cached under its name."""
+
+    @functools.wraps(build)
+    def get(space):
+        if build.__name__ not in space._cache:
+            space._cache[build.__name__] = build(space)
+        return space._cache[build.__name__]
+
+    return get
+
+
+@_cached
+def _cell_tables(space):
+    """The space's cell quadrature rule and the reference basis tables on it."""
+    return (space.cell_rule,) + space.ref.tabulate(space.cell_rule.points)
+
+
+def _cell_blocks(space, rule):
+    """Yield (cells, rule weights times |det J|) for each block of cells."""
+    M = space.mesh.num_cells
+    for start in range(0, M, _CELL_CHUNK):
+        cells = np.arange(start, min(start + _CELL_CHUNK, M))
+        yield cells, rule.weights[None, :] * space.jac_det[cells][:, None]
 
 
 def _phys_hessians(space, cells, hess_ref):
@@ -242,198 +266,191 @@ def _scatter_matrix(space, dof_blocks, local_blocks):
     ).tocsr()
 
 
-def _bilap_csr(space, exactness):
+def _scatter_vector(space, cells, local):
+    """Accumulate (m, nb) local vectors on ``cells`` into a global vector."""
+    return np.bincount(
+        space.cell_dofs[cells].ravel(), weights=local.ravel(), minlength=space.ndofs
+    )
+
+
+def _load_block(wq, q, val):
+    """Local (q, w) vectors of a quadrature-point field q: (m, nb)."""
+    return np.einsum("cq,cq,qa->ca", wq, q, val)
+
+
+def _loworder_block(wq, val, phi, hp):
+    """Local (Phi : D^2 v, w) blocks: trial Hessian against test value."""
+    contracted = np.einsum("cqij,cqbij->cqb", phi, hp)
+    return np.einsum("cq,qa,cqb->cab", wq, val, contracted)
+
+
+@_cached
+def _bilap_csr(space):
     """(lap v, lap w) over all cells, cached (epsilon-independent)."""
-    key = ("bilap", exactness)
-    if key in space._cache:
-        return space._cache[key]
-    rule, _, _, hess_ref = _cell_tables(space, exactness)
-    acc = None
-    M = space.mesh.num_cells
-    for start in range(0, M, _CELL_CHUNK):
-        cells = np.arange(start, min(start + _CELL_CHUNK, M))
-        hp = _phys_hessians(space, cells, hess_ref)
-        lap = np.einsum("cqbii->cqb", hp)
-        wq = rule.weights[None, :] * space.jac_det[cells][:, None]
+    rule, _, _, hess_ref = _cell_tables(space)
+
+    def block(cells, wq):
+        lap = np.einsum("cqbii->cqb", _phys_hessians(space, cells, hess_ref))
         local = np.einsum("cq,cqa,cqb->cab", wq, lap, lap)
-        part = _scatter_matrix(space, space.cell_dofs[cells], local)
-        acc = part if acc is None else acc + part
-    space._cache[key] = acc
-    return acc
+        return _scatter_matrix(space, space.cell_dofs[cells], local)
+
+    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
-def _face_tables(space, exactness):
-    """Per-face jump/average tabulations and the stacked dof map, cached."""
-    key = ("face_tables", exactness)
-    if key in space._cache:
-        return space._cache[key]
-    mesh = space.mesh
-    d = mesh.dim
-    rule = face_quadrature(d, exactness)
-    nq = len(rule.weights)
+def _face_points(space, vertex_ids, measures):
+    """Physical quadrature points (F, nq, d) and weights (F, nq) on faces."""
+    d = space.dim
+    rule = space.face_rule
+    fc = space.mesh.vertices[vertex_ids]  # (F, d, d)
+    phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
+    scale = math.factorial(d - 1) * measures  # map ref face -> face
+    return phys, rule.weights[None, :] * scale[:, None]
+
+
+def _pulled_back_basis(space, cells, phys):
+    """Basis gradients (physical) and Hessians (reference) of each cell in
+    ``cells`` at its points ``phys`` (m, nq, d)."""
+    m, nq, d = phys.shape
     nb = space.ref.node_count
-    F = len(mesh.iface_cells)
+    ji = space.jac_inv[cells]
+    rel = phys - space.cell_origin[cells][:, None, :]
+    ref = np.einsum("cij,cqj->cqi", ji, rel)
+    _, grad, hess = space.ref.tabulate(ref.reshape(-1, d))
+    gphys = np.einsum("cqbj,cji->cqbi", grad.reshape(m, nq, nb, d), ji)
+    return gphys, hess.reshape(m, nq, nb, d, d)
+
+
+@_cached
+def _face_tables(space):
+    """Per-face jump/average tabulations and the stacked dof map, cached."""
+    mesh = space.mesh
+    phys, wq = _face_points(space, mesh.iface_vertex_ids, mesh.iface_measures)
+    nb = space.ref.node_count
+    F, nq, _ = phys.shape
     fdofs = np.hstack(
         [space.cell_dofs[mesh.iface_cells[:, 0]], space.cell_dofs[mesh.iface_cells[:, 1]]]
     )
     jump = np.empty((F, nq, 2 * nb))
     avg = np.empty((F, nq, 2 * nb))
-    # physical quadrature points on each face
-    fc = mesh.vertices[mesh.iface_vertex_ids]  # (F, d, d)
-    phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
     for side, sign in ((0, 1.0), (1, -1.0)):
         cells = mesh.iface_cells[:, side]
         for start in range(0, F, _FACE_CHUNK):
             sl = slice(start, min(start + _FACE_CHUNK, F))
             csl = cells[sl]
-            m = csl.shape[0]
-            rel = phys[sl] - space.cell_origin[csl][:, None, :]
-            ref = np.einsum("cij,cqj->cqi", space.jac_inv[csl], rel)
-            val, grad, hess = space.ref.tabulate(ref.reshape(-1, d))
-            grad = grad.reshape(m, nq, nb, d)
-            hess = hess.reshape(m, nq, nb, d, d)
+            gphys, hess = _pulled_back_basis(space, csl, phys[sl])
             ji = space.jac_inv[csl]
-            gphys = np.einsum("cqbj,cji->cqbi", grad, ji)
             hphys = np.einsum("cki,cqbkl,clj->cqbij", ji, hess, ji, optimize=True)
             lap = np.einsum("cqbii->cqb", hphys)
             gn = np.einsum("cqbi,ci->cqb", gphys, mesh.iface_normals[sl])
             jump[sl, :, side * nb : (side + 1) * nb] = sign * gn
             avg[sl, :, side * nb : (side + 1) * nb] = 0.5 * lap
-    scale = math.factorial(d - 1) * mesh.iface_measures  # map ref face -> face
-    wq = rule.weights[None, :] * scale[:, None]
-    tables = (fdofs, jump, avg, wq, mesh.iface_diameters)
-    space._cache[key] = tables
-    return tables
+    return fdofs, jump, avg, wq, mesh.iface_diameters
 
 
-def _face_penalty_consistency(space, exactness):
+@_cached
+def _face_penalty_consistency(space):
     """Cached CSR pair (P, C): gradient-jump penalty and consistency terms."""
-    key = ("face_pc", exactness)
-    if key in space._cache:
-        return space._cache[key]
-    fdofs, jump, avg, wq, hf = _face_tables(space, exactness)
-    F = len(fdofs)
-    P = sp.csr_matrix((space.ndofs, space.ndofs))
-    C = sp.csr_matrix((space.ndofs, space.ndofs))
-    for start in range(0, F, _FACE_CHUNK):
-        sl = slice(start, min(start + _FACE_CHUNK, F))
+    fdofs, jump, avg, wq, hf = _face_tables(space)
+    chunks = [slice(s, s + _FACE_CHUNK) for s in range(0, len(fdofs), _FACE_CHUNK)]
+
+    def penalty(sl):
         wj = wq[sl] / hf[sl][:, None]
-        p_local = np.einsum("fq,fqa,fqb->fab", wj, jump[sl], jump[sl])
-        c_local = np.einsum("fq,fqa,fqb->fab", wq[sl], jump[sl], avg[sl])
-        c_local = c_local + np.swapaxes(c_local, 1, 2)
-        P = P + _scatter_matrix(space, fdofs[sl], p_local)
-        C = C + _scatter_matrix(space, fdofs[sl], c_local)
-    space._cache[key] = (P, C)
-    return P, C
+        local = np.einsum("fq,fqa,fqb->fab", wj, jump[sl], jump[sl])
+        return _scatter_matrix(space, fdofs[sl], local)
+
+    def consistency(sl):
+        local = np.einsum("fq,fqa,fqb->fab", wq[sl], jump[sl], avg[sl])
+        return _scatter_matrix(space, fdofs[sl], local + np.swapaxes(local, 1, 2))
+
+    # summing onto an empty matrix drops the explicit zeros of a lone chunk
+    empty = sp.csr_matrix((space.ndofs, space.ndofs))
+    return sum(map(penalty, chunks), empty), sum(map(consistency, chunks), empty)
 
 
-def _boundary_tables(space, exactness):
+@_cached
+def _boundary_tables(space):
     """Outward normal-gradient tabulation on boundary faces, cached."""
-    key = ("bnd_tables", exactness)
-    if key in space._cache:
-        return space._cache[key]
     mesh = space.mesh
-    d = mesh.dim
-    rule = face_quadrature(d, exactness)
-    nq = len(rule.weights)
-    nb = space.ref.node_count
     cells = mesh.bface_cells
-    B = len(cells)
-    fc = mesh.vertices[mesh.bface_vertex_ids]
-    phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
-    rel = phys - space.cell_origin[cells][:, None, :]
-    ref = np.einsum("cij,cqj->cqi", space.jac_inv[cells], rel)
-    val, grad, _ = space.ref.tabulate(ref.reshape(-1, d))
-    grad = grad.reshape(B, nq, nb, d)
-    gphys = np.einsum("cqbj,cji->cqbi", grad, space.jac_inv[cells])
+    phys, wq = _face_points(space, mesh.bface_vertex_ids, mesh.bface_measures)
+    gphys, _ = _pulled_back_basis(space, cells, phys)
     gradn = np.einsum("cqbi,ci->cqb", gphys, mesh.bface_normals)
-    wq = rule.weights[None, :] * (math.factorial(d - 1) * mesh.bface_measures)[:, None]
-    tables = (space.cell_dofs[cells], phys, gradn, wq)
-    space._cache[key] = tables
-    return tables
+    return space.cell_dofs[cells], phys, gradn, wq
 
 
 # ----------------------------------------------------------- vector pieces
 
 
-def _load_vector(space, f, exactness):
+def _load_vector(space, f):
     """Entries int f w_i over the whole space (no boundary-row zeroing)."""
-    rule, val, _, _ = _cell_tables(space, exactness)
+    rule, val, _, _ = _cell_tables(space)
     out = np.zeros(space.ndofs)
-    M = space.mesh.num_cells
-    for start in range(0, M, _CELL_CHUNK):
-        cells = np.arange(start, min(start + _CELL_CHUNK, M))
+    for cells, wq in _cell_blocks(space, rule):
         phys = _phys_points(space, cells, rule.points)
         fv = np.asarray(f(phys.reshape(-1, space.dim)), dtype=float)
-        fv = fv.reshape(len(cells), -1)
-        wq = rule.weights[None, :] * space.jac_det[cells][:, None]
-        local = np.einsum("cq,cq,qa->ca", wq, fv, val)
-        out += np.bincount(
-            space.cell_dofs[cells].ravel(), weights=local.ravel(), minlength=space.ndofs
-        )
+        out += _scatter_vector(space, cells, _load_block(wq, fv.reshape(len(cells), -1), val))
     return out
 
 
-def _boundary_flux_vector(space, psi, exactness):
+def _boundary_flux_vector(space, psi):
     """Entries int_boundary psi (grad w_i . n) (no zeroing)."""
-    bdofs, phys, gradn, wq = _boundary_tables(space, exactness)
+    bdofs, phys, gradn, wq = _boundary_tables(space)
     pv = np.asarray(psi(phys.reshape(-1, space.dim)), dtype=float).reshape(phys.shape[:2])
     local = np.einsum("cq,cq,cqb->cb", wq, pv, gradn)
     return np.bincount(bdofs.ravel(), weights=local.ravel(), minlength=space.ndofs)
 
 
-def _loworder_csr(space, field, exactness):
-    """(Phi : D^2 v, w): trial Hessian against test value."""
-    rule, val, _, hess_ref = _cell_tables(space, exactness)
-    acc = None
-    M = space.mesh.num_cells
-    for start in range(0, M, _CELL_CHUNK):
-        cells = np.arange(start, min(start + _CELL_CHUNK, M))
-        hp = _phys_hessians(space, cells, hess_ref)
+def _loworder_csr(space, field):
+    """(Phi : D^2 v, w) for a coefficient field Phi."""
+    rule, val, _, hess_ref = _cell_tables(space)
+    nq = len(rule.weights)
+
+    def block(cells, wq):
         phys = _phys_points(space, cells, rule.points)
-        nq = len(rule.weights)
-        flat_cells = np.repeat(cells, nq)
-        phi = field(phys.reshape(-1, space.dim), flat_cells).reshape(
+        phi = field(phys.reshape(-1, space.dim), np.repeat(cells, nq)).reshape(
             len(cells), nq, space.dim, space.dim
         )
-        contracted = np.einsum("cqij,cqbij->cqb", phi, hp)
-        wq = rule.weights[None, :] * space.jac_det[cells][:, None]
-        local = np.einsum("cq,qa,cqb->cab", wq, val, contracted)
-        part = _scatter_matrix(space, space.cell_dofs[cells], local)
-        acc = part if acc is None else acc + part
-    return acc
+        local = _loworder_block(wq, val, phi, _phys_hessians(space, cells, hess_ref))
+        return _scatter_matrix(space, space.cell_dofs[cells], local)
+
+    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
-def _nonlinear_cell_terms(space, coeffs, exactness):
-    """Shared pass for the Newton step: (det(D^2 u_h), w_i) vector and the
-    cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
-    rule, val, _, hess_ref = _cell_tables(space, exactness)
-    det_vec = np.zeros(space.ndofs)
-    acc = None
-    M = space.mesh.num_cells
-    for start in range(0, M, _CELL_CHUNK):
-        cells = np.arange(start, min(start + _CELL_CHUNK, M))
+def _iterate_hessians(space, coeffs):
+    """Yield, per cell block, (cells, weights, physical basis Hessians,
+    det(D^2 u_h), cof(D^2 u_h)) at the quadrature points."""
+    rule, _, _, hess_ref = _cell_tables(space)
+    for cells, wq in _cell_blocks(space, rule):
         hp = _phys_hessians(space, cells, hess_ref)
-        coef = coeffs[space.cell_dofs[cells]]
-        hu = np.einsum("cqbij,cb->cqij", hp, coef)
-        det, cof = det_and_cofactor(hu)
-        wq = rule.weights[None, :] * space.jac_det[cells][:, None]
-        local_vec = np.einsum("cq,cq,qa->ca", wq, det, val)
-        det_vec += np.bincount(
-            space.cell_dofs[cells].ravel(), weights=local_vec.ravel(),
-            minlength=space.ndofs,
-        )
-        contracted = np.einsum("cqij,cqbij->cqb", cof, hp)
-        local_mat = np.einsum("cq,qa,cqb->cab", wq, val, contracted)
-        part = _scatter_matrix(space, space.cell_dofs[cells], local_mat)
-        acc = part if acc is None else acc + part
-    return det_vec, acc
+        hu = np.einsum("cqbij,cb->cqij", hp, coeffs[space.cell_dofs[cells]])
+        yield (cells, wq, hp) + det_and_cofactor(hu)
+
+
+def _det_vector(space, coeffs):
+    """The (det(D^2 u_h), v_i) vector alone: the line-search residual's pass."""
+    _, val, _, _ = _cell_tables(space)
+    return sum(
+        _scatter_vector(space, cells, _load_block(wq, det, val))
+        for cells, wq, _, det, _ in _iterate_hessians(space, coeffs)
+    )
+
+
+def _nonlinear_cell_terms(space, coeffs):
+    """One pass for the Newton step: the (det(D^2 u_h), v_i) vector and the
+    cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
+    _, val, _, _ = _cell_tables(space)
+    det_vec = low_cof = 0
+    for cells, wq, hp, det, cof in _iterate_hessians(space, coeffs):
+        det_vec = det_vec + _scatter_vector(space, cells, _load_block(wq, det, val))
+        local = _loworder_block(wq, val, cof, hp)
+        low_cof = low_cof + _scatter_matrix(space, space.cell_dofs[cells], local)
+    return det_vec, low_cof
 
 
 # ------------------------------------------------------------- public ops
 
 
-def assemble_Ah_sigma(space, field, params, cell_exactness=None, face_exactness=None):
+def assemble_Ah_sigma(space, field, params):
     """Stabilized linearized operator; rows are test dofs, columns trial dofs.
 
     Realizes eps (lap v, lap w) minus the two face consistency terms minus
@@ -442,29 +459,23 @@ def assemble_Ah_sigma(space, field, params, cell_exactness=None, face_exactness=
     """
     if field.dim != space.dim:
         raise ValueError("coefficient field dimension does not match the mesh")
-    cell_ex = cell_exactness or space.default_cell_exactness()
-    face_ex = face_exactness or space.default_face_exactness()
     eps = params.epsilon
-    bilap = _bilap_csr(space, cell_ex)
-    P, C = _face_penalty_consistency(space, face_ex)
-    low = _loworder_csr(space, field, cell_ex)
-    return _check_finite(eps * bilap - eps * C - low + params.jump_weight * P)
+    P, C = _face_penalty_consistency(space)
+    low = _loworder_csr(space, field)
+    return _check_finite(eps * _bilap_csr(space) - eps * C - low + params.jump_weight * P)
 
 
-def assemble_linearized_rhs(space, phi, psi, params, cell_exactness=None,
-                            face_exactness=None):
+def assemble_linearized_rhs(space, phi, psi, params):
     """RHS of the linearized scheme: (phi, w_i) + eps (psi, grad w_i . n) on
     interior test dofs; boundary rows are zeroed."""
-    cell_ex = cell_exactness or space.default_cell_exactness()
-    face_ex = face_exactness or space.default_face_exactness()
-    rhs = _load_vector(space, phi, cell_ex)
-    rhs += params.epsilon * _boundary_flux_vector(space, psi, face_ex)
+    rhs = _load_vector(space, phi)
+    rhs += params.epsilon * _boundary_flux_vector(space, psi)
     rhs[space.boundary_dofs] = 0.0
     return rhs
 
 
-def _b_form_csr(space, params, face_exactness):
-    P, C = _face_penalty_consistency(space, face_exactness)
+def _b_form_csr(space, params):
+    P, C = _face_penalty_consistency(space)
     return params.jump_weight * P - params.epsilon * C
 
 
@@ -476,34 +487,22 @@ def _check_dirichlet(u_h, g_data):
         raise ValueError(f"u_h violates Dirichlet dofs by {gap:.2e}")
 
 
-def _linearization(u_h, params, cell_exactness, face_exactness):
-    """Pieces the residual and the Jacobian at ``u_h`` share: the quadrature
-    exactness pair, the (det(D^2 u_h), v_i) vector, the cofactor low-order
-    matrix and the face form b."""
-    space = u_h.space
-    cell_ex = cell_exactness or space.default_cell_exactness()
-    face_ex = face_exactness or space.default_face_exactness()
-    det_vec, low_cof = _nonlinear_cell_terms(space, u_h.coeffs, cell_ex)
-    return cell_ex, face_ex, det_vec, low_cof, _b_form_csr(space, params, face_ex)
-
-
-def _residual(u_h, f, g_data, params, lin):
+def _residual(u_h, f, g_data, params, det_vec, b_form):
+    """The residual at ``u_h`` given its (det(D^2 u_h), v_i) vector."""
     space, eps = u_h.space, params.epsilon
-    cell_ex, face_ex, det_vec, _, b_form = lin
-    r = -eps * (_bilap_csr(space, cell_ex) @ u_h.coeffs) + det_vec - b_form @ u_h.coeffs
-    r -= _load_vector(space, f, cell_ex)
-    r += eps * _boundary_flux_vector(space, g_data.psi_field(eps), face_ex)
+    r = -eps * (_bilap_csr(space) @ u_h.coeffs) + det_vec - b_form @ u_h.coeffs
+    r -= _load_vector(space, f)
+    r += eps * _boundary_flux_vector(space, g_data.psi_field(eps))
     r[space.boundary_dofs] = 0.0
     return r
 
 
-def _jacobian(space, params, lin):
-    cell_ex, _, _, low_cof, b_form = lin
-    return _check_finite(-params.epsilon * _bilap_csr(space, cell_ex) + low_cof - b_form)
+def _jacobian(space, params, low_cof, b_form):
+    """The Jacobian given its cofactor low-order matrix."""
+    return _check_finite(-params.epsilon * _bilap_csr(space) + low_cof - b_form)
 
 
-def assemble_nonlinear_residual(u_h, f, g_data, params, cell_exactness=None,
-                                face_exactness=None):
+def assemble_nonlinear_residual(u_h, f, g_data, params):
     """Residual of the nonlinear scheme at ``u_h``.
 
     entry_i = -eps (lap u_h, lap v_i) + (det(D^2 u_h), v_i) - b(u_h, v_i)
@@ -511,24 +510,28 @@ def assemble_nonlinear_residual(u_h, f, g_data, params, cell_exactness=None,
     with b the penalty-plus-consistency face form; boundary rows are zero.
     """
     _check_dirichlet(u_h, g_data)
-    lin = _linearization(u_h, params, cell_exactness, face_exactness)
-    return _residual(u_h, f, g_data, params, lin)
+    space = u_h.space
+    det_vec = _det_vector(space, u_h.coeffs)
+    return _residual(u_h, f, g_data, params, det_vec, _b_form_csr(space, params))
 
 
-def assemble_jacobian(u_h, params, cell_exactness=None, face_exactness=None):
+def assemble_jacobian(u_h, params):
     """Frechet derivative of the nonlinear residual at ``u_h``:
     J(v_i, w_j) = -eps (lap w_j, lap v_i) + (cof(D^2 u_h) : D^2 w_j, v_i)
                   - b(w_j, v_i)."""
-    lin = _linearization(u_h, params, cell_exactness, face_exactness)
-    return _jacobian(u_h.space, params, lin)
+    space = u_h.space
+    _, low_cof = _nonlinear_cell_terms(space, u_h.coeffs)
+    return _jacobian(space, params, low_cof, _b_form_csr(space, params))
 
 
-def assemble_residual_and_jacobian(u_h, f, g_data, params, cell_exactness=None,
-                                   face_exactness=None):
-    """Residual and Jacobian in one pass (shares the Hessian tabulation)."""
+def assemble_residual_and_jacobian(u_h, f, g_data, params):
+    """Residual and Jacobian from one pass over the cells."""
     _check_dirichlet(u_h, g_data)
-    lin = _linearization(u_h, params, cell_exactness, face_exactness)
-    return _residual(u_h, f, g_data, params, lin), _jacobian(u_h.space, params, lin)
+    space = u_h.space
+    det_vec, low_cof = _nonlinear_cell_terms(space, u_h.coeffs)
+    b_form = _b_form_csr(space, params)
+    return (_residual(u_h, f, g_data, params, det_vec, b_form),
+            _jacobian(space, params, low_cof, b_form))
 
 
 def apply_dirichlet(space, g):

@@ -14,6 +14,7 @@ Three subcommands:
 Exit codes: 0 success, 1 solver or verification failure, 2 usage error.
 The environment variable MAVISCID_THREADS caps the worker count used for
 independent mesh-refinement rows; outputs are identical at any setting.
+Rows start in order, and none starts once the run has reached a failed row.
 """
 
 from __future__ import annotations
@@ -248,13 +249,15 @@ def _solve_on_mesh(spec, degree, h, eps_target, schedule=None):
 
 
 def _run_h_study(cfg, degree):
-    """One row per mesh size at fixed epsilon; rows solve independently."""
+    """One row per mesh size at fixed epsilon; rows solve independently.
+
+    Rows start in order with at most one per worker in flight, and none
+    starts once a failed row has been seen."""
     spec = cfg.spec
     eps = spec.eps_list[0]
-    results = [None] * len(spec.h_list)
+    hs = spec.h_list
 
-    def job(i):
-        h = spec.h_list[i]
+    def job(h):
         u, rep = _solve_on_mesh(spec, degree, h, eps)
         e = error_norms(spec.exact_solution, u)
         _progress(
@@ -263,30 +266,18 @@ def _run_h_study(cfg, degree):
         )
         return h, e
 
-    workers = _worker_count(len(spec.h_list))
-    if workers == 1:
-        gathered = []
-        for i in range(len(spec.h_list)):
-            try:
-                gathered.append(job(i))
-            except NewtonError as exc:
-                return gathered, (spec.h_list[i], exc)
-        return gathered, None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job, i) for i in range(len(spec.h_list))]
-        failure = None
-        for i, fut in enumerate(futures):
-            try:
-                results[i] = fut.result()
-            except NewtonError as exc:
-                failure = (spec.h_list[i], exc)
-                break
+    workers = _worker_count(len(hs))
     rows = []
-    for r in results:
-        if r is None:
-            break
-        rows.append(r)
-    return rows, failure
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(job, h) for h in hs[:workers]]
+        for i, h in enumerate(hs):
+            try:
+                rows.append(futures[i].result())
+            except NewtonError as exc:
+                return rows, (h, exc)
+            if i + workers < len(hs):
+                futures.append(pool.submit(job, hs[i + workers]))
+    return rows, None
 
 
 def _run_eps_study(cfg, degree):

@@ -210,7 +210,10 @@ class FeSpace:
         self.degree = int(degree)
         self.ref = ReferenceElement(mesh.dim, self.degree)
 
-        d = mesh.dim
+        d, k = mesh.dim, self.degree
+        # the one cell and one face quadrature of every form on this space
+        self.cell_rule = cell_quadrature(d, max(2 * k, d * (k - 2) + k) + 2)
+        self.face_rule = face_quadrature(d, 2 * (k - 1) + 2)
         pts = mesh.vertices[mesh.cells]  # (M, d+1, d)
         self.cell_origin = np.ascontiguousarray(pts[:, 0, :])
         # jacobian columns are the edge vectors
@@ -225,7 +228,7 @@ class FeSpace:
         # a node is keyed by the mesh vertices it combines: each global vertex
         # id paired with the node's integer barycentric weight on it (packed
         # as id * (k+1) + weight), zero-weight vertices blanked to -1, sorted
-        M, nb, k = mesh.num_cells, self.ref.node_count, self.degree
+        M, nb = mesh.num_cells, self.ref.node_count
         exps = self.ref.exponents
         weights = np.column_stack([k - exps.sum(axis=1), exps])  # (nb, d+1)
         pairs = np.where(weights > 0, mesh.cells[:, None, :] * (k + 1) + weights, -1)
@@ -254,13 +257,6 @@ class FeSpace:
     @property
     def dim(self):
         return self.mesh.dim
-
-    def default_cell_exactness(self):
-        k, d = self.degree, self.mesh.dim
-        return max(2 * k, d * (k - 2) + k) + 2
-
-    def default_face_exactness(self):
-        return 2 * (self.degree - 1) + 2
 
     def reference_coords(self, cells, points):
         """Pull physical points back to reference coordinates of given cells."""

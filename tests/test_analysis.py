@@ -23,7 +23,6 @@ from maviscid.elements import (
     FeSpace,
     cell_quadrature,
     eval_fe,
-    face_quadrature,
     interpolate,
 )
 from maviscid.mesh import build_structured_mesh
@@ -76,14 +75,14 @@ def brute_mesh_norm(v_h):
     """Per-face/per-cell loops for the mesh-dependent norm."""
     space = v_h.space
     mesh, d = space.mesh, space.dim
-    rule = cell_quadrature(d, space.default_cell_exactness())
+    rule = space.cell_rule
     hess2 = 0.0
     for c in range(mesh.num_cells):
         for q in range(len(rule.weights)):
             wq = rule.weights[q] * space.jac_det[c]
             _, _, H = eval_fe(v_h, c, rule.points[q])
             hess2 += wq * np.sum(H * H)
-    frule = face_quadrature(d, space.default_face_exactness())
+    frule = space.face_rule
     ref_meas = 1.0 if d == 2 else 0.5
     jump2 = 0.0
     for f in range(len(mesh.iface_cells)):
@@ -337,10 +336,7 @@ def test_consistency_residual_dual_norm_decays():
         space = FeSpace(build_structured_mesh(2, n), 2)
         u_i = interpolate(space, u)
         r = assemble_nonlinear_residual(u_i, f, data, params)
-        G = (
-            _hess_gram(space, space.default_cell_exactness())
-            + _face_penalty_consistency(space, space.default_face_exactness())[0]
-        )
+        G = _hess_gram(space) + _face_penalty_consistency(space)[0]
         ii = space.interior_dofs
         Gii = G[np.ix_(ii, ii)].tocsc()
         x = spla.splu(Gii).solve(r[ii])

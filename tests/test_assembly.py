@@ -26,9 +26,7 @@ from maviscid.assembly import (
 )
 from maviscid.elements import (
     FeSpace,
-    cell_quadrature,
     eval_fe,
-    face_quadrature,
     interpolate,
 )
 from maviscid.mesh import build_structured_mesh
@@ -53,7 +51,7 @@ def brute_operator(space, field_fn, params):
         basis.append(space.function(e))
     A = np.zeros((nd, nd))
 
-    crule = cell_quadrature(d, space.default_cell_exactness())
+    crule = space.cell_rule
     for c in range(mesh.num_cells):
         dofs = space.cell_dofs[c]
         for q in range(len(crule.weights)):
@@ -71,7 +69,7 @@ def brute_operator(space, field_fn, params):
                         - np.sum(phi_mat * Hb) * va
                     )
 
-    frule = face_quadrature(d, space.default_face_exactness())
+    frule = space.face_rule
     ref_meas = 1.0 if d == 2 else 0.5
     for f in range(len(mesh.iface_cells)):
         fc = mesh.vertices[mesh.iface_vertex_ids[f]]
@@ -108,7 +106,7 @@ def brute_rhs(space, phi_fn, psi_fn, eps):
         e[i] = 1.0
         basis.append(space.function(e))
     r = np.zeros(nd)
-    crule = cell_quadrature(d, space.default_cell_exactness())
+    crule = space.cell_rule
     for c in range(mesh.num_cells):
         for q in range(len(crule.weights)):
             xref = crule.points[q]
@@ -118,7 +116,7 @@ def brute_rhs(space, phi_fn, psi_fn, eps):
             for idof in space.cell_dofs[c]:
                 v, _, _ = eval_fe(basis[idof], c, xref)
                 r[idof] += wq * fval * v
-    frule = face_quadrature(d, space.default_face_exactness())
+    frule = space.face_rule
     ref_meas = 1.0 if d == 2 else 0.5
     for f, cell in enumerate(mesh.bface_cells):
         fc = mesh.vertices[mesh.bface_vertex_ids[f]]
@@ -298,9 +296,8 @@ def test_smooth_quadratic_energy_3d():
 def test_penalty_vanishes_on_c1_functions(dim, degree):
     mesh = build_structured_mesh(dim, 2)
     space = FeSpace(mesh, degree)
-    exactness = space.default_face_exactness()
-    P, C = _face_penalty_consistency(space, exactness)
-    fdofs, jump, _, wq, hf = _face_tables(space, exactness)
+    P, C = _face_penalty_consistency(space)
+    fdofs, jump, _, wq, hf = _face_tables(space)
     scale = np.max(np.abs(P.toarray()))
     lin = interpolate(space, lambda p: 1.0 + p @ np.arange(1.0, dim + 1.0))
     quad = interpolate(space, lambda p: (p**2).sum(axis=1) + p[:, 0] * p[:, 1])
@@ -340,7 +337,7 @@ def test_interior_positivity_without_coefficient():
 def test_load_partition_of_unity():
     for dim, n in ((2, 3), (3, 2)):
         space = FeSpace(build_structured_mesh(dim, n), 2)
-        load = _load_vector(space, lambda p: np.ones(len(p)), 4)
+        load = _load_vector(space, lambda p: np.ones(len(p)))
         assert load.sum() == pytest.approx(1.0, abs=1e-13)
 
 
@@ -349,9 +346,7 @@ def test_boundary_flux_divergence_theorem():
     for (dim, n), expected in (((2, 3), 4.0), ((3, 2), 6.0)):
         space = FeSpace(build_structured_mesh(dim, n), 2)
         v = interpolate(space, lambda p: (p**2).sum(axis=1))
-        flux = _boundary_flux_vector(
-            space, lambda p: np.ones(len(p)), space.default_face_exactness()
-        )
+        flux = _boundary_flux_vector(space, lambda p: np.ones(len(p)))
         assert flux.sum() == pytest.approx(0.0, abs=1e-12)
         assert v.coeffs @ flux == pytest.approx(expected, abs=1e-11)
 
@@ -428,9 +423,26 @@ def test_jacobian_matches_finite_differences(dim, n):
         errs.append(np.max(np.abs((r1[ii] - r0[ii]) / t - jd[ii])) / scale)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-5
+    # the line-search residual is the fused one, bit for bit: Newton's
+    # descent test compares the two
+    assert np.array_equal(r0, assemble_nonlinear_residual(u, f, data, params))
     # separate-call jacobian agrees with the fused one
     J2 = assemble_jacobian(u, params)
     assert np.max(np.abs((J - J2).toarray())) < 1e-12 * np.max(np.abs(J.toarray()))
+
+
+def test_line_search_residual_builds_no_matrix(monkeypatch):
+    space, u, _, data = _perturbed_state(2, 4, seed=3)
+    params = PenaltyParams(1.0, 0.2, "plain")
+    f = lambda p: np.ones(len(p))
+    # warm the cached ingredient matrices, then forbid any further scatter
+    r0, _ = assemble_residual_and_jacobian(u, f, data, params)
+
+    def no_scatter(*args):
+        raise AssertionError("the residual assembled a matrix")
+
+    monkeypatch.setattr("maviscid.assembly._scatter_matrix", no_scatter)
+    assert np.array_equal(r0, assemble_nonlinear_residual(u, f, data, params))
 
 
 def test_jacobian_is_negative_operator_at_identity_hessian():

@@ -143,6 +143,27 @@ def test_threaded_rows_match_serial(tmp_path, monkeypatch):
     assert serial == par
 
 
+def test_failed_row_stops_the_h_study(tmp_path, monkeypatch, capsys):
+    # plain weights at sigma = 1 under-penalize: row 1/8 fails at eps = 0.125
+    argv = (
+        "convergence", "--case", "II", "--degree", "2",
+        "--h-list", "1/4", "1/8", "1/16", "--eps-list", "0.01",
+        "--sigma", "1", "--weight-mode", "plain", "--format", "csv",
+    )
+    monkeypatch.delenv("MAVISCID_THREADS", raising=False)
+    assert run(*argv, "--out", str(tmp_path / "serial")) == 1
+    err = capsys.readouterr().err
+    assert "h=0.125" in err
+    assert "h=0.0625" not in err
+    monkeypatch.setenv("MAVISCID_THREADS", "3")
+    assert run(*argv, "--out", str(tmp_path / "par")) == 1
+    serial = (tmp_path / "serial" / "caseII_k2.csv").read_bytes()
+    par = (tmp_path / "par" / "caseII_k2.csv").read_bytes()
+    assert serial == par
+    with open(tmp_path / "serial" / "caseII_k2.csv") as fh:
+        assert [row["h"] for row in csv.DictReader(fh)] == ["0.25"]
+
+
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")
