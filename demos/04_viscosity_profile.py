@@ -32,7 +32,7 @@ for eps in (0.16, 0.08, 0.04, 0.02):
         space, f, g_data, sigma=20.0, eps_target=eps,
         config=NewtonConfig(abs_tol=1e-8), weight_mode="plain",
     )
-    print(f"  eps={eps:<5g} u_center={u.evaluate(center)[0]:+.6f} "
+    print(f"  eps={eps:<5g} u={u.evaluate(center)[0]:+.6f} "
           f"({report.iterations} total Newton steps)")
 
 # profile along the horizontal midline

@@ -60,13 +60,11 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class ErrorNorms:
-    """Full L2 / H1 / broken-H2 norms of an error; mesh_norm only applies to
-    discrete functions and is None when not computed."""
+    """Full L2 / H1 / broken-H2 norms of an error."""
 
     l2: float
     h1: float
     h2_broken: float
-    mesh_norm: Optional[float] = None
 
     def __post_init__(self):
         for name in ("l2", "h1", "h2_broken"):
@@ -224,21 +222,12 @@ def rate_table(rows):
     if any(b >= a for a, b in zip(params, params[1:])):
         raise ValueError("parameters must be strictly decreasing")
     out = []
-    prev = None
+    prev_param, prev_errs = None, (None, None, None)
     for param, err in rows:
-        row = RateRow(parameter=param, l2=err.l2, h1=err.h1, h2=err.h2_broken)
-        if prev is not None:
-            row = RateRow(
-                parameter=param,
-                l2=err.l2,
-                h1=err.h1,
-                h2=err.h2_broken,
-                l2_order=_order(prev[1].l2, err.l2, prev[0], param),
-                h1_order=_order(prev[1].h1, err.h1, prev[0], param),
-                h2_order=_order(prev[1].h2_broken, err.h2_broken, prev[0], param),
-            )
-        out.append(row)
-        prev = (param, err)
+        errs = (err.l2, err.h1, err.h2_broken)
+        orders = [_order(e0, e1, prev_param, param) for e0, e1 in zip(prev_errs, errs)]
+        out.append(RateRow(param, *errs, *orders))
+        prev_param, prev_errs = param, errs
     return out
 
 

@@ -19,12 +19,18 @@ independent of which neighbor is labeled plus.  The stabilized form is
             + weight * P(v, w),
 
 with weight = sigma (eps + eps^-3) ("full"), sigma (eps + eps^-2)
-("reduced"), or sigma eps ("plain").  The nonlinear residual and its
-Jacobian reuse the same ingredients with the cofactor of the current
-iterate's Hessian as the coefficient field.
+("reduced"), or sigma eps ("plain").
+
+Everything but the low-order term is fixed within a continuation rung and
+cached per rung: A_h(0) = eps (B - C) + weight P (``_operator``, keyed by
+the penalty parameters) and the data vector eps (psi, grad w . n) - (f, w)
+(``_data_vector``, keyed by f, the boundary data and the parameters).  The
+operator is A_h(Phi) = A_h(0) - (Phi : D^2 v, w), the Newton Jacobian is
+-A_h(cof(D^2 u_h)), and the residual is (det(D^2 u_h), w) - A_h(0) u_h plus
+the data vector.
 
 Quadrature is fixed per space (``FeSpace.cell_rule`` and ``face_rule``), so
-the tables and matrices cached on a space are keyed by name alone.
+the tables and matrices cached on a space take no key but the space itself.
 Every cell integral runs through one loop over blocks of cells
 (``_cell_blocks``) and per-block matrices are summed in block order.  The
 residual alone (the line-search evaluation) forms the determinant vector
@@ -219,13 +225,18 @@ def det_and_cofactor(H):
 
 
 def _cached(build):
-    """Compute ``build(space)`` once per space, cached under its name."""
+    """Cache ``build(space, *key)`` on the space under the builder's name.
+
+    Each builder keeps one (key, value) entry and rebuilds it when called
+    with another key; tables fixed by the space take the empty key.
+    """
 
     @functools.wraps(build)
-    def get(space):
-        if build.__name__ not in space._cache:
-            space._cache[build.__name__] = build(space)
-        return space._cache[build.__name__]
+    def get(space, *key):
+        entry = space._cache.get(build.__name__)
+        if entry is None or entry[0] != key:
+            entry = space._cache[build.__name__] = (key, build(space, *key))
+        return entry[1]
 
     return get
 
@@ -261,9 +272,11 @@ def _scatter_matrix(space, dof_blocks, local_blocks):
     nb = dof_blocks.shape[1]
     rows = np.repeat(dof_blocks, nb, axis=1).ravel()
     cols = np.tile(dof_blocks, (1, nb)).ravel()
-    return sp.coo_matrix(
+    A = sp.coo_matrix(
         (local_blocks.ravel(), (rows, cols)), shape=(space.ndofs, space.ndofs)
     ).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def _scatter_vector(space, cells, local):
@@ -351,7 +364,9 @@ def _face_tables(space):
 def _face_penalty_consistency(space):
     """Cached CSR pair (P, C): gradient-jump penalty and consistency terms."""
     fdofs, jump, avg, wq, hf = _face_tables(space)
-    chunks = [slice(s, s + _FACE_CHUNK) for s in range(0, len(fdofs), _FACE_CHUNK)]
+    # one chunk at least, so a mesh without interior faces gets empty matrices
+    starts = range(0, max(len(fdofs), 1), _FACE_CHUNK)
+    chunks = [slice(s, s + _FACE_CHUNK) for s in starts]
 
     def penalty(sl):
         wj = wq[sl] / hf[sl][:, None]
@@ -362,9 +377,7 @@ def _face_penalty_consistency(space):
         local = np.einsum("fq,fqa,fqb->fab", wq[sl], jump[sl], avg[sl])
         return _scatter_matrix(space, fdofs[sl], local + np.swapaxes(local, 1, 2))
 
-    # summing onto an empty matrix drops the explicit zeros of a lone chunk
-    empty = sp.csr_matrix((space.ndofs, space.ndofs))
-    return sum(map(penalty, chunks), empty), sum(map(consistency, chunks), empty)
+    return sum(map(penalty, chunks)), sum(map(consistency, chunks))
 
 
 @_cached
@@ -447,6 +460,23 @@ def _nonlinear_cell_terms(space, coeffs):
     return det_vec, low_cof
 
 
+# ------------------------------------------------------ per-rung constants
+
+
+@_cached
+def _operator(space, params):
+    """A_h(0) = eps (lap v, lap w) - eps C + weight P, cached per params."""
+    P, C = _face_penalty_consistency(space)
+    return params.epsilon * (_bilap_csr(space) - C) + params.jump_weight * P
+
+
+@_cached
+def _data_vector(space, f, g_data, params):
+    """eps (psi, grad v_i . n) - (f, v_i), cached per (f, g_data, params)."""
+    psi = g_data.psi_field(params.epsilon)
+    return params.epsilon * _boundary_flux_vector(space, psi) - _load_vector(space, f)
+
+
 # ------------------------------------------------------------- public ops
 
 
@@ -459,10 +489,7 @@ def assemble_Ah_sigma(space, field, params):
     """
     if field.dim != space.dim:
         raise ValueError("coefficient field dimension does not match the mesh")
-    eps = params.epsilon
-    P, C = _face_penalty_consistency(space)
-    low = _loworder_csr(space, field)
-    return _check_finite(eps * _bilap_csr(space) - eps * C - low + params.jump_weight * P)
+    return _check_finite(_operator(space, params) - _loworder_csr(space, field))
 
 
 def assemble_linearized_rhs(space, phi, psi, params):
@@ -474,11 +501,6 @@ def assemble_linearized_rhs(space, phi, psi, params):
     return rhs
 
 
-def _b_form_csr(space, params):
-    P, C = _face_penalty_consistency(space)
-    return params.jump_weight * P - params.epsilon * C
-
-
 def _check_dirichlet(u_h, g_data):
     space = u_h.space
     bvals, _ = apply_dirichlet(space, g_data.g)
@@ -487,19 +509,13 @@ def _check_dirichlet(u_h, g_data):
         raise ValueError(f"u_h violates Dirichlet dofs by {gap:.2e}")
 
 
-def _residual(u_h, f, g_data, params, det_vec, b_form):
+def _residual(u_h, f, g_data, params, det_vec):
     """The residual at ``u_h`` given its (det(D^2 u_h), v_i) vector."""
-    space, eps = u_h.space, params.epsilon
-    r = -eps * (_bilap_csr(space) @ u_h.coeffs) + det_vec - b_form @ u_h.coeffs
-    r -= _load_vector(space, f)
-    r += eps * _boundary_flux_vector(space, g_data.psi_field(eps))
+    space = u_h.space
+    r = det_vec - _operator(space, params) @ u_h.coeffs
+    r += _data_vector(space, f, g_data, params)
     r[space.boundary_dofs] = 0.0
     return r
-
-
-def _jacobian(space, params, low_cof, b_form):
-    """The Jacobian given its cofactor low-order matrix."""
-    return _check_finite(-params.epsilon * _bilap_csr(space) + low_cof - b_form)
 
 
 def assemble_nonlinear_residual(u_h, f, g_data, params):
@@ -508,30 +524,35 @@ def assemble_nonlinear_residual(u_h, f, g_data, params):
     entry_i = -eps (lap u_h, lap v_i) + (det(D^2 u_h), v_i) - b(u_h, v_i)
               - (f, v_i) + eps (psi, grad v_i . n)  on interior dofs,
     with b the penalty-plus-consistency face form; boundary rows are zero.
+    ``f`` and ``g_data`` must be pure: their load and boundary-flux vectors
+    are cached on the space and reused while the same ``f``, ``g_data`` and
+    ``params`` come back, which in the solver is one continuation rung.
     """
     _check_dirichlet(u_h, g_data)
-    space = u_h.space
-    det_vec = _det_vector(space, u_h.coeffs)
-    return _residual(u_h, f, g_data, params, det_vec, _b_form_csr(space, params))
+    det_vec = _det_vector(u_h.space, u_h.coeffs)
+    return _residual(u_h, f, g_data, params, det_vec)
 
 
 def assemble_jacobian(u_h, params):
     """Frechet derivative of the nonlinear residual at ``u_h``:
     J(v_i, w_j) = -eps (lap w_j, lap v_i) + (cof(D^2 u_h) : D^2 w_j, v_i)
-                  - b(w_j, v_i)."""
+                  - b(w_j, v_i), that is -A_h(cof(D^2 u_h))."""
     space = u_h.space
     _, low_cof = _nonlinear_cell_terms(space, u_h.coeffs)
-    return _jacobian(space, params, low_cof, _b_form_csr(space, params))
+    return _check_finite(low_cof - _operator(space, params))
 
 
 def assemble_residual_and_jacobian(u_h, f, g_data, params):
-    """Residual and Jacobian from one pass over the cells."""
+    """Residual and Jacobian from one pass over the cells.
+
+    As in ``assemble_nonlinear_residual``, ``f`` and ``g_data`` must be pure:
+    their vectors are reused while the same data and ``params`` come back.
+    """
     _check_dirichlet(u_h, g_data)
     space = u_h.space
     det_vec, low_cof = _nonlinear_cell_terms(space, u_h.coeffs)
-    b_form = _b_form_csr(space, params)
-    return (_residual(u_h, f, g_data, params, det_vec, b_form),
-            _jacobian(space, params, low_cof, b_form))
+    return (_residual(u_h, f, g_data, params, det_vec),
+            _check_finite(low_cof - _operator(space, params)))
 
 
 def apply_dirichlet(space, g):

@@ -143,48 +143,32 @@ class ReferenceElement:
         Returns arrays of shape (N, nb), (N, nb, dim), (N, nb, dim, dim).
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        N, d, nb = len(pts), self.dim, self.node_count
+        d = self.dim
         # per-axis power tables up to the element degree
         pows = [
             np.vander(pts[:, i], self.degree + 1, increasing=True) for i in range(d)
         ]
-        mono = np.ones((N, nb))
-        dmono = np.zeros((N, nb, d))
-        hmono = np.zeros((N, nb, d, d))
-        for j, exp in enumerate(self.exponents):
-            base = np.ones(N)
-            for i, e in enumerate(exp):
-                base = base * pows[i][:, e]
-            mono[:, j] = base
-            for a in range(d):
-                ea = exp[a]
-                if ea == 0:
-                    continue
-                term = np.full(N, float(ea))
-                for i, e in enumerate(exp):
-                    term = term * pows[i][:, e - 1 if i == a else e]
-                dmono[:, j, a] = term
-                # diagonal second derivative
-                if ea >= 2:
-                    term = np.full(N, float(ea * (ea - 1)))
-                    for i, e in enumerate(exp):
-                        term = term * pows[i][:, e - 2 if i == a else e]
-                    hmono[:, j, a, a] = term
-                # mixed second derivatives
-                for b in range(a + 1, d):
-                    eb = exp[b]
-                    if eb == 0:
-                        continue
-                    term = np.full(N, float(ea * eb))
-                    for i, e in enumerate(exp):
-                        ei = e
-                        if i == a:
-                            ei -= 1
-                        if i == b:
-                            ei -= 1
-                        term = term * pows[i][:, ei]
-                    hmono[:, j, a, b] = term
-                    hmono[:, j, b, a] = term
+
+        def derivative(*axes):
+            """d/dx_axes of every monomial: (N, nb)."""
+            exps = self.exponents.copy()
+            coef = np.ones(self.node_count)  # falling factorial of the exponents
+            for a in axes:
+                coef *= exps[:, a]
+                exps[:, a] -= 1
+            # a power lowered below zero has a zero coefficient; take() keeps
+            # the table C-ordered, which fixes the rounding of mono @ C.T
+            term = np.broadcast_to(coef, (len(pts), self.node_count))
+            for i in range(d):
+                term = term * pows[i].take(np.maximum(exps[:, i], 0), axis=1)
+            return term
+
+        mono = derivative()
+        dmono = np.stack([derivative(a) for a in range(d)], axis=-1)
+        hmono = np.stack(
+            [np.stack([derivative(a, b) for b in range(d)], axis=-1) for a in range(d)],
+            axis=-2,
+        )
         C = self.coeffs
         val = mono @ C.T
         grad = np.einsum("njd,bj->nbd", dmono, C)

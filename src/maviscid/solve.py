@@ -4,8 +4,8 @@ The nonlinear scheme is solved by Newton's method with residual-norm
 backtracking (factor 1/2).  Robust starts at small epsilon come from a
 continuation ladder: solve at a large epsilon first, halve until the target,
 warm-starting each solve from the previous solution.  The first solve is
-seeded with the interpolant of the convex quadratic |x - c|^2 / 2, with
-boundary dofs pinned to the Dirichlet data.
+seeded with the interpolant of the convex quadratic |x - c|^2 / 2, c the
+domain centre, with boundary dofs pinned to the Dirichlet data.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ __all__ = [
     "continuation_solve",
 ]
 
+_MAX_HALVINGS = 20
+
 
 class SingularMatrixError(RuntimeError):
     """Numerically singular factorization; ``row`` names the suspect row."""
@@ -63,11 +65,11 @@ class NewtonError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Iteration controls; the damping backtracking factor is fixed at 1/2."""
+    """Iteration controls; the damping backtracking factor is fixed at 1/2,
+    with at most ``_MAX_HALVINGS`` halvings per step."""
 
     abs_tol: float = 1e-10
     max_iters: int = 50
-    max_halvings: int = 20
     continuation_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
@@ -148,8 +150,11 @@ def newton_solve(f, g_data, params, config=None, initial=None):
     """Damped Newton iteration for the nonlinear scheme.
 
     ``initial`` must satisfy the Dirichlet dofs; each accepted step strictly
-    reduces the residual infinity norm.  Returns the solution and a report;
-    raises NewtonError with a distinct reason otherwise.
+    reduces the residual infinity norm.  ``f`` and the callables of
+    ``g_data`` must be pure functions: their load and boundary-flux vectors
+    are formed once and reused by every residual of the solve.  Returns the
+    solution and a report; raises NewtonError with a distinct reason
+    otherwise.
     """
     if initial is None:
         raise ValueError("newton_solve needs an initial FeFunction")
@@ -185,7 +190,7 @@ def newton_solve(f, g_data, params, config=None, initial=None):
                     f"singular Jacobian: {exc}", "singular_jacobian", report
                 ) from exc
             t = 1.0
-            for _ in range(config.max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 trial = u.copy()
                 trial.coeffs[ii] += t * step
                 rt = assemble_nonlinear_residual(trial, f, g_data, params)
@@ -217,19 +222,17 @@ def default_ladder(eps_target):
     return ladder
 
 
-def convex_seed(space, g, center=None):
-    """Interpolant of |x - c|^2 / 2 with boundary dofs pinned to g."""
-    if center is None:
-        center = np.full(space.dim, 0.5)
-    center = np.asarray(center, dtype=float)
-    seed = interpolate(space, lambda p: 0.5 * ((p - center) ** 2).sum(axis=1))
+def convex_seed(space, g):
+    """Interpolant of |x - c|^2 / 2, c = (0.5, ..., 0.5), with boundary dofs
+    pinned to g."""
+    seed = interpolate(space, lambda p: 0.5 * ((p - 0.5) ** 2).sum(axis=1))
     bvals, _ = apply_dirichlet(space, g)
     seed.coeffs[space.boundary_dofs] = bvals
     return seed
 
 
 def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
-                       weight_mode="full", data_factory=None, center=None):
+                       weight_mode="full", data_factory=None):
     """Solve the nonlinear scheme at eps_target via a decreasing epsilon ladder.
 
     ``data_factory(eps) -> (f, g_data)`` lets the source and boundary data
@@ -255,7 +258,7 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
             else:
                 f_eps, g_eps = f, g_data
             if u is None:
-                u = convex_seed(space, g_eps.g, center)
+                u = convex_seed(space, g_eps.g)
             else:
                 bvals, _ = apply_dirichlet(space, g_eps.g)
                 u.coeffs[space.boundary_dofs] = bvals

@@ -252,7 +252,7 @@ def _quadrature_exactness_gap():
     return worst
 
 
-def _jacobian_fd_gap():
+def _fd_jacobian_gap():
     space = FeSpace(build_structured_mesh(2, 2), 2)
     u = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
     g_data = builtin_case("I").data(0.1)[1]
@@ -327,7 +327,7 @@ def test_acceptance_6_property_suite():
             growth_msgs.append(
                 f"{name} {dim}D " + "/".join(f"{c:.2f}" for c in consts)
             )
-    fd = _jacobian_fd_gap()
+    fd = _fd_jacobian_gap()
     label = _label_invariance_gap()
     detcof = _det_cofactor_gap()
     quad = _quadrature_exactness_gap()

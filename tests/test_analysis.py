@@ -25,7 +25,7 @@ from maviscid.elements import (
     eval_fe,
     interpolate,
 )
-from maviscid.mesh import build_structured_mesh
+from maviscid.mesh import SimplicialMesh, build_structured_mesh
 
 
 def zero_field(dim):
@@ -147,6 +147,9 @@ def test_error_norms_validation():
 def test_mesh_norm_zero():
     space = FeSpace(build_structured_mesh(2, 2), 2)
     assert mesh_norm(space.function()) == 0.0
+    # one cell: no interior face, so the jump term is an empty matrix
+    lone = FeSpace(SimplicialMesh(2, [[0, 0], [1, 0], [0, 1]], [(0, 1, 2)]), 2)
+    assert mesh_norm(lone.function()) == 0.0
 
 
 def test_mesh_norm_rejects_boundary_values():

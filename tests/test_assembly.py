@@ -19,11 +19,13 @@ from maviscid.assembly import (
     assemble_residual_and_jacobian,
     det_and_cofactor,
     dump_matrix_market,
+    _bilap_csr,
     _boundary_flux_vector,
     _face_penalty_consistency,
     _face_tables,
     _load_vector,
 )
+from maviscid.analysis import _hess_gram
 from maviscid.elements import (
     FeSpace,
     eval_fe,
@@ -443,6 +445,36 @@ def test_line_search_residual_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr("maviscid.assembly._scatter_matrix", no_scatter)
     assert np.array_equal(r0, assemble_nonlinear_residual(u, f, data, params))
+
+
+def test_residual_follows_changed_data():
+    # A_h(0) and the data vector are cached per (f, g_data, params): after a
+    # call with the base data, changing any one of them rebuilds them
+    space, u, _, data = _perturbed_state(2, 4, seed=3)
+    params = PenaltyParams(1.0, 0.2, "plain")
+    f = lambda p: np.ones(len(p))
+    for f2, data2, params2 in (
+        (lambda p: 2.0 + p[:, 0], data, params),
+        (f, BoundaryData(g=data.g, psi=lambda p: 1.0 + p[:, 1]), params),
+        (f, data, PenaltyParams(3.0, 0.1, "full")),
+    ):
+        assemble_residual_and_jacobian(u, f, data, params)
+        r, J = assemble_residual_and_jacobian(u, f2, data2, params2)
+        fresh = FeSpace(build_structured_mesh(2, 4), 2).function(u.coeffs.copy())
+        r_ref, J_ref = assemble_residual_and_jacobian(fresh, f2, data2, params2)
+        assert np.array_equal(r, r_ref)
+        assert np.array_equal(r, assemble_nonlinear_residual(u, f2, data2, params2))
+        assert (J != J_ref).nnz == 0
+
+
+@pytest.mark.parametrize("dim,n,degree", [(2, 8, 2), (3, 4, 3)])
+def test_cached_matrices_store_no_zeros(dim, n, degree):
+    # one cell block: nothing sums the block matrix, so the scatter itself
+    # must drop the zeros its duplicate entries cancel to
+    space = FeSpace(build_structured_mesh(dim, n), degree)
+    P, C = _face_penalty_consistency(space)
+    for M in (_bilap_csr(space), P, C, _hess_gram(space)):
+        assert (M.data == 0).sum() == 0
 
 
 def test_jacobian_is_negative_operator_at_identity_hessian():

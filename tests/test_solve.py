@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from maviscid import assembly
 from maviscid.assembly import (
     BoundaryData,
     CoefficientField,
@@ -155,6 +156,24 @@ def test_newton_determinism():
         u, _ = newton_solve(f, data, params, NewtonConfig(), convex_seed(space, data.g))
         results.append(u.coeffs.copy())
     assert np.array_equal(results[0], results[1])
+
+
+def test_newton_forms_the_load_vector_once(monkeypatch):
+    # f is fixed within a solve, so every residual reuses one load vector
+    load, calls = assembly._load_vector, []
+
+    def counting_load(space, f):
+        calls.append(f)
+        return load(space, f)
+
+    monkeypatch.setattr(assembly, "_load_vector", counting_load)
+    space = FeSpace(build_structured_mesh(2, 4), 2)
+    eps = 0.05
+    _, f, data = quartic_data(eps)
+    params = PenaltyParams(20.0, eps, "plain")
+    _, report = newton_solve(f, data, params, NewtonConfig(), convex_seed(space, data.g))
+    assert report.iterations >= 3
+    assert calls == [f]
 
 
 def test_newton_monotone_history():
