@@ -31,11 +31,14 @@ the data vector.
 
 Quadrature is fixed per space (``FeSpace.cell_rule`` and ``face_rule``), so
 the tables and matrices cached on a space take no key but the space itself.
-Every cell integral runs through one loop over blocks of cells
-(``_cell_blocks``) and per-block matrices are summed in block order.  The
-residual alone (the line-search evaluation) forms the determinant vector
-from that loop and assembles no matrix; the Newton step forms the residual
-and the Jacobian in one pass.
+A space caches the cell tables, B, P and C, the boundary-face tables (the
+data vector reads them on every rung), and the current rung's A_h(0) and
+data vector.  Interior faces keep no per-face arrays: P and C are formed one
+chunk of faces at a time.  Every cell integral runs through one loop over
+blocks of cells (``_cell_blocks``) and per-block matrices are summed in
+block order.  The residual alone (the line-search evaluation) forms the
+determinant vector from that loop and assembles no matrix; the Newton step
+forms the residual and the Jacobian in one pass.
 """
 
 from __future__ import annotations
@@ -154,10 +157,11 @@ class PenaltyParams:
     weight_mode: str = "full"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+        # written so that NaN fails each test
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
         if self.weight_mode not in ("full", "reduced", "plain"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
@@ -334,50 +338,28 @@ def _pulled_back_basis(space, cells, phys):
 
 
 @_cached
-def _face_tables(space):
-    """Per-face jump/average tabulations and the stacked dof map, cached."""
-    mesh = space.mesh
-    phys, wq = _face_points(space, mesh.iface_vertex_ids, mesh.iface_measures)
-    nb = space.ref.node_count
-    F, nq, _ = phys.shape
-    fdofs = np.hstack(
-        [space.cell_dofs[mesh.iface_cells[:, 0]], space.cell_dofs[mesh.iface_cells[:, 1]]]
-    )
-    jump = np.empty((F, nq, 2 * nb))
-    avg = np.empty((F, nq, 2 * nb))
-    for side, sign in ((0, 1.0), (1, -1.0)):
-        cells = mesh.iface_cells[:, side]
-        for start in range(0, F, _FACE_CHUNK):
-            sl = slice(start, min(start + _FACE_CHUNK, F))
-            csl = cells[sl]
-            gphys, hess = _pulled_back_basis(space, csl, phys[sl])
-            ji = space.jac_inv[csl]
-            hphys = np.einsum("cki,cqbkl,clj->cqbij", ji, hess, ji, optimize=True)
-            lap = np.einsum("cqbii->cqb", hphys)
-            gn = np.einsum("cqbi,ci->cqb", gphys, mesh.iface_normals[sl])
-            jump[sl, :, side * nb : (side + 1) * nb] = sign * gn
-            avg[sl, :, side * nb : (side + 1) * nb] = 0.5 * lap
-    return fdofs, jump, avg, wq, mesh.iface_diameters
-
-
-@_cached
 def _face_penalty_consistency(space):
-    """Cached CSR pair (P, C): gradient-jump penalty and consistency terms."""
-    fdofs, jump, avg, wq, hf = _face_tables(space)
-    # one chunk at least, so a mesh without interior faces gets empty matrices
-    starts = range(0, max(len(fdofs), 1), _FACE_CHUNK)
-    chunks = [slice(s, s + _FACE_CHUNK) for s in starts]
-
-    def penalty(sl):
-        wj = wq[sl] / hf[sl][:, None]
-        local = np.einsum("fq,fqa,fqb->fab", wj, jump[sl], jump[sl])
-        return _scatter_matrix(space, fdofs[sl], local)
-
-    def consistency(sl):
-        local = np.einsum("fq,fqa,fqb->fab", wq[sl], jump[sl], avg[sl])
-        return _scatter_matrix(space, fdofs[sl], local + np.swapaxes(local, 1, 2))
-
-    return sum(map(penalty, chunks)), sum(map(consistency, chunks))
+    """Cached CSR pair (P, C): gradient-jump penalty and consistency terms,
+    summed over chunks of interior faces tabulated on both sides, plus first."""
+    mesh = space.mesh
+    P = C = sp.csr_matrix((space.ndofs, space.ndofs))
+    for start in range(0, len(mesh.iface_cells), _FACE_CHUNK):
+        sl = slice(start, start + _FACE_CHUNK)
+        phys, wq = _face_points(space, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl])
+        jump, avg = [], []
+        for cells, sign in zip(mesh.iface_cells[sl].T, (1.0, -1.0)):
+            gphys, hess = _pulled_back_basis(space, cells, phys)
+            ji = space.jac_inv[cells]
+            hphys = np.einsum("cki,cqbkl,clj->cqbij", ji, hess, ji, optimize=True)
+            jump.append(sign * np.einsum("cqbi,ci->cqb", gphys, mesh.iface_normals[sl]))
+            avg.append(0.5 * np.einsum("cqbii->cqb", hphys))
+        jump, avg = np.concatenate(jump, axis=2), np.concatenate(avg, axis=2)
+        fdofs = space.cell_dofs[mesh.iface_cells[sl]].reshape(len(phys), -1)
+        wj = wq / mesh.iface_diameters[sl][:, None]
+        P = P + _scatter_matrix(space, fdofs, np.einsum("fq,fqa,fqb->fab", wj, jump, jump))
+        local = np.einsum("fq,fqa,fqb->fab", wq, jump, avg)
+        C = C + _scatter_matrix(space, fdofs, local + np.swapaxes(local, 1, 2))
+    return P, C
 
 
 @_cached

@@ -20,6 +20,7 @@ Rows start in order, and none starts once the run has reached a failed row.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -157,14 +158,18 @@ def resolve_config(args):
         )
     if not spec.h_list or not spec.eps_list or not spec.degrees:
         raise UsageError("degrees, h_list, and eps_list must be non-empty")
-    if any(e <= 0 for e in spec.eps_list) or any(h <= 0 for h in spec.h_list):
-        raise UsageError("mesh sizes and epsilons must be positive")
+    # each comparison is written so that NaN fails it
+    if not all(0 < x < math.inf for x in (*spec.h_list, *spec.eps_list)):
+        raise UsageError("mesh sizes and epsilons must be finite and positive")
+    if not 0 <= spec.sigma < math.inf:
+        raise UsageError(f"sigma must be finite and non-negative, got {spec.sigma:g}")
     for h in spec.h_list:
         n = round(1.0 / h)
         if n < 1 or abs(1.0 / h - n) > 1e-9:
             raise UsageError(f"mesh size {h:g} is not 1/n for an integer n")
-    if list(spec.eps_list) != sorted(spec.eps_list, reverse=True):
-        raise UsageError("eps_list must be decreasing")
+    for name, values in (("h_list", spec.h_list), ("eps_list", spec.eps_list)):
+        if not all(a > b for a, b in zip(values, values[1:])):
+            raise UsageError(f"{name} must be strictly decreasing")
     seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
     out = Path(args.out if args.out is not None else file_cfg.get("out", "out"))
     fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "both")

@@ -41,8 +41,11 @@ class SimplicialMesh:
         Vertex indices per cell.  Cells with negative signed volume are
         reoriented (last two vertices swapped) on construction.
     structure : tuple, optional
-        Generator tag used for fast point location, e.g. ``("diag", n)`` or
-        ``("kuhn", n)``.  Meshes without it fall back to a linear scan.
+        Generator tag, ``("diag", n)`` or ``("kuhn", n)``: it selects direct
+        point location and skips the hanging-vertex scan (generator meshes
+        are conforming by construction).  Meshes without it are located by a
+        linear scan and scanned for hanging vertices.  ``locate`` rejects
+        points outside the mesh on both paths.
 
     Faces are stored as arrays, numbered in order of first occurrence over
     (cell, local face); local face i omits local vertex i.  Interior face f
@@ -182,13 +185,14 @@ class SimplicialMesh:
     def _check_no_hanging_vertices(self):
         # a hanging vertex shows up as a vertex of one single-owner face lying
         # strictly inside another single-owner face; faces triple-shared are
-        # caught during table construction
+        # caught during table construction.  Generator meshes are conforming
+        # by construction and are not scanned.
         B = len(self.bface_vertex_ids)
-        if B == 0:
+        if self.structure is not None or B == 0:
             return
         cand_ids = np.unique(self.bface_vertex_ids)
-        if B * len(cand_ids) > int(2e8):  # generator meshes are conforming by
-            return                        # construction; scan only hand-built input
+        if B * len(cand_ids) > int(2e8):  # past 2e8 pairs the (B, P, d) arrays
+            return                        # take gigabytes: such input goes unchecked
         q = self.vertices[cand_ids]  # (P, d)
         fc = self.vertices[self.bface_vertex_ids]  # (B, dim, d)
         a = fc[:, 0]
@@ -233,10 +237,14 @@ class SimplicialMesh:
     # --------------------------------------------------------------- location
 
     def locate(self, points):
-        """Cell index containing each point (ties on cell interfaces are
-        resolved arbitrarily; fields evaluated there are continuous anyway)."""
+        """Cell index containing each point; ValueError for a point outside
+        the mesh by more than 1e-10.  Ties on cell interfaces are resolved
+        arbitrarily (fields evaluated there are continuous anyway)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.structure is not None:
+            outside = ~np.all((pts >= -1e-10) & (pts <= 1 + 1e-10), axis=1)
+            if np.any(outside):
+                raise ValueError(f"point {pts[np.argmax(outside)]} not inside any cell")
             kind, n = self.structure
             ij = np.clip((pts * n).astype(np.int64), 0, n - 1)
             loc = pts * n - ij

@@ -10,6 +10,7 @@ domain centre, with boundary dofs pinned to the Dirichlet data.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -212,8 +213,8 @@ def newton_solve(f, g_data, params, config=None, initial=None):
 
 def default_ladder(eps_target):
     """Halving ladder from max(0.5, eps_target) down to eps_target."""
-    if eps_target <= 0:
-        raise ValueError("eps_target must be positive")
+    if not 0 < eps_target < math.inf:  # NaN fails this test too
+        raise ValueError("eps_target must be finite and positive")
     eps = max(0.5, float(eps_target))
     ladder = [eps]
     while eps > eps_target:

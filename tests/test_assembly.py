@@ -22,7 +22,6 @@ from maviscid.assembly import (
     _bilap_csr,
     _boundary_flux_vector,
     _face_penalty_consistency,
-    _face_tables,
     _load_vector,
 )
 from maviscid.analysis import _hess_gram
@@ -203,6 +202,9 @@ def test_params_validation():
         PenaltyParams(1.0, 0.0)
     with pytest.raises(ValueError):
         PenaltyParams(-1.0, 0.1)
+    for sigma, eps in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyParams(sigma, eps)
     with pytest.raises(ValueError):
         PenaltyParams(1.0, 0.1, "other")
 
@@ -299,18 +301,49 @@ def test_penalty_vanishes_on_c1_functions(dim, degree):
     mesh = build_structured_mesh(dim, 2)
     space = FeSpace(mesh, degree)
     P, C = _face_penalty_consistency(space)
-    fdofs, jump, _, wq, hf = _face_tables(space)
     scale = np.max(np.abs(P.toarray()))
     lin = interpolate(space, lambda p: 1.0 + p @ np.arange(1.0, dim + 1.0))
     quad = interpolate(space, lambda p: (p**2).sum(axis=1) + p[:, 0] * p[:, 1])
+    frule = space.face_rule
+    ref_meas = 1.0 if dim == 2 else 0.5
     for v in (lin, quad):
         # pointwise jumps vanish to roundoff, so the quadrature of the
         # squared jump is zero far below any matrix-level cancellation noise
-        jv = np.einsum("fqa,fa->fq", jump, v.coeffs[fdofs])
-        energy = np.einsum("fq,fq->", wq / hf[:, None], jv**2)
+        energy = 0.0
+        for f, cells in enumerate(mesh.iface_cells):
+            fc = mesh.vertices[mesh.iface_vertex_ids[f]]
+            scale_f = mesh.iface_measures[f] / ref_meas / mesh.iface_diameters[f]
+            for xq, wq in zip(frule.points, frule.weights):
+                x = fc[0] + (fc[1:] - fc[0]).T @ xq
+                plus, minus = (
+                    eval_fe(v, c, space.reference_coords(np.array([c]), x[None, :])[0])[1]
+                    for c in cells
+                )
+                energy += wq * scale_f * ((plus - minus) @ mesh.iface_normals[f]) ** 2
         assert energy < 1e-20
         assert abs(v.coeffs @ (P @ v.coeffs)) < 1e-12 * scale
         assert abs(v.coeffs @ (C @ v.coeffs)) < 1e-12 * scale
+
+
+def test_space_keeps_no_per_face_arrays():
+    # P and C are formed chunk by chunk: after a Newton step the space caches
+    # no array with one row per interior face
+    space, u, _, data = _perturbed_state(3, 2, seed=3)
+    assemble_residual_and_jacobian(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.2))
+    num_faces = len(space.mesh.iface_cells)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+        elif hasattr(obj, "__dict__"):  # sparse matrices and quadrature rules
+            yield from arrays(list(vars(obj).values()))
+
+    found = list(arrays(list(space._cache.values())))
+    assert found
+    assert not [a.shape for a in found if a.ndim and a.shape[0] == num_faces]
 
 
 def test_symmetry_without_coefficient():

@@ -214,6 +214,30 @@ def test_invalid_thread_env_exits_2(tmp_path, monkeypatch, capsys):
     assert "MAVISCID_THREADS" in capsys.readouterr().err
 
 
+_SOLVE_III = ("solve", "--case", "III", "--h-list", "1/4")
+_CONV_II = ("convergence", "--case", "II", "--degree", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    _SOLVE_III + ("--eps-list", "nan"),  # must not fall back to the ladder top, 0.5
+    _SOLVE_III + ("--eps-list", "inf"),
+    _SOLVE_III + ("--sigma", "nan"),
+    _SOLVE_III + ("--sigma", "inf"),
+    _SOLVE_III + ("--sigma", "-1"),
+    ("solve", "--case", "III", "--h-list", "nan"),
+    _CONV_II + ("--h-list", "1/8", "1/4"),
+    _CONV_II + ("--h-list", "1/4", "1/4"),
+    _CONV_II + ("--h-list", "1/4", "--eps-list", "0.5", "0.5"),
+], ids=lambda argv: " ".join(argv[3:]))
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    # rejected before any solve: no traceback and nothing written
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- solve
 
 

@@ -189,6 +189,21 @@ def test_locate_corners_and_walls():
     assert np.all(cells >= 0) and np.all(cells < mesh.num_cells)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_locate_rejects_outside_points(dim):
+    mesh = build_structured_mesh(dim, 4)
+    scanned = SimplicialMesh(dim, mesh.vertices, mesh.cells)
+    edge = np.full((1, dim), 0.5)
+    edge[0, 0] = 1.0 + 1e-12  # within the tolerance, so still located
+    for m in (mesh, scanned):
+        assert 0 <= m.locate(edge)[0] < m.num_cells
+        for x in (1.5, -0.01, 1.0 + 1e-8, math.nan, math.inf):
+            p = np.full((1, dim), 0.5)
+            p[0, 0] = x
+            with pytest.raises(ValueError, match="not inside any cell"):
+                m.locate(p)
+
+
 def test_dump_off_roundtrip():
     mesh = build_structured_mesh(2, 2)
     text = dump_off(mesh)

@@ -1,5 +1,7 @@
 """Solver tests: direct sparse solves, Newton iteration, continuation."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -105,8 +107,9 @@ def test_default_ladder():
     assert default_ladder(0.005) == [
         0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.005,
     ]
-    with pytest.raises(ValueError):
-        default_ladder(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            default_ladder(bad)
 
 
 # ------------------------------------------------------------- newton_solve
