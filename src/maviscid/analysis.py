@@ -120,7 +120,7 @@ def error_norms(u_exact, u_h):
 @_cached
 def _hess_gram(space):
     """Gram matrix of the broken Hessian inner product, cached per space."""
-    rule, _, _, hess_ref = _cell_tables(space)
+    rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
 
     def block(cells, wq):
         hp = _phys_hessians(space, cells, hess_ref)

@@ -29,16 +29,23 @@ operator is A_h(Phi) = A_h(0) - (Phi : D^2 v, w), the Newton Jacobian is
 -A_h(cof(D^2 u_h)), and the residual is (det(D^2 u_h), w) - A_h(0) u_h plus
 the data vector.
 
-Quadrature is fixed per space (``FeSpace.cell_rule`` and ``face_rule``), so
-the tables and matrices cached on a space take no key but the space itself.
-A space caches the cell tables, B, P and C, the boundary-face tables (the
-data vector reads them on every rung), and the current rung's A_h(0) and
-data vector.  Interior faces keep no per-face arrays: P and C are formed one
-chunk of faces at a time.  Every cell integral runs through one loop over
-blocks of cells (``_cell_blocks``) and per-block matrices are summed in
-block order.  The residual alone (the line-search evaluation) forms the
-determinant vector from that loop and assembles no matrix; the Newton step
-forms the residual and the Jacobian in one pass.
+Each form that is a polynomial on the affine cells is integrated with a
+rule of exactly its degree, exact with the fewest points:
+(det D^2 u_h, v) and (cof D^2 u_h : D^2 v, w) in the Newton step and the
+line-search residual (degree d (k - 2) + k), B and the Hessian Gram matrix
+(2 (k - 2)), and P and C on interior faces (2 (k - 1)).  Forms of data
+given as functions (f, psi, coefficient fields) are not polynomials and
+keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
+cell-point maximum of the discrete Sobolev probe, whose value depends on
+the points.  Cell tables are built on first use and cached on the space
+per exactness.  A space caches those tables, B, P and C, the boundary-face
+tables (the data vector reads them on every rung), and the current rung's
+A_h(0) and data vector.  Interior faces keep no per-face arrays: P and C
+are formed one chunk of faces at a time.  Every cell integral runs through
+one loop over blocks of cells (``_cell_blocks``) and per-block matrices are
+summed in block order.  The residual alone (the line-search evaluation)
+forms the determinant vector from that loop and assembles no matrix; the
+Newton step forms the residual and the Jacobian in one pass.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+
+from maviscid.elements import cell_quadrature, face_quadrature
 
 __all__ = [
     "CoefficientField",
@@ -245,10 +254,20 @@ def _cached(build):
     return get
 
 
-@_cached
-def _cell_tables(space):
-    """The space's cell quadrature rule and the reference basis tables on it."""
-    return (space.cell_rule,) + space.ref.tabulate(space.cell_rule.points)
+def _cell_tables(space, degree=None):
+    """A cell rule exact for polynomials of ``degree`` and the reference basis
+    tables on it, built on first use and cached per exactness.  ``None`` takes
+    the exactness of ``space.cell_rule``, the rule for non-polynomial data.
+
+    Not ``_cached``: that keeps one entry per builder, and forms on different
+    rules alternate within one Newton step.
+    """
+    exactness = space.cell_rule.exactness if degree is None else max(1, degree)
+    key = ("cell tables", exactness)
+    if key not in space._cache:
+        rule = cell_quadrature(space.dim, exactness)
+        space._cache[key] = (rule,) + space.ref.tabulate(rule.points)
+    return space._cache[key]
 
 
 def _cell_blocks(space, rule):
@@ -304,7 +323,7 @@ def _loworder_block(wq, val, phi, hp):
 @_cached
 def _bilap_csr(space):
     """(lap v, lap w) over all cells, cached (epsilon-independent)."""
-    rule, _, _, hess_ref = _cell_tables(space)
+    rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
 
     def block(cells, wq):
         lap = np.einsum("cqbii->cqb", _phys_hessians(space, cells, hess_ref))
@@ -314,10 +333,9 @@ def _bilap_csr(space):
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
-def _face_points(space, vertex_ids, measures):
-    """Physical quadrature points (F, nq, d) and weights (F, nq) on faces."""
+def _face_points(space, rule, vertex_ids, measures):
+    """Physical points (F, nq, d) and weights (F, nq) of a face rule on faces."""
     d = space.dim
-    rule = space.face_rule
     fc = space.mesh.vertices[vertex_ids]  # (F, d, d)
     phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
     scale = math.factorial(d - 1) * measures  # map ref face -> face
@@ -342,10 +360,14 @@ def _face_penalty_consistency(space):
     """Cached CSR pair (P, C): gradient-jump penalty and consistency terms,
     summed over chunks of interior faces tabulated on both sides, plus first."""
     mesh = space.mesh
+    # (jump grad v, jump grad w) has degree 2 (k - 1), ({lap v}, jump grad w) less
+    rule = face_quadrature(space.dim, 2 * (space.degree - 1))
     P = C = sp.csr_matrix((space.ndofs, space.ndofs))
     for start in range(0, len(mesh.iface_cells), _FACE_CHUNK):
         sl = slice(start, start + _FACE_CHUNK)
-        phys, wq = _face_points(space, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl])
+        phys, wq = _face_points(
+            space, rule, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl]
+        )
         jump, avg = [], []
         for cells, sign in zip(mesh.iface_cells[sl].T, (1.0, -1.0)):
             gphys, hess = _pulled_back_basis(space, cells, phys)
@@ -367,7 +389,9 @@ def _boundary_tables(space):
     """Outward normal-gradient tabulation on boundary faces, cached."""
     mesh = space.mesh
     cells = mesh.bface_cells
-    phys, wq = _face_points(space, mesh.bface_vertex_ids, mesh.bface_measures)
+    phys, wq = _face_points(
+        space, space.face_rule, mesh.bface_vertex_ids, mesh.bface_measures
+    )
     gphys, _ = _pulled_back_basis(space, cells, phys)
     gradn = np.einsum("cqbi,ci->cqb", gphys, mesh.bface_normals)
     return space.cell_dofs[cells], phys, gradn, wq
@@ -411,10 +435,16 @@ def _loworder_csr(space, field):
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
+def _newton_tables(space):
+    """Cell tables of the Newton pass: (det D^2 u_h, v) and
+    (cof D^2 u_h : D^2 v, w) are polynomials of degree d (k - 2) + k."""
+    return _cell_tables(space, space.dim * (space.degree - 2) + space.degree)
+
+
 def _iterate_hessians(space, coeffs):
     """Yield, per cell block, (cells, weights, physical basis Hessians,
-    det(D^2 u_h), cof(D^2 u_h)) at the quadrature points."""
-    rule, _, _, hess_ref = _cell_tables(space)
+    det(D^2 u_h), cof(D^2 u_h)) at the Newton-pass quadrature points."""
+    rule, _, _, hess_ref = _newton_tables(space)
     for cells, wq in _cell_blocks(space, rule):
         hp = _phys_hessians(space, cells, hess_ref)
         hu = np.einsum("cqbij,cb->cqij", hp, coeffs[space.cell_dofs[cells]])
@@ -423,7 +453,7 @@ def _iterate_hessians(space, coeffs):
 
 def _det_vector(space, coeffs):
     """The (det(D^2 u_h), v_i) vector alone: the line-search residual's pass."""
-    _, val, _, _ = _cell_tables(space)
+    _, val, _, _ = _newton_tables(space)
     return sum(
         _scatter_vector(space, cells, _load_block(wq, det, val))
         for cells, wq, _, det, _ in _iterate_hessians(space, coeffs)
@@ -433,7 +463,7 @@ def _det_vector(space, coeffs):
 def _nonlinear_cell_terms(space, coeffs):
     """One pass for the Newton step: the (det(D^2 u_h), v_i) vector and the
     cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
-    _, val, _, _ = _cell_tables(space)
+    _, val, _, _ = _newton_tables(space)
     det_vec = low_cof = 0
     for cells, wq, hp, det, cof in _iterate_hessians(space, coeffs):
         det_vec = det_vec + _scatter_vector(space, cells, _load_block(wq, det, val))

@@ -195,7 +195,8 @@ class FeSpace:
         self.ref = ReferenceElement(mesh.dim, self.degree)
 
         d, k = mesh.dim, self.degree
-        # the one cell and one face quadrature of every form on this space
+        # the rules for non-polynomial data (f, psi, coefficient fields);
+        # polynomial forms build rules of their own degree on first use
         self.cell_rule = cell_quadrature(d, max(2 * k, d * (k - 2) + k) + 2)
         self.face_rule = face_quadrature(d, 2 * (k - 1) + 2)
         pts = mesh.vertices[mesh.cells]  # (M, d+1, d)

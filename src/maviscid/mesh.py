@@ -261,6 +261,9 @@ class SimplicialMesh:
         return self._locate_scan(pts)
 
     def _locate_scan(self, pts):
+        bad = ~np.all(np.isfinite(pts), axis=1)
+        if np.any(bad):  # before any reduction, which would warn on NaN
+            raise ValueError(f"point {pts[np.argmax(bad)]} not inside any cell")
         found = np.full(len(pts), -1, dtype=np.int64)
         v0 = self.vertices[self.cells[:, 0]]
         edges = self.vertices[self.cells[:, 1:]] - v0[:, None, :]

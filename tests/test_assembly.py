@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from maviscid.assembly import (
     BoundaryData,
@@ -21,8 +22,12 @@ from maviscid.assembly import (
     dump_matrix_market,
     _bilap_csr,
     _boundary_flux_vector,
+    _det_vector,
     _face_penalty_consistency,
+    _face_points,
+    _iterate_hessians,
     _load_vector,
+    _nonlinear_cell_terms,
 )
 from maviscid.analysis import _hess_gram
 from maviscid.elements import (
@@ -508,6 +513,52 @@ def test_cached_matrices_store_no_zeros(dim, n, degree):
     P, C = _face_penalty_consistency(space)
     for M in (_bilap_csr(space), P, C, _hess_gram(space)):
         assert (M.data == 0).sum() == 0
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_sized_rules_match_the_high_rule(dim, degree, monkeypatch):
+    # the polynomial forms run on rules of exactly their integrand degree;
+    # forcing every rule to the space's high cell and face rules must give
+    # the same arrays up to rounding
+    n = 4 if dim == 2 else 2
+
+    def forms():
+        space = FeSpace(build_structured_mesh(dim, n), degree)
+        u = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
+        rng = np.random.default_rng(5)
+        u.coeffs[space.interior_dofs] += 0.1 * rng.standard_normal(len(space.interior_dofs))
+        P, C = _face_penalty_consistency(space)
+        _, low_cof = _nonlinear_cell_terms(space, u.coeffs)
+        det_vec = _det_vector(space, u.coeffs)
+        return space, [_bilap_csr(space), P, C, _hess_gram(space), det_vec, low_cof]
+
+    space, sized = forms()
+    monkeypatch.setattr("maviscid.assembly.cell_quadrature", lambda d, e: space.cell_rule)
+    monkeypatch.setattr("maviscid.assembly.face_quadrature", lambda d, e: space.face_rule)
+    _, high = forms()
+    for a, b in zip(sized, high):
+        a, b = (x.toarray() if sp.issparse(x) else x for x in (a, b))
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_newton_and_face_rules_are_sized(monkeypatch):
+    # 3D k=2: the Newton integrands have degree 2, so 8 points per cell
+    # instead of 64, and the interior face terms degree 2, so 4 points per
+    # face instead of 9
+    space, u, _, _ = _perturbed_state(3, 2, seed=3)
+    _, wq, _, _, _ = next(_iterate_hessians(space, u.coeffs))
+    assert wq.shape[1] == 8
+    counts = []
+    face_points = _face_points
+
+    def spy(*args):
+        phys, wq = face_points(*args)
+        counts.append(wq.shape[1])
+        return phys, wq
+
+    monkeypatch.setattr("maviscid.assembly._face_points", spy)
+    _face_penalty_consistency(space)
+    assert counts and set(counts) == {4}
 
 
 def test_jacobian_is_negative_operator_at_identity_hessian():

@@ -1,6 +1,7 @@
 """Mesh generator and face-topology tests against brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,22 @@ def test_locate_rejects_outside_points(dim):
             p[0, 0] = x
             with pytest.raises(ValueError, match="not inside any cell"):
                 m.locate(p)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_locate_rejects_nonfinite_points_without_warning(dim):
+    # the scan checks finiteness before any reduction, so NaN and inf raise
+    # the ValueError and nothing else
+    mesh = build_structured_mesh(dim, 4)
+    scanned = SimplicialMesh(dim, mesh.vertices, mesh.cells)
+    for m in (mesh, scanned):
+        for x in (math.nan, math.inf, -math.inf):
+            p = np.full((1, dim), 0.5)
+            p[0, 0] = x
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="not inside any cell"):
+                    m.locate(p)
 
 
 def test_dump_off_roundtrip():
