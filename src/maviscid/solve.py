@@ -1,11 +1,18 @@
 """Sparse direct solves, damped Newton iteration, and epsilon continuation.
 
 The nonlinear scheme is solved by Newton's method with residual-norm
-backtracking (factor 1/2).  Robust starts at small epsilon come from a
-continuation ladder: solve at a large epsilon first, halve until the target,
-warm-starting each solve from the previous solution.  The first solve is
-seeded with the interpolant of the convex quadratic |x - c|^2 / 2, c the
-domain centre, with boundary dofs pinned to the Dirichlet data.
+backtracking (factor 1/2).  Each Newton step is one SuperLU factorization of
+the interior Jacobian.  Its pattern is symmetric and its values nearly so,
+so 2D Jacobians are factored in SuperLU's symmetric mode (minimum degree on
+A^T + A, diagonal pivot threshold 0.1), which cuts their fill by a third to
+a half; 3D Jacobians keep the default COLAMD ordering with partial
+pivoting, which fills less at 3D sizes (see ``sparse_solve``).
+
+Robust starts at small epsilon come from a continuation ladder: solve at a
+large epsilon first, halve until the target, warm-starting each solve from
+the previous solution.  The first solve is seeded with the interpolant of
+the convex quadratic |x - c|^2 / 2, c the domain centre, with boundary dofs
+pinned to the Dirichlet data.
 """
 
 from __future__ import annotations
@@ -99,11 +106,26 @@ class SolveReport:
     rungs: list = field(default_factory=list)
 
 
-def sparse_solve(A, b):
+# SuperLU's symmetric mode: minimum degree on A^T + A, and a diagonal pivot
+# kept unless it is below 0.1 times the largest entry of its column
+_SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
+
+
+def sparse_solve(A, b, *, symmetric=False):
     """Direct sparse LU solve of a square interior system.
 
-    Solves with SuperLU (partial pivoting; the operator is non-symmetric)
-    and checks the relative residual below 1e-10.  ``A`` is anything
+    Solves with SuperLU and checks the relative residual below 1e-10.  By
+    default SuperLU orders the columns by COLAMD and pivots partially, as
+    for any unsymmetric matrix.  ``symmetric=True`` factors in SuperLU's
+    symmetric mode instead: minimum degree on A^T + A and diagonal pivots
+    unless one is below 0.1 of its column's largest entry.  That suits a
+    matrix with a symmetric pattern and nearly symmetric values, such as the
+    Newton Jacobian.  On interior Newton Jacobians (one thread, factor +
+    solve) the symmetric mode was 2.2-3.3x faster with 31-46% less L+U fill
+    on 2D k=2 and k=3 spaces of n=32 and 64, but 37-63% slower with 27-35%
+    more fill on 3D spaces of n=10, 12 at k=2 and n=6 at k=3, so
+    ``newton_solve`` uses it in 2D only.  ``A`` is anything
     ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry raises ValueError.
     """
     csr = _check_finite(sp.csr_matrix(A))
@@ -112,7 +134,7 @@ def sparse_solve(A, b):
     if csr.shape[0] != csr.shape[1] or b.shape != (n,):
         raise ValueError("need a square matrix and a matching vector")
     try:
-        lu = spla.splu(csr.tocsc())
+        lu = spla.splu(csr.tocsc(), **(_SYMMETRIC_MODE if symmetric else {}))
         x = lu.solve(b)
     except RuntimeError as exc:
         row = _suspect_row(csr)
@@ -153,9 +175,10 @@ def newton_solve(f, g_data, params, config=None, initial=None):
     ``initial`` must satisfy the Dirichlet dofs; each accepted step strictly
     reduces the residual infinity norm.  ``f`` and the callables of
     ``g_data`` must be pure functions: their load and boundary-flux vectors
-    are formed once and reused by every residual of the solve.  Returns the
-    solution and a report; raises NewtonError with a distinct reason
-    otherwise.
+    are formed once and reused by every residual of the solve.  A 2D
+    Jacobian is factored in SuperLU's symmetric mode, a 3D one with the
+    default ordering (see ``sparse_solve``).  Returns the solution and a
+    report; raises NewtonError with a distinct reason otherwise.
     """
     if initial is None:
         raise ValueError("newton_solve needs an initial FeFunction")
@@ -185,7 +208,8 @@ def newton_solve(f, g_data, params, config=None, initial=None):
                     report,
                 )
             try:
-                step = sparse_solve(J[np.ix_(ii, ii)], -r[ii])
+                step = sparse_solve(J[np.ix_(ii, ii)], -r[ii],
+                                    symmetric=space.dim == 2)
             except SingularMatrixError as exc:
                 raise NewtonError(
                     f"singular Jacobian: {exc}", "singular_jacobian", report

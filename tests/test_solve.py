@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from maviscid import assembly
 from maviscid.assembly import (
@@ -13,7 +14,9 @@ from maviscid.assembly import (
     PenaltyParams,
     assemble_Ah_sigma,
     assemble_nonlinear_residual,
+    assemble_residual_and_jacobian,
 )
+from maviscid.cases import builtin_case
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
 from maviscid.solve import (
@@ -39,16 +42,43 @@ def quartic_data(eps):
 # ------------------------------------------------------------- sparse_solve
 
 
-def test_sparse_solve_identity():
+# both SuperLU orderings: the default and the symmetric mode of 2D Jacobians
+ORDERINGS = pytest.mark.parametrize(
+    "symmetric", [False, True], ids=["default", "symmetric"]
+)
+
+
+@ORDERINGS
+def test_sparse_solve_identity(symmetric):
     A = np.eye(4)
     b = np.array([3.0, -1.0, 0.5, 2.0])
-    assert np.allclose(sparse_solve(A, b), b, atol=1e-14)
+    assert np.allclose(sparse_solve(A, b, symmetric=symmetric), b, atol=1e-14)
 
 
-def test_sparse_solve_2x2_hand_elimination():
+@ORDERINGS
+def test_sparse_solve_2x2_hand_elimination(symmetric):
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x = sparse_solve(A, np.array([1.0, 1.0]))
+    x = sparse_solve(A, np.array([1.0, 1.0]), symmetric=symmetric)
     assert np.allclose(x, [0.4, 0.2], atol=1e-14)
+
+
+@ORDERINGS
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 3.0, 1.0]],  # zero diagonal
+        [[1e-14, 1.0], [1.0, 1.0]],  # tiny pivot
+        # minimum degree orders the tiny diagonal first only in this mirror
+        [[1.0, 1.0], [1.0, 1e-14]],
+    ],
+    ids=["zero_diagonal", "tiny_pivot", "tiny_pivot_mirrored"],
+)
+def test_sparse_solve_pivots_off_small_diagonals(A, symmetric):
+    # the symmetric mode's 0.1 threshold must still reject these diagonals
+    A = np.array(A)
+    x_true = np.arange(1.0, len(A) + 1.0)
+    x = sparse_solve(A, A @ x_true, symmetric=symmetric)
+    assert np.allclose(x, x_true, rtol=0.0, atol=1e-13)
 
 
 def test_sparse_solve_recovers_interpolant():
@@ -63,10 +93,11 @@ def test_sparse_solve_recovers_interpolant():
     assert np.max(np.abs(x - v.coeffs[ii])) < 1e-9
 
 
-def test_sparse_solve_singular_names_row():
+@ORDERINGS
+def test_sparse_solve_singular_names_row(symmetric):
     A = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularMatrixError) as err:
-        sparse_solve(A, np.array([1.0, 1.0]))
+        sparse_solve(A, np.array([1.0, 1.0]), symmetric=symmetric)
     assert err.value.row == 1
 
 
@@ -83,6 +114,49 @@ def test_sparse_solve_rejects_nonfinite_before_factorizing(monkeypatch):
     A = sp.csr_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         sparse_solve(A, np.ones(2))
+
+
+def test_sparse_solve_symmetric_mode_matches_default_ordering():
+    # the interior Newton Jacobian of case II at its convex seed
+    spec = builtin_case("II")
+    eps = spec.eps_list[0]
+    f, data = spec.data(eps)
+    space = FeSpace(build_structured_mesh(2, 8), 3)
+    params = PenaltyParams(spec.sigma, eps, spec.weight_mode)
+    r, J = assemble_residual_and_jacobian(convex_seed(space, data.g), f, data, params)
+    ii = space.interior_dofs
+    J, b = J[np.ix_(ii, ii)], -r[ii]
+    x = sparse_solve(J, b, symmetric=True)
+    x_default = spla.splu(J.tocsc()).solve(b)
+    assert np.abs(x - x_default).max() <= 1e-12 * np.abs(x_default).max()
+
+
+class _Factored(Exception):
+    """Stops a solve at its first factorization."""
+
+
+@pytest.mark.parametrize("dim, symmetric_mode", [(2, True), (3, False)])
+def test_newton_factors_2d_jacobians_in_symmetric_mode(monkeypatch, dim,
+                                                        symmetric_mode):
+    calls = []
+
+    def spy(A, **kwargs):
+        calls.append(kwargs)
+        raise _Factored
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
+    space = FeSpace(build_structured_mesh(dim, 3), 2)
+    data = BoundaryData(g=lambda p: np.zeros(len(p)))
+    params = PenaltyParams(20.0, 0.1, "plain")
+    with pytest.raises(_Factored):
+        newton_solve(lambda p: np.ones(len(p)), data, params, NewtonConfig(),
+                     convex_seed(space, data.g))
+    expected = (
+        dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+             options=dict(SymmetricMode=True))
+        if symmetric_mode else {}
+    )
+    assert calls == [expected]
 
 
 # ------------------------------------------------------------------- config
