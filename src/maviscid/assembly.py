@@ -37,15 +37,17 @@ line-search residual (degree d (k - 2) + k), B and the Hessian Gram matrix
 given as functions (f, psi, coefficient fields) are not polynomials and
 keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
 cell-point maximum of the discrete Sobolev probe, whose value depends on
-the points.  Cell tables are built on first use and cached on the space
-per exactness.  A space caches those tables, B, P and C, the boundary-face
-tables (the data vector reads them on every rung), and the current rung's
-A_h(0) and data vector.  Interior faces keep no per-face arrays: P and C
-are formed one chunk of faces at a time.  Every cell integral runs through
-one loop over blocks of cells (``_cell_blocks``) and per-block matrices are
-summed in block order.  The residual alone (the line-search evaluation)
-forms the determinant vector from that loop and assembles no matrix; the
-Newton step forms the residual and the Jacobian in one pass.
+the points.  The basis is tabulated on reference points only: cell tables
+are built on first use and cached on the space per exactness, and a face
+rule once per placement of a face in its cell (``_face_tables``).  A space
+caches the cell tables, B, P and C, the boundary-face tables (the data
+vector reads them on every rung), and the current rung's A_h(0) and data
+vector.  Interior faces keep no per-face arrays: P and C are formed one
+chunk of faces at a time.  Every cell integral runs through one loop over
+blocks of cells (``_cell_blocks``) and per-block matrices are summed in
+block order.  The residual alone (the line-search evaluation) forms the
+determinant vector from that loop and assembles no matrix; the Newton step
+forms the residual and the Jacobian in one pass.
 """
 
 from __future__ import annotations
@@ -96,10 +98,10 @@ def dump_matrix_market(matrix, path):
 class CoefficientField:
     """Symmetric matrix-valued field evaluated at quadrature points.
 
-    ``fn(points, cells)`` returns an (N, d, d) array; ``cells`` names the
-    cell each point lies in so fields backed by discrete functions can use
-    the elementwise Hessian directly.  Every evaluation is checked for
-    symmetry.
+    ``fn(points)`` returns an (N, d, d) array at (N, d) physical points.
+    Every evaluation is checked for symmetry.  The cofactor of a discrete
+    Hessian is not a field: the Newton pass forms cof(D^2 w) : D^2 v itself,
+    so A_h(cof(D^2 w)) is ``-assemble_jacobian(w, params)``.
     """
 
     def __init__(self, dim, fn):
@@ -110,7 +112,7 @@ class CoefficientField:
     def constant(cls, mat):
         mat = np.asarray(mat, dtype=float)
 
-        def fn(points, cells=None):
+        def fn(points):
             return np.broadcast_to(mat, (len(points),) + mat.shape)
 
         return cls(mat.shape[0], fn)
@@ -126,29 +128,10 @@ class CoefficientField:
     @classmethod
     def from_function(cls, dim, fn):
         """Wrap ``fn(points) -> (N, d, d)``."""
-        return cls(dim, lambda points, cells=None: fn(points))
+        return cls(dim, fn)
 
-    @classmethod
-    def cofactor_of_hessian(cls, u_h):
-        """Field cof(D^2 u_h), using the elementwise Hessian of ``u_h``."""
-        space = u_h.space
-
-        def fn(points, cells=None):
-            if cells is None:
-                cells = space.mesh.locate(points)
-            ref = space.reference_coords(cells, points)
-            _, _, hess = space.ref.tabulate(ref)
-            ji = space.jac_inv[cells]
-            coef = u_h.coeffs[space.cell_dofs[cells]]
-            h_ref = np.einsum("nbij,nb->nij", hess, coef)
-            h_phys = np.einsum("nki,nkl,nlj->nij", ji, h_ref, ji)
-            _, cof = det_and_cofactor(h_phys)
-            return cof
-
-        return cls(space.mesh.dim, fn)
-
-    def __call__(self, points, cells=None):
-        vals = np.asarray(self._fn(points, cells), dtype=float)
+    def __call__(self, points):
+        vals = np.asarray(self._fn(points), dtype=float)
         if vals.shape != (len(points), self.dim, self.dim):
             raise ValueError("coefficient field returned wrong shape")
         skew = np.max(np.abs(vals - np.swapaxes(vals, -1, -2))) if len(vals) else 0.0
@@ -342,41 +325,52 @@ def _face_points(space, rule, vertex_ids, measures):
     return phys, rule.weights[None, :] * scale[:, None]
 
 
-def _pulled_back_basis(space, cells, phys):
-    """Basis gradients (physical) and Hessians (reference) of each cell in
-    ``cells`` at its points ``phys`` (m, nq, d)."""
-    m, nq, d = phys.shape
-    nb = space.ref.node_count
-    ji = space.jac_inv[cells]
-    rel = phys - space.cell_origin[cells][:, None, :]
-    ref = np.einsum("cij,cqj->cqi", ji, rel)
+def _face_tables(space, rule, cells, vertex_ids):
+    """Reference basis gradients (p, nq, nb, d) and Hessians (p, nq, nb, d, d)
+    at a face rule's points for each placement p of a face in a cell, and the
+    placement index (F, s) of the sides ``cells`` (F, s) of faces
+    ``vertex_ids`` (F, d).  A placement is where the face's sorted vertices
+    sit among its cell's vertices; a simplex has (d + 1)! of them.
+    """
+    d = space.dim
+    local = np.argmax(
+        space.mesh.cells[cells][:, :, None, :] == vertex_ids[:, None, :, None], axis=3
+    )
+    placements, index = np.unique(local.reshape(-1, d), axis=0, return_inverse=True)
+    corners = np.vstack([np.zeros(d), np.eye(d)])  # reference cell vertices
+    bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])
+    ref = np.einsum("qm,pmi->pqi", bary, corners[placements])
     _, grad, hess = space.ref.tabulate(ref.reshape(-1, d))
-    gphys = np.einsum("cqbj,cji->cqbi", grad.reshape(m, nq, nb, d), ji)
-    return gphys, hess.reshape(m, nq, nb, d, d)
+    shape = (len(placements), len(rule.weights), space.ref.node_count, d)
+    return grad.reshape(shape), hess.reshape(shape + (d,)), index.reshape(cells.shape)
 
 
 @_cached
 def _face_penalty_consistency(space):
     """Cached CSR pair (P, C): gradient-jump penalty and consistency terms,
-    summed over chunks of interior faces tabulated on both sides, plus first."""
+    summed over chunks of interior faces gathered on both sides, plus first."""
     mesh = space.mesh
     # (jump grad v, jump grad w) has degree 2 (k - 1), ({lap v}, jump grad w) less
     rule = face_quadrature(space.dim, 2 * (space.degree - 1))
+    grad, hess, placement = _face_tables(
+        space, rule, mesh.iface_cells, mesh.iface_vertex_ids
+    )
     P = C = sp.csr_matrix((space.ndofs, space.ndofs))
     for start in range(0, len(mesh.iface_cells), _FACE_CHUNK):
         sl = slice(start, start + _FACE_CHUNK)
-        phys, wq = _face_points(
+        _, wq = _face_points(
             space, rule, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl]
         )
         jump, avg = [], []
-        for cells, sign in zip(mesh.iface_cells[sl].T, (1.0, -1.0)):
-            gphys, hess = _pulled_back_basis(space, cells, phys)
-            ji = space.jac_inv[cells]
-            hphys = np.einsum("cki,cqbkl,clj->cqbij", ji, hess, ji, optimize=True)
-            jump.append(sign * np.einsum("cqbi,ci->cqb", gphys, mesh.iface_normals[sl]))
-            avg.append(0.5 * np.einsum("cqbii->cqb", hphys))
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            # grad v . n = grad_ref v . J^-1 n and lap v = D^2_ref v : J^-1 J^-T
+            ji = space.jac_inv[mesh.iface_cells[sl, side]]
+            conormal = sign * np.einsum("cji,ci->cj", ji, mesh.iface_normals[sl])
+            p = placement[sl, side]
+            jump.append(np.einsum("cqbj,cj->cqb", grad[p], conormal))
+            avg.append(0.5 * np.einsum("cqbkl,cki,cli->cqb", hess[p], ji, ji, optimize=True))
         jump, avg = np.concatenate(jump, axis=2), np.concatenate(avg, axis=2)
-        fdofs = space.cell_dofs[mesh.iface_cells[sl]].reshape(len(phys), -1)
+        fdofs = space.cell_dofs[mesh.iface_cells[sl]].reshape(len(wq), -1)
         wj = wq / mesh.iface_diameters[sl][:, None]
         P = P + _scatter_matrix(space, fdofs, np.einsum("fq,fqa,fqb->fab", wj, jump, jump))
         local = np.einsum("fq,fqa,fqb->fab", wq, jump, avg)
@@ -392,8 +386,11 @@ def _boundary_tables(space):
     phys, wq = _face_points(
         space, space.face_rule, mesh.bface_vertex_ids, mesh.bface_measures
     )
-    gphys, _ = _pulled_back_basis(space, cells, phys)
-    gradn = np.einsum("cqbi,ci->cqb", gphys, mesh.bface_normals)
+    grad, _, placement = _face_tables(
+        space, space.face_rule, cells[:, None], mesh.bface_vertex_ids
+    )
+    conormal = np.einsum("cji,ci->cj", space.jac_inv[cells], mesh.bface_normals)
+    gradn = np.einsum("cqbj,cj->cqb", grad[placement[:, 0]], conormal)
     return space.cell_dofs[cells], phys, gradn, wq
 
 
@@ -422,13 +419,10 @@ def _boundary_flux_vector(space, psi):
 def _loworder_csr(space, field):
     """(Phi : D^2 v, w) for a coefficient field Phi."""
     rule, val, _, hess_ref = _cell_tables(space)
-    nq = len(rule.weights)
 
     def block(cells, wq):
         phys = _phys_points(space, cells, rule.points)
-        phi = field(phys.reshape(-1, space.dim), np.repeat(cells, nq)).reshape(
-            len(cells), nq, space.dim, space.dim
-        )
+        phi = field(phys.reshape(-1, space.dim)).reshape(phys.shape + (space.dim,))
         local = _loworder_block(wq, val, phi, _phys_hessians(space, cells, hess_ref))
         return _scatter_matrix(space, space.cell_dofs[cells], local)
 

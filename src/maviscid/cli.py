@@ -37,12 +37,7 @@ from maviscid.analysis import (
     verify_discrete_sobolev,
     verify_miranda_talenti,
 )
-from maviscid.assembly import (
-    CoefficientField,
-    PenaltyParams,
-    apply_dirichlet,
-    assemble_Ah_sigma,
-)
+from maviscid.assembly import PenaltyParams, apply_dirichlet, assemble_jacobian
 from maviscid.cases import (
     CASE_IDS,
     builtin_case,
@@ -50,7 +45,7 @@ from maviscid.cases import (
     check_case_consistency,
     parse_config_text,
 )
-from maviscid.elements import FeSpace, interpolate
+from maviscid.elements import FeSpace, ReferenceElement, interpolate
 from maviscid.mesh import build_structured_mesh
 from maviscid.solve import (
     NewtonConfig,
@@ -161,8 +156,12 @@ def resolve_config(args):
     # each comparison is written so that NaN fails it
     if not all(0 < x < math.inf for x in (*spec.h_list, *spec.eps_list)):
         raise UsageError("mesh sizes and epsilons must be finite and positive")
-    if not 0 <= spec.sigma < math.inf:
-        raise UsageError(f"sigma must be finite and non-negative, got {spec.sigma:g}")
+    try:  # the element and the penalty check degree, sigma and weight mode
+        for k in spec.degrees:
+            ReferenceElement(spec.dim, k)
+        PenaltyParams(spec.sigma, spec.eps_list[0], spec.weight_mode)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     for h in spec.h_list:
         n = round(1.0 / h)
         if n < 1 or abs(1.0 / h - n) > 1e-9:
@@ -170,7 +169,12 @@ def resolve_config(args):
     for name, values in (("h_list", spec.h_list), ("eps_list", spec.eps_list)):
         if not all(a > b for a, b in zip(values, values[1:])):
             raise UsageError(f"{name} must be strictly decreasing")
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    try:
+        seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 0))
+    except ValueError as exc:
+        raise UsageError(f"seed must be an integer, got {file_cfg['seed']!r}") from exc
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     out = Path(args.out if args.out is not None else file_cfg.get("out", "out"))
     fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "both")
     if fmt not in ("csv", "md", "both"):
@@ -449,8 +453,10 @@ def _per_sample_max(probe, samples, seed):
     return worst, worst_seed
 
 
-def _coercivity_probe(space, field, params, samples, seed):
-    A = assemble_Ah_sigma(space, field, params)
+def _coercivity_probe(w, params, samples, seed):
+    """Smallest v'Av over random interior v, for A = A_h(cof(D^2 w))."""
+    space = w.space
+    A = -assemble_jacobian(w, params)
     ii = space.interior_dofs
     worst, worst_seed = np.inf, seed
     for i in range(samples):
@@ -488,10 +494,9 @@ def cmd_verify(cfg, samples=100):
             w = interpolate(
                 space, lambda p: 0.5 * ((p - center) ** 2).sum(axis=1)
             )
-        field = CoefficientField.cofactor_of_hessian(w)
         for eps in spec.eps_list:
             params = PenaltyParams(spec.sigma, eps, spec.weight_mode)
-            q, s = _coercivity_probe(space, field, params, samples, cfg.seed)
+            q, s = _coercivity_probe(w, params, samples, cfg.seed)
             print(f"level n={n} eps={eps:g}: coercivity min v'Av = {q:.4e} "
                   f"(worst sample seed {s})")
             if q <= 0.0:

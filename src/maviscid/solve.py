@@ -81,8 +81,8 @@ class NewtonConfig:
     continuation_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
+        if not 0 < self.abs_tol < math.inf:  # written so that NaN fails
+            raise ValueError("abs_tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         sched = self.continuation_schedule

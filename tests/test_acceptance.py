@@ -361,9 +361,9 @@ def test_acceptance_7_coercivity_probe():
     for n in (8, 16):
         space = FeSpace(build_structured_mesh(2, n), 2)
         w = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
-        field = CoefficientField.cofactor_of_hessian(w)
         for eps in (0.1, 0.01):
-            A = assemble_Ah_sigma(space, field, PenaltyParams(1.0, eps, "full"))
+            # A_h(cof(D^2 w)) is minus the Newton jacobian at w
+            A = -assemble_jacobian(w, PenaltyParams(1.0, eps, "full"))
             ii = space.interior_dofs
             for s in range(100):
                 rng = np.random.default_rng(s)
@@ -374,8 +374,7 @@ def test_acceptance_7_coercivity_probe():
     # it (a finite, possibly negative minimum), not crash
     space = FeSpace(build_structured_mesh(2, 8), 2)
     w = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
-    field = CoefficientField.cofactor_of_hessian(w)
-    A0 = assemble_Ah_sigma(space, field, PenaltyParams(0.0, 0.1, "full"))
+    A0 = -assemble_jacobian(w, PenaltyParams(0.0, 0.1, "full"))
     ii = space.interior_dofs
     unpenalized = np.inf
     for s in range(100):

@@ -1,6 +1,7 @@
 """Assembly tests against brute-force per-point oracles and exact identities."""
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from maviscid.assembly import (
     dump_matrix_market,
     _bilap_csr,
     _boundary_flux_vector,
+    _boundary_tables,
     _det_vector,
     _face_penalty_consistency,
     _face_points,
@@ -32,13 +34,20 @@ from maviscid.assembly import (
 from maviscid.analysis import _hess_gram
 from maviscid.elements import (
     FeSpace,
+    ReferenceElement,
     eval_fe,
+    face_quadrature,
     interpolate,
 )
-from maviscid.mesh import build_structured_mesh
+from maviscid.mesh import SimplicialMesh, build_structured_mesh
 
 
 # ------------------------------------------------------- brute-force oracles
+
+
+def unit_functions(space):
+    """One FeFunction per dof with that dof's coefficient 1, the rest 0."""
+    return [space.function(e) for e in np.eye(space.ndofs)]
 
 
 def brute_operator(space, field_fn, params):
@@ -47,15 +56,11 @@ def brute_operator(space, field_fn, params):
     Independent of the vectorized scatter path: every basis value comes from
     a one-dof FeFunction evaluated with eval_fe.
     """
-    mesh, d = space.mesh, space.mesh.dim
-    nd, nb = space.ndofs, space.ref.node_count
-    eps, w_pen = params.epsilon, params.jump_weight
-    basis = []
-    for i in range(nd):
-        e = np.zeros(nd)
-        e[i] = 1.0
-        basis.append(space.function(e))
-    A = np.zeros((nd, nd))
+    mesh = space.mesh
+    eps = params.epsilon
+    basis = unit_functions(space)
+    P, C = brute_face_terms(space, basis)
+    A = params.jump_weight * P - eps * C
 
     crule = space.cell_rule
     for c in range(mesh.num_cells):
@@ -74,7 +79,16 @@ def brute_operator(space, field_fn, params):
                         eps * np.trace(Ha) * np.trace(Hb)
                         - np.sum(phi_mat * Hb) * va
                     )
+    return A
 
+
+def brute_face_terms(space, basis):
+    """Dense (P, C) by per-point loops over interior faces, each point pulled
+    back into both neighbors with ``reference_coords``."""
+    mesh, d = space.mesh, space.mesh.dim
+    nb = space.ref.node_count
+    P = np.zeros((space.ndofs, space.ndofs))
+    C = np.zeros((space.ndofs, space.ndofs))
     frule = space.face_rule
     ref_meas = 1.0 if d == 2 else 0.5
     for f in range(len(mesh.iface_cells)):
@@ -95,23 +109,16 @@ def brute_operator(space, field_fn, params):
                     avg[side * nb + loc] += 0.5 * np.trace(H)
             for a in range(2 * nb):
                 for b in range(2 * nb):
-                    A[dofs2[a], dofs2[b]] += wq * (
-                        w_pen / mesh.iface_diameters[f] * jump[a] * jump[b]
-                        - eps * (avg[b] * jump[a] + avg[a] * jump[b])
-                    )
-    return A
+                    P[dofs2[a], dofs2[b]] += wq / mesh.iface_diameters[f] * jump[a] * jump[b]
+                    C[dofs2[a], dofs2[b]] += wq * (avg[b] * jump[a] + avg[a] * jump[b])
+    return P, C
 
 
 def brute_rhs(space, phi_fn, psi_fn, eps):
     """Dense (phi, w_i) + eps (psi, grad w_i . n) without boundary zeroing."""
-    mesh, d = space.mesh, space.mesh.dim
-    nd = space.ndofs
-    basis = []
-    for i in range(nd):
-        e = np.zeros(nd)
-        e[i] = 1.0
-        basis.append(space.function(e))
-    r = np.zeros(nd)
+    mesh = space.mesh
+    basis = unit_functions(space)
+    r = eps * brute_boundary_flux(space, basis, psi_fn)
     crule = space.cell_rule
     for c in range(mesh.num_cells):
         for q in range(len(crule.weights)):
@@ -122,6 +129,13 @@ def brute_rhs(space, phi_fn, psi_fn, eps):
             for idof in space.cell_dofs[c]:
                 v, _, _ = eval_fe(basis[idof], c, xref)
                 r[idof] += wq * fval * v
+    return r
+
+
+def brute_boundary_flux(space, basis, psi_fn):
+    """Dense (psi, grad w_i . n) by per-point loops over boundary faces."""
+    mesh, d = space.mesh, space.mesh.dim
+    r = np.zeros(space.ndofs)
     frule = space.face_rule
     ref_meas = 1.0 if d == 2 else 0.5
     for f, cell in enumerate(mesh.bface_cells):
@@ -133,7 +147,7 @@ def brute_rhs(space, phi_fn, psi_fn, eps):
             xref = space.reference_coords(np.array([cell]), x[None, :])[0]
             for idof in space.cell_dofs[cell]:
                 _, g, _ = eval_fe(basis[idof], cell, xref)
-                r[idof] += eps * wq * pv * (g @ mesh.bface_normals[f])
+                r[idof] += wq * pv * (g @ mesh.bface_normals[f])
     return r
 
 
@@ -273,6 +287,46 @@ def test_rhs_matches_brute_force(dim):
     ref[space.boundary_dofs] = 0.0
     assert np.max(np.abs(rhs - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
     assert np.all(rhs[space.boundary_dofs] == 0.0)
+
+
+def shuffled_mesh(dim, n):
+    """The structured mesh with each cell's vertices reordered, cycling
+    through every permutation."""
+    mesh = build_structured_mesh(dim, n)
+    perms = list(itertools.permutations(range(dim + 1)))
+    cells = [cell[list(perms[c % len(perms)])] for c, cell in enumerate(mesh.cells)]
+    return SimplicialMesh(dim, mesh.vertices, cells)
+
+
+def face_placements(mesh, cells, vertex_ids):
+    """The distinct positions of faces' sorted vertices among their cells'."""
+    return {
+        tuple(list(mesh.cells[c]).index(v) for v in vids)
+        for c, vids in zip(cells, vertex_ids)
+    }
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 3), (3, 2)])
+def test_face_terms_match_brute_force_on_shuffled_meshes(dim, degree):
+    # faces tabulate once per placement in their cells; with cell vertices
+    # shuffled, every placement occurs on interior face sides
+    mesh = shuffled_mesh(dim, 2)
+    sides = face_placements(mesh, mesh.iface_cells[:, 0], mesh.iface_vertex_ids)
+    sides |= face_placements(mesh, mesh.iface_cells[:, 1], mesh.iface_vertex_ids)
+    assert len(sides) == math.factorial(dim + 1)
+    space = FeSpace(mesh, degree)
+    basis = unit_functions(space)
+
+    def psi(p):
+        return 1.0 + p[:, 0] * p[:, -1]
+
+    pairs = zip(
+        _face_penalty_consistency(space) + (_boundary_flux_vector(space, psi),),
+        brute_face_terms(space, basis) + (brute_boundary_flux(space, basis, psi),),
+    )
+    for got, ref in pairs:
+        got = got.toarray() if sp.issparse(got) else got
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------- exact identities
@@ -561,6 +615,29 @@ def test_newton_and_face_rules_are_sized(monkeypatch):
     assert counts and set(counts) == {4}
 
 
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
+def test_face_terms_tabulate_once_per_placement(dim, n, monkeypatch):
+    # a face rule pulls back to one point set per placement of a face in its
+    # cell, of which a simplex has (d + 1)!: the basis is tabulated there,
+    # not at every face side's points
+    space = FeSpace(shuffled_mesh(dim, n), 2)
+    counts = []
+    tabulate = ReferenceElement.tabulate
+
+    def spy(self, pts):
+        counts.append(len(pts))
+        return tabulate(self, pts)
+
+    monkeypatch.setattr(ReferenceElement, "tabulate", spy)
+    for build, rule in (
+        (_face_penalty_consistency, face_quadrature(dim, 2)),
+        (_boundary_tables, space.face_rule),
+    ):
+        counts.clear()
+        build(space)
+        assert 0 < sum(counts) <= math.factorial(dim + 1) * len(rule.weights)
+
+
 def test_jacobian_is_negative_operator_at_identity_hessian():
     # at u = |x|^2/2 the cofactor field is the identity, so the jacobian is
     # exactly minus the stabilized operator with Phi = I
@@ -574,13 +651,15 @@ def test_jacobian_is_negative_operator_at_identity_hessian():
 
 
 def test_cofactor_field_of_discrete_function():
+    # A_h(cof(D^2 u)) is minus the jacobian at u; here D^2 u = [[1, 1], [1, 0]]
+    # everywhere, so cof = [[0, -1], [-1, 1]]
     space = FeSpace(build_structured_mesh(2, 3), 2)
     u = interpolate(space, lambda p: 0.5 * p[:, 0] ** 2 + p[:, 0] * p[:, 1])
-    field = CoefficientField.cofactor_of_hessian(u)
-    pts = np.array([[0.3, 0.4], [0.7, 0.2], [0.51, 0.52]])
-    vals = field(pts)
-    # D^2 u = [[1, 1], [1, 0]] everywhere, so cof = [[0, -1], [-1, 1]]
-    assert np.allclose(vals, np.tile([[0.0, -1.0], [-1.0, 1.0]], (3, 1, 1)), atol=1e-9)
+    params = PenaltyParams(2.0, 0.1, "reduced")
+    J = assemble_jacobian(u, params).toarray()
+    field = CoefficientField.constant([[0.0, -1.0], [-1.0, 1.0]])
+    A = assemble_Ah_sigma(space, field, params).toarray()
+    assert np.max(np.abs(J + A)) < 1e-11 * np.max(np.abs(A))
 
 
 # ------------------------------------------------------- labels and layout

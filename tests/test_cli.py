@@ -218,6 +218,10 @@ _SOLVE_III = ("solve", "--case", "III", "--h-list", "1/4")
 _CONV_II = ("convergence", "--case", "II", "--degree", "2")
 
 
+class _ConfigLine(str):
+    """An argv entry standing for a case III config file with this line."""
+
+
 @pytest.mark.parametrize("argv", [
     _SOLVE_III + ("--eps-list", "nan"),  # must not fall back to the ladder top, 0.5
     _SOLVE_III + ("--eps-list", "inf"),
@@ -228,9 +232,19 @@ _CONV_II = ("convergence", "--case", "II", "--degree", "2")
     _CONV_II + ("--h-list", "1/8", "1/4"),
     _CONV_II + ("--h-list", "1/4", "1/4"),
     _CONV_II + ("--h-list", "1/4", "--eps-list", "0.5", "0.5"),
+    ("solve", "--case", "II", "--degree", "4", "--h-list", "1/2"),
+    ("verify", "--case", "II", "--degree", "1", "--h-list", "1/4"),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("weight_mode = bogus")),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("seed = abc")),
+    ("verify", "--case", "II", "--h-list", "1/4", "--seed", "-1"),
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     # rejected before any solve: no traceback and nothing written
+    for i, arg in enumerate(argv):
+        if isinstance(arg, _ConfigLine):
+            cfg = tmp_path / "case.cfg"
+            cfg.write_text(f"case = III\n{arg}\n")
+            argv = argv[:i] + (str(cfg),) + argv[i + 1:]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err

@@ -163,8 +163,9 @@ def test_newton_factors_2d_jacobians_in_symmetric_mode(monkeypatch, dim,
 
 
 def test_newton_config_validation():
-    with pytest.raises(ValueError):
-        NewtonConfig(abs_tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="abs_tol"):
+            NewtonConfig(abs_tol=tol)
     with pytest.raises(ValueError):
         NewtonConfig(max_iters=0)
     with pytest.raises(ValueError):
