@@ -6,8 +6,9 @@ mesh-dependent norm
   norm_h(v)^2 = ||D^2 v||^2_{L2, broken} + sum_F h_F^{-1} ||jump grad v||^2_F
 
 on discrete functions vanishing at boundary dofs, Monte-Carlo probes of the
-discrete Miranda-Talenti and Sobolev inequalities, and order tables with
-log-ratio slopes between consecutive refinement rows.
+discrete Miranda-Talenti and Sobolev inequalities and of coercivity, which
+score sample i drawn from ``default_rng(seed + i)`` as ``maviscid verify``
+does, and order tables with log-ratio slopes between consecutive rows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from maviscid.assembly import (
     _phys_hessians,
     _phys_points,
     _scatter_matrix,
+    assemble_jacobian,
 )
 from maviscid.elements import _MAX_EXACTNESS
 
@@ -129,15 +131,26 @@ def _hess_gram(space):
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
+def _samples(space, samples, seed):
+    """(ndofs, samples) block whose column i is uniform on (-1, 1) at the
+    interior dofs, drawn from ``default_rng(seed + i)``, and zero elsewhere."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    ii = space.interior_dofs
+    V = np.zeros((space.ndofs, samples))
+    for i in range(samples):
+        V[ii, i] = np.random.default_rng(seed + i).uniform(-1.0, 1.0, len(ii))
+    return V
+
+
 def _norm_pieces(space, coeffs):
-    """(broken Hessian norm, broken Laplacian norm, jump seminorm)."""
-    G = _hess_gram(space)
-    B = _bilap_csr(space)
+    """(broken Hessian norm, broken Laplacian norm, jump seminorm) of a
+    coefficient vector, or of each column of an (ndofs, samples) block."""
     P, _ = _face_penalty_consistency(space)
-    hess2 = max(float(coeffs @ (G @ coeffs)), 0.0)
-    lap2 = max(float(coeffs @ (B @ coeffs)), 0.0)
-    jump2 = max(float(coeffs @ (P @ coeffs)), 0.0)
-    return np.sqrt(hess2), np.sqrt(lap2), np.sqrt(jump2)
+    return tuple(
+        np.sqrt(np.maximum((coeffs * (M @ coeffs)).sum(axis=0), 0.0))
+        for M in (_hess_gram(space), _bilap_csr(space), P)
+    )
 
 
 def mesh_norm(v_h):
@@ -151,10 +164,16 @@ def mesh_norm(v_h):
     return float(np.sqrt(hess**2 + jump**2))
 
 
-def _random_v0(space, rng):
-    v = np.zeros(space.ndofs)
-    v[space.interior_dofs] = rng.uniform(-1.0, 1.0, len(space.interior_dofs))
-    return v
+def _miranda_talenti_constants(space, V):
+    """max(||D^2 v|| - ||lap v||, 0) / |v|_jump for each column v of V; 0 for
+    a jump-free v, which must satisfy ||D^2 v|| <= ||lap v||."""
+    hess, lap, jump = _norm_pieces(space, V)
+    jump_free = jump < 1e-14 * np.maximum(1.0, hess)
+    if np.any(jump_free & (hess > lap + 1e-12)):
+        raise AssertionError("Miranda-Talenti violated on a jump-free sample")
+    return np.divide(
+        np.maximum(hess - lap, 0.0), jump, out=np.zeros_like(jump), where=~jump_free
+    )
 
 
 def verify_miranda_talenti(space, samples, seed=0):
@@ -162,49 +181,42 @@ def verify_miranda_talenti(space, samples, seed=0):
 
     For random v in the zero-boundary subspace, the bound reads
     ||D^2 v|| <= ||lap v|| + C (sum_F h_F^{-1} ||jump grad v||^2)^{1/2};
-    samples with vanishing jump seminorm are asserted directly.
+    samples with vanishing jump seminorm are asserted directly.  Sample i
+    comes from ``default_rng(seed + i)``, as in ``maviscid verify``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        v = _random_v0(space, rng)
-        hess, lap, jump = _norm_pieces(space, v)
-        if jump < 1e-14 * max(1.0, hess):
-            if hess > lap + 1e-12:
-                raise AssertionError(
-                    "Miranda-Talenti violated on a jump-free sample"
-                )
-            continue
-        worst = max(worst, max(hess - lap, 0.0) / jump)
-    return worst
+    V = _samples(space, samples, seed)
+    return float(_miranda_talenti_constants(space, V).max())
 
 
 def _linf_estimate(space, coeffs):
-    """Max of |v| over dof nodes and cell quadrature points."""
-    best = float(np.abs(coeffs).max()) if len(coeffs) else 0.0
+    """Max of |v| over dof nodes and cell quadrature points, for a vector or
+    each column of an (ndofs, samples) block."""
+    best = np.abs(coeffs).max(axis=0, initial=0.0)
     rule, val, _, _ = _cell_tables(space)
     for cells, _ in _cell_blocks(space, rule):
-        vh = np.einsum("qb,cb->cq", val, coeffs[space.cell_dofs[cells]])
-        best = max(best, float(np.abs(vh).max()))
+        vh = np.einsum("qb,cb...->cq...", val, coeffs[space.cell_dofs[cells]])
+        best = np.maximum(best, np.abs(vh).max(axis=(0, 1)))
     return best
 
 
+def _sobolev_constants(space, V):
+    """||v||_inf / ||v||_h for each column v of V; 0 where ||v||_h = 0."""
+    hess, _, jump = _norm_pieces(space, V)
+    nh = np.sqrt(hess**2 + jump**2)
+    return np.divide(_linf_estimate(space, V), nh, out=np.zeros_like(nh), where=nh > 0)
+
+
 def verify_discrete_sobolev(space, samples, seed=0):
-    """Max observed constant in ||v||_inf <= C ||v||_h over random samples."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        v = _random_v0(space, rng)
-        hess, _, jump = _norm_pieces(space, v)
-        nh = np.sqrt(hess**2 + jump**2)
-        if nh == 0.0:
-            continue
-        worst = max(worst, _linf_estimate(space, v) / nh)
-    return worst
+    """Max observed constant in ||v||_inf <= C ||v||_h over random samples;
+    sample i comes from ``default_rng(seed + i)``, as in ``maviscid verify``."""
+    return float(_sobolev_constants(space, _samples(space, samples, seed)).max())
+
+
+def _coercivity_values(w, params, V):
+    """v'Av for each column v of V, where A = A_h(cof(D^2 w)) is minus the
+    Newton Jacobian at w."""
+    A = -assemble_jacobian(w, params)
+    return (V * (A @ V)).sum(axis=0)
 
 
 def _order(e_prev, e_cur, p_prev, p_cur):

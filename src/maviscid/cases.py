@@ -281,6 +281,8 @@ def parse_config_text(text):
 def _parse_number(tok):
     if "/" in tok:
         num, den = tok.split("/", 1)
+        if float(den) == 0.0:
+            raise ValueError(f"{tok}: zero denominator")
         return float(num) / float(den)
     return float(tok)
 

@@ -31,13 +31,15 @@ import numpy as np
 
 from maviscid.analysis import (
     RateRow,
+    _coercivity_values,
+    _miranda_talenti_constants,
+    _samples,
+    _sobolev_constants,
     error_norms,
     format_rate_table,
     rate_table,
-    verify_discrete_sobolev,
-    verify_miranda_talenti,
 )
-from maviscid.assembly import PenaltyParams, apply_dirichlet, assemble_jacobian
+from maviscid.assembly import PenaltyParams, apply_dirichlet
 from maviscid.cases import (
     CASE_IDS,
     builtin_case,
@@ -60,6 +62,9 @@ __all__ = ["main", "build_parser", "RunConfig", "UsageError"]
 # finest study meshes sits near 5e-10, well below this and far below any
 # discretization error of interest
 CASE_ABS_TOL = 1e-8
+
+_CONFIG_KEYS = {"case", "dim", "degrees", "h_list", "eps_list", "sigma",
+                "weight_mode", "seed", "out", "format"}
 
 GRID_SAMPLES = 101
 SLICE_OFFSETS = (0.25, 0.5, 0.75)
@@ -129,6 +134,9 @@ def resolve_config(args):
         file_cfg = parse_config_text(path.read_text())
         if "case" not in file_cfg:
             raise UsageError(f"config file {raw} is missing 'case = ...'")
+        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise UsageError(f"unknown key(s) in {raw}: {', '.join(unknown)}")
         case_id = file_cfg["case"]
     else:
         case_id = raw
@@ -147,10 +155,11 @@ def resolve_config(args):
         spec = case_with_overrides(case_id, overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if args.dim is not None and args.dim != spec.dim:
-        raise UsageError(
-            f"case {spec.id} is {spec.dim}D but --dim {args.dim} was given"
-        )
+    for label, dim in (("--dim", args.dim), ("dim =", file_cfg.get("dim"))):
+        if dim is not None and str(dim) != str(spec.dim):
+            raise UsageError(
+                f"case {spec.id} is {spec.dim}D but {label} {dim} was given"
+            )
     if not spec.h_list or not spec.eps_list or not spec.degrees:
         raise UsageError("degrees, h_list, and eps_list must be non-empty")
     # each comparison is written so that NaN fails it
@@ -357,10 +366,10 @@ def cmd_convergence(cfg):
 
 def _write_dof_values(u, path):
     coords = u.space.dof_coords
-    with open(path, "w") as fh:
-        fh.write("# " + ",".join("xyz"[: coords.shape[1]]) + ",value\n")
-        for x, v in zip(coords, u.coeffs):
-            fh.write(",".join(f"{c:.12e}" for c in x) + f",{v:.12e}\n")
+    np.savetxt(
+        path, np.column_stack([coords, u.coeffs]), fmt="%.12e", delimiter=",",
+        header=",".join("xyz"[: coords.shape[1]]) + ",value",
+    )
 
 
 def _write_gridded(path, header, scan_values, line_values, sampler):
@@ -371,9 +380,10 @@ def _write_gridded(path, header, scan_values, line_values, sampler):
             pts = np.column_stack(
                 [np.full(len(line_values), a), line_values]
             )
-            vals = sampler(pts)
-            for b, v in zip(line_values, vals):
-                fh.write(f"{a:.6f},{b:.6f},{v:.12e}\n")
+            np.savetxt(
+                fh, np.column_stack([pts, sampler(pts)]),
+                fmt=("%.6f", "%.6f", "%.12e"), delimiter=",",
+            )
             fh.write("\n")
 
 
@@ -443,32 +453,6 @@ def cmd_solve(cfg):
 # ------------------------------------------------------------------ verify
 
 
-def _per_sample_max(probe, samples, seed):
-    """(max constant, seed of the sample attaining it) for a 1-sample probe."""
-    worst, worst_seed = 0.0, seed
-    for i in range(samples):
-        c = probe(seed + i)
-        if c > worst:
-            worst, worst_seed = c, seed + i
-    return worst, worst_seed
-
-
-def _coercivity_probe(w, params, samples, seed):
-    """Smallest v'Av over random interior v, for A = A_h(cof(D^2 w))."""
-    space = w.space
-    A = -assemble_jacobian(w, params)
-    ii = space.interior_dofs
-    worst, worst_seed = np.inf, seed
-    for i in range(samples):
-        rng = np.random.default_rng(seed + i)
-        v = np.zeros(space.ndofs)
-        v[ii] = rng.uniform(-1.0, 1.0, len(ii))
-        q = float(v @ (A @ v))
-        if q < worst:
-            worst, worst_seed = q, seed + i
-    return worst, worst_seed
-
-
 def cmd_verify(cfg, samples=100):
     spec = cfg.spec
     levels = [int(round(1.0 / h)) for h in spec.h_list]
@@ -477,16 +461,15 @@ def cmd_verify(cfg, samples=100):
     failures = []
     for n in levels:
         space = FeSpace(build_structured_mesh(spec.dim, n), degree)
-        c, s = _per_sample_max(
-            lambda s: verify_miranda_talenti(space, 1, seed=s), samples, cfg.seed
-        )
-        mt.append((n, c, s))
-        print(f"level n={n}: miranda_talenti C = {c:.4f} (worst sample seed {s})")
-        c, s = _per_sample_max(
-            lambda s: verify_discrete_sobolev(space, 1, seed=s), samples, cfg.seed
-        )
-        sb.append((n, c, s))
-        print(f"level n={n}: sobolev C = {c:.4f} (worst sample seed {s})")
+        V = _samples(space, samples, cfg.seed)
+        for name, series, consts in (
+            ("miranda_talenti", mt, _miranda_talenti_constants(space, V)),
+            ("sobolev", sb, _sobolev_constants(space, V)),
+        ):
+            i = int(np.argmax(consts))
+            c, s = consts[i], cfg.seed + i
+            series.append((n, c, s))
+            print(f"level n={n}: {name} C = {c:.4f} (worst sample seed {s})")
         if spec.exact_solution is not None:
             w = interpolate(space, spec.exact_solution.value)
         else:
@@ -496,7 +479,9 @@ def cmd_verify(cfg, samples=100):
             )
         for eps in spec.eps_list:
             params = PenaltyParams(spec.sigma, eps, spec.weight_mode)
-            q, s = _coercivity_probe(w, params, samples, cfg.seed)
+            values = _coercivity_values(w, params, V)
+            i = int(np.argmin(values))
+            q, s = values[i], cfg.seed + i
             print(f"level n={n} eps={eps:g}: coercivity min v'Av = {q:.4e} "
                   f"(worst sample seed {s})")
             if q <= 0.0:

@@ -15,10 +15,19 @@ from maviscid.analysis import (
     rate_table,
     verify_discrete_sobolev,
     verify_miranda_talenti,
+    _coercivity_values,
     _face_penalty_consistency,
     _hess_gram,
+    _linf_estimate,
+    _norm_pieces,
+    _samples,
 )
-from maviscid.assembly import BoundaryData, PenaltyParams, assemble_nonlinear_residual
+from maviscid.assembly import (
+    BoundaryData,
+    PenaltyParams,
+    assemble_jacobian,
+    assemble_nonlinear_residual,
+)
 from maviscid.elements import (
     FeSpace,
     cell_quadrature,
@@ -209,8 +218,6 @@ def test_miranda_talenti_equality_limit():
         v = interpolate(
             space, lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
         )
-        from maviscid.analysis import _norm_pieces
-
         hess, lap, jump = _norm_pieces(space, v.coeffs)
         gaps.append(abs(hess - lap))
         assert hess <= lap + 2.0 * jump + 1e-12
@@ -228,6 +235,46 @@ def test_discrete_sobolev_bounded():
         space = FeSpace(build_structured_mesh(3, n), 2)
         worst3.append(verify_discrete_sobolev(space, samples=40, seed=7))
     assert worst3[-1] <= 1.5 * worst3[0]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("probe", [verify_miranda_talenti, verify_discrete_sobolev])
+def test_probe_is_the_max_over_per_seed_samples(probe, dim, n):
+    # sample i comes from default_rng(seed + i), whatever the sample count
+    space = FeSpace(build_structured_mesh(dim, n), 2)
+    batched = probe(space, 8, seed=1)
+    single = max(probe(space, 1, seed=1 + i) for i in range(8))
+    assert batched == pytest.approx(single, rel=1e-12, abs=0.0)
+
+
+def test_norm_pieces_and_linf_on_a_block_match_columns():
+    space = FeSpace(build_structured_mesh(3, 2), 2)
+    V = _samples(space, 5, seed=11)
+    V[:, 2] = 0.0  # an all-zero column scores zeros, not NaN
+    pieces = _norm_pieces(space, V)
+    linf = _linf_estimate(space, V)
+    for i in range(V.shape[1]):
+        col = _norm_pieces(space, V[:, i])
+        for block_piece, col_piece in zip(pieces, col):
+            assert block_piece[i] == pytest.approx(col_piece, rel=1e-12, abs=1e-12)
+        assert linf[i] == pytest.approx(_linf_estimate(space, V[:, i]), rel=1e-12)
+    assert linf[2] == 0.0 and all(p[2] == 0.0 for p in pieces)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.0])
+def test_coercivity_values_match_per_sample_loop(sigma):
+    # the reference is the per-sample loop of acceptance check 7
+    space = FeSpace(build_structured_mesh(2, 8), 2)
+    w = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
+    params = PenaltyParams(sigma, 0.1, "full")
+    values = _coercivity_values(w, params, _samples(space, 20, seed=0))
+    A = -assemble_jacobian(w, params)
+    ii = space.interior_dofs
+    for s in range(20):
+        rng = np.random.default_rng(s)
+        v = np.zeros(space.ndofs)
+        v[ii] = rng.uniform(-1.0, 1.0, len(ii))
+        assert values[s] == pytest.approx(float(v @ (A @ v)), rel=1e-12)
 
 
 def test_h1_dominated_by_mesh_norm():

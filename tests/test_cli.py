@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from maviscid.analysis import verify_discrete_sobolev, verify_miranda_talenti
 from maviscid.cases import builtin_case, case_with_overrides, serialize_case
 from maviscid.cli import _write_grid_2d, main
 from maviscid.elements import FeSpace, interpolate
@@ -237,6 +238,11 @@ class _ConfigLine(str):
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("weight_mode = bogus")),
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("seed = abc")),
     ("verify", "--case", "II", "--h-list", "1/4", "--seed", "-1"),
+    ("solve", "--case", "II", "--h-list", "1/0"),
+    ("solve", "--case", "II", "--eps-list", "1/0"),
+    ("verify", "--case", "II", "--h-list", "1/4", "--eps-list", "0/0"),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("sigam = 5")),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("dim = 3")),
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     # rejected before any solve: no traceback and nothing written
@@ -385,3 +391,16 @@ def test_verify_sigma_zero_reports_violation(capsys):
     assert code == 1
     assert "FAIL coercivity" in out
     assert "worst sample seed" in out
+
+
+def test_verify_prints_the_library_constants(capsys):
+    # the CLI and the library score the same samples for the same seed
+    argv = ("verify", "--case", "III", "--h-list", "1/4", "--eps-list", "0.1",
+            "--seed", "3")
+    assert run(*argv) == 0
+    out = capsys.readouterr().out
+    space = FeSpace(build_structured_mesh(2, 4), 2)
+    mt = verify_miranda_talenti(space, 100, seed=3)
+    sb = verify_discrete_sobolev(space, 100, seed=3)
+    assert f"miranda_talenti C = {mt:.4f} " in out
+    assert f"sobolev C = {sb:.4f} " in out
