@@ -1,12 +1,16 @@
 """Sparse direct solves, damped Newton iteration, and epsilon continuation.
 
 The nonlinear scheme is solved by Newton's method with residual-norm
-backtracking (factor 1/2).  Each Newton step is one SuperLU factorization of
-the interior Jacobian.  Its pattern is symmetric and its values nearly so,
-so 2D Jacobians are factored in SuperLU's symmetric mode (minimum degree on
-A^T + A, diagonal pivot threshold 0.1), which cuts their fill by a third to
-a half; 3D Jacobians keep the default COLAMD ordering with partial
-pivoting, which fills less at 3D sizes (see ``sparse_solve``).
+backtracking (factor 1/2).  The first step of each solve factors the
+interior Jacobian with SuperLU; later steps solve by one GMRES cycle
+preconditioned with the last factorization, and factor afresh only when that
+solve fails the same residual check as the direct one.  Within a solve the
+Jacobian changes only through its cofactor term, so one factorization
+usually serves every step.  The Jacobian's pattern is symmetric and its
+values nearly so, so 2D Jacobians are factored in SuperLU's symmetric mode
+(minimum degree on A^T + A, diagonal pivot threshold 0.1), which cuts their
+fill by a third to a half; 3D Jacobians keep the default COLAMD ordering
+with partial pivoting, which fills less at 3D sizes (see ``sparse_solve``).
 
 Robust starts at small epsilon come from a continuation ladder: solve at a
 large epsilon first, halve until the target, warm-starting each solve from
@@ -18,6 +22,7 @@ pinned to the Dirichlet data.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -83,13 +88,15 @@ class NewtonConfig:
     def __post_init__(self):
         if not 0 < self.abs_tol < math.inf:  # written so that NaN fails
             raise ValueError("abs_tol must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer of at least 1")
         sched = self.continuation_schedule
         if sched is not None:
             sched = tuple(float(e) for e in sched)
-            if len(sched) == 0 or min(sched) <= 0:
-                raise ValueError("schedule entries must be positive")
+            if len(sched) == 0 or not all(0 < e < math.inf for e in sched):
+                raise ValueError("schedule entries must be finite and positive")
             if any(b >= a for a, b in zip(sched, sched[1:])):
                 raise ValueError("schedule must be strictly decreasing")
             object.__setattr__(self, "continuation_schedule", sched)
@@ -97,13 +104,15 @@ class NewtonConfig:
 
 @dataclass
 class SolveReport:
-    """Iteration counts and residual history of one solve (or a ladder)."""
+    """Iteration counts and residual history of one solve (or a ladder);
+    ``factorizations`` counts the LU factorizations of the Newton steps."""
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     converged: bool = False
     wall_time: float = 0.0
     rungs: list = field(default_factory=list)
+    factorizations: int = 0
 
 
 # SuperLU's symmetric mode: minimum degree on A^T + A, and a diagonal pivot
@@ -111,11 +120,20 @@ class SolveReport:
 _SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
 
+# a solve is accepted when its backward error (see _backward_error) is below
+# this, whether it came from a fresh factorization or from GMRES
+_RESIDUAL_TOL = 1e-10
+# length of the one GMRES cycle a held factorization gets, and its relative
+# tolerance on the 2-norm residual
+_GMRES_ITERS = 20
+_GMRES_RTOL = 1e-12
 
-def sparse_solve(A, b, *, symmetric=False):
-    """Direct sparse LU solve of a square interior system.
 
-    Solves with SuperLU and checks the relative residual below 1e-10.  By
+def sparse_solve(A, b, *, symmetric=False, factor=None):
+    """Sparse LU solve of a square interior system.
+
+    Solves with SuperLU and checks that the backward error
+    ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) is below 1e-10.  By
     default SuperLU orders the columns by COLAMD and pivots partially, as
     for any unsymmetric matrix.  ``symmetric=True`` factors in SuperLU's
     symmetric mode instead: minimum degree on A^T + A and diagonal pivots
@@ -127,36 +145,60 @@ def sparse_solve(A, b, *, symmetric=False):
     more fill on 3D spaces of n=10, 12 at k=2 and n=6 at k=3, so
     ``newton_solve`` uses it in 2D only.  ``A`` is anything
     ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry raises ValueError.
+
+    ``factor`` lets a sequence of solves with nearby matrices share one
+    factorization.  It is a list, empty or holding the SuperLU factorization
+    of an earlier matrix.  If it holds one of this matrix's shape, the
+    system is first solved by one GMRES cycle of at most ``_GMRES_ITERS``
+    iterations preconditioned with that factorization, and x is returned
+    when it is finite and passes the backward-error check above.  Otherwise
+    the held factorization is dropped, this matrix is factored as without
+    ``factor``, and its factorization is left in the list for the next
+    solve.
     """
     csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
     n = csr.shape[0]
     if csr.shape[0] != csr.shape[1] or b.shape != (n,):
         raise ValueError("need a square matrix and a matching vector")
+    if factor and factor[0].shape == csr.shape:
+        precond = spla.LinearOperator(csr.shape, factor[0].solve, dtype=float)
+        x, _ = spla.gmres(csr, b, rtol=_GMRES_RTOL, restart=_GMRES_ITERS,
+                          maxiter=1, M=precond)
+        if _backward_error(csr, x, b) < _RESIDUAL_TOL:
+            return x
+    if factor is not None:
+        factor.clear()
     try:
         lu = spla.splu(csr.tocsc(), **(_SYMMETRIC_MODE if symmetric else {}))
+        if factor is not None:
+            factor.append(lu)
         x = lu.solve(b)
     except RuntimeError as exc:
         row = _suspect_row(csr)
         raise SingularMatrixError(
             f"singular factorization (suspect row {row}): {exc}", row=row
         ) from exc
-    resid = np.abs(csr @ x - b).max() if n else 0.0
-    denom = _inf_norm_matrix(csr) * np.abs(x).max() + np.abs(b).max() if n else 1.0
-    if denom == 0.0:
-        denom = 1.0
-    if not np.isfinite(resid) or resid / denom >= 1e-10:
-        row = int(np.argmax(np.abs(csr @ x - b))) if np.isfinite(resid) else _suspect_row(csr)
+    err = _backward_error(csr, x, b)
+    if not err < _RESIDUAL_TOL:
+        row = int(np.argmax(np.abs(csr @ x - b))) if np.isfinite(err) else _suspect_row(csr)
         raise SingularMatrixError(
-            f"numerically singular system: relative residual {resid / denom:.2e} "
+            f"numerically singular system: relative residual {err:.2e} "
             f"(worst row {row})",
             row=row,
         )
     return x
 
 
-def _inf_norm_matrix(csr):
-    return np.abs(csr).sum(axis=1).max() if csr.shape[0] else 0.0
+def _backward_error(csr, x, b):
+    """||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf), with a zero
+    denominator read as 1; NaN when x is not finite."""
+    if not csr.shape[0]:
+        return 0.0
+    if not np.isfinite(x).all():
+        return math.nan
+    denom = np.abs(csr).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    return np.abs(csr @ x - b).max() / (denom or 1.0)
 
 
 def _suspect_row(csr):
@@ -175,10 +217,13 @@ def newton_solve(f, g_data, params, config=None, initial=None):
     ``initial`` must satisfy the Dirichlet dofs; each accepted step strictly
     reduces the residual infinity norm.  ``f`` and the callables of
     ``g_data`` must be pure functions: their load and boundary-flux vectors
-    are formed once and reused by every residual of the solve.  A 2D
-    Jacobian is factored in SuperLU's symmetric mode, a 3D one with the
-    default ordering (see ``sparse_solve``).  Returns the solution and a
-    report; raises NewtonError with a distinct reason otherwise.
+    are formed once and reused by every residual of the solve.  The first
+    step factors the interior Jacobian, a 2D one in SuperLU's symmetric
+    mode and a 3D one with the default ordering; later steps solve by GMRES
+    preconditioned with the last factorization and factor afresh only when
+    that solve fails the residual check (see ``sparse_solve``).  Returns
+    the solution and a report; raises NewtonError with a distinct reason
+    otherwise.
     """
     if initial is None:
         raise ValueError("newton_solve needs an initial FeFunction")
@@ -187,6 +232,7 @@ def newton_solve(f, g_data, params, config=None, initial=None):
     ii = space.interior_dofs
     u = initial.copy()
     report = SolveReport()
+    factor = []  # the last factorization; it lives as long as this call
     t0 = time.perf_counter()
     try:
         while True:
@@ -207,13 +253,15 @@ def newton_solve(f, g_data, params, config=None, initial=None):
                     "max_iters",
                     report,
                 )
+            held = factor[0] if factor else None
             try:
                 step = sparse_solve(J[np.ix_(ii, ii)], -r[ii],
-                                    symmetric=space.dim == 2)
+                                    symmetric=space.dim == 2, factor=factor)
             except SingularMatrixError as exc:
                 raise NewtonError(
                     f"singular Jacobian: {exc}", "singular_jacobian", report
                 ) from exc
+            report.factorizations += factor[0] is not held
             t = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 trial = u.copy()
@@ -292,6 +340,7 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
             except NewtonError as exc:
                 total.rungs.append((eps, exc.report))
                 total.iterations += exc.report.iterations
+                total.factorizations += exc.report.factorizations
                 total.residual_history.extend(exc.report.residual_history)
                 raise NewtonError(
                     f"continuation failed at eps = {eps:g}: {exc}",
@@ -301,6 +350,7 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
                 ) from exc
             total.rungs.append((eps, rep))
             total.iterations += rep.iterations
+            total.factorizations += rep.factorizations
             total.residual_history.extend(rep.residual_history)
         total.converged = True
         return u, total

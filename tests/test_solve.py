@@ -159,6 +159,120 @@ def test_newton_factors_2d_jacobians_in_symmetric_mode(monkeypatch, dim,
     assert calls == [expected]
 
 
+def _interior_jacobian(n=6):
+    """Interior Newton Jacobian and right-hand side of case II (2D k=2) at
+    its convex seed; at n=6 its 121 unknowns are more than one GMRES cycle
+    spans."""
+    spec = builtin_case("II")
+    eps = spec.eps_list[0]
+    f, data = spec.data(eps)
+    space = FeSpace(build_structured_mesh(2, n), 2)
+    params = PenaltyParams(spec.sigma, eps, spec.weight_mode)
+    r, J = assemble_residual_and_jacobian(convex_seed(space, data.g), f, data, params)
+    ii = space.interior_dofs
+    return J[np.ix_(ii, ii)].tocsr(), -r[ii]
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Keyword arguments of every SuperLU factorization, which still runs."""
+    calls, splu = [], spla.splu
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
+    return calls
+
+
+def _case_solve(case, dim, n):
+    """Continuation solve of a built-in case, k=2, on its default ladder."""
+    spec = builtin_case(case)
+    space = FeSpace(build_structured_mesh(dim, n), 2)
+    return continuation_solve(
+        space, None, None, spec.sigma, spec.eps_list[0],
+        NewtonConfig(abs_tol=1e-8), weight_mode=spec.weight_mode,
+        data_factory=spec.data,
+    )
+
+
+def _backward_error(A, x, b):
+    return np.abs(A @ x - b).max() / (
+        np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+
+
+def test_sparse_solve_with_its_own_factor_does_not_refactor(monkeypatch):
+    A, b = _interior_jacobian()
+    held = [spla.splu(A.tocsc())]
+    before = held[0]
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored although the held factor fits")
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", no_factor)
+    x = sparse_solve(A, b, factor=held)
+    assert held == [before]
+    assert _backward_error(A, x, b) < 1e-12
+
+
+@pytest.mark.parametrize("held_matrix", ["unrelated", "other_shape"])
+def test_sparse_solve_replaces_an_unfit_held_factor(splu_calls, held_matrix):
+    A, b = _interior_jacobian()
+    n = A.shape[0]
+    rng = np.random.default_rng(0)
+    size = n if held_matrix == "unrelated" else n - 1
+    old = spla.splu(sp.diags(rng.uniform(1.0, 2.0, size)).tocsc())
+    held = [old]
+    splu_calls.clear()
+    x = sparse_solve(A, b, symmetric=True, factor=held)
+    assert _backward_error(A, x, b) < 1e-10
+    assert len(splu_calls) == 1 and len(held) == 1 and held[0] is not old
+    assert np.abs(held[0].solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@ORDERINGS
+def test_sparse_solve_singular_with_held_factor(symmetric):
+    # the held factor cannot rescue a singular matrix, and the failed solve
+    # leaves no factor behind
+    held = [spla.splu(sp.identity(2, format="csc"))]
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(SingularMatrixError) as err:
+        sparse_solve(A, np.array([1.0, 1.0]), symmetric=symmetric, factor=held)
+    assert err.value.row == 1
+    assert held == []
+
+
+def test_newton_reuses_one_factorization(splu_calls):
+    space = FeSpace(build_structured_mesh(2, 8), 2)
+    eps = 0.01
+    _, f, data = quartic_data(eps)
+    params = PenaltyParams(20.0, eps, "plain")
+    _, report = newton_solve(f, data, params, NewtonConfig(), convex_seed(space, data.g))
+    assert report.iterations >= 3
+    assert report.factorizations == len(splu_calls) < report.iterations
+
+
+def _nan_gmres(A, b, **kwargs):
+    return np.full(len(b), np.nan), 1
+
+
+@pytest.mark.parametrize("case, dim, n", [("III", 2, 8), ("VI", 3, 4)])
+def test_reuse_matches_factoring_every_step(monkeypatch, case, dim, n):
+    u, report = _case_solve(case, dim, n)
+    # a GMRES answer that never passes the check forces a factor per step
+    monkeypatch.setattr("scipy.sparse.linalg.gmres", _nan_gmres)
+    u_lu, report_lu = _case_solve(case, dim, n)
+    assert report_lu.factorizations == report_lu.iterations
+    assert report.factorizations < report.iterations
+    assert report.iterations == report_lu.iterations
+    assert [e for e, _ in report.rungs] == [e for e, _ in report_lu.rungs]
+    assert [r.iterations for _, r in report.rungs] == [
+        r.iterations for _, r in report_lu.rungs]
+    gap = np.abs(u.coeffs - u_lu.coeffs).max()
+    assert gap <= 1e-10 * np.abs(u_lu.coeffs).max()
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -166,12 +280,15 @@ def test_newton_config_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="abs_tol"):
             NewtonConfig(abs_tol=tol)
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        NewtonConfig(continuation_schedule=[0.5, 0.5])
-    with pytest.raises(ValueError):
-        NewtonConfig(continuation_schedule=[0.5, -0.1])
+    # NaN would never trip the max_iters stop; 2.5 and True are not counts
+    for bad in (0, math.nan, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            NewtonConfig(max_iters=bad)
+    assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
+    for sched in ([0.5, 0.5], [0.5, -0.1], [0.1, math.nan], [math.inf, 0.1],
+                  [math.nan]):
+        with pytest.raises(ValueError):
+            NewtonConfig(continuation_schedule=sched)
     cfg = NewtonConfig(continuation_schedule=[0.5, 0.25])
     assert cfg.continuation_schedule == (0.5, 0.25)
 
@@ -350,6 +467,14 @@ def test_continuation_annotates_failures():
         )
     assert err.value.epsilon == 0.5
     assert err.value.reason == "max_iters"
+
+
+def test_continuation_factors_once_per_rung():
+    # case III, 2D n=8, on the default ladder: each rung's first Jacobian is
+    # factored and preconditions the rest of the rung
+    _, report = _case_solve("III", 2, 8)
+    assert report.factorizations == sum(r.factorizations for _, r in report.rungs)
+    assert report.factorizations == len(report.rungs) < report.iterations
 
 
 def test_continuation_viscosity_profile():
