@@ -280,7 +280,9 @@ def _run_h_study(cfg, degree):
         e = error_norms(spec.exact_solution, u)
         _progress(
             f"case {spec.id} k={degree} h={h:g}: {rep.iterations} Newton "
-            f"steps over {len(rep.rungs)} rungs ({rep.wall_time:.1f} s)"
+            f"steps over {len(rep.rungs)} rungs, {rep.factorizations} "
+            f"factorizations, {rep.gmres_iterations} GMRES iterations "
+            f"({rep.wall_time:.1f} s)"
         )
         return h, e
 
@@ -440,7 +442,9 @@ def cmd_solve(cfg):
         artifacts.extend(_write_slices_3d(u, cfg.out))
     final = report.residual_history[-1] if report.residual_history else 0.0
     print(f"case {spec.id}: converged at eps={eps_target:g} "
-          f"in {report.iterations} Newton steps over {len(report.rungs)} rungs")
+          f"in {report.iterations} Newton steps over {len(report.rungs)} rungs, "
+          f"{report.factorizations} factorizations, "
+          f"{report.gmres_iterations} GMRES iterations")
     print(f"final residual {final:.3e}, min dof value {u.coeffs.min():.6e}")
     if spec.exact_solution is not None:
         e = error_norms(spec.exact_solution, u)

@@ -1,22 +1,26 @@
 """Sparse direct solves, damped Newton iteration, and epsilon continuation.
 
 The nonlinear scheme is solved by Newton's method with residual-norm
-backtracking (factor 1/2).  The first step of each solve factors the
-interior Jacobian with SuperLU; later steps solve by one GMRES cycle
-preconditioned with the last factorization, and factor afresh only when that
-solve fails the same residual check as the direct one.  Within a solve the
-Jacobian changes only through its cofactor term, so one factorization
-usually serves every step.  The Jacobian's pattern is symmetric and its
-values nearly so, so 2D Jacobians are factored in SuperLU's symmetric mode
-(minimum degree on A^T + A, diagonal pivot threshold 0.1), which cuts their
-fill by a third to a half; 3D Jacobians keep the default COLAMD ordering
-with partial pivoting, which fills less at 3D sizes (see ``sparse_solve``).
+backtracking (factor 1/2).  A Newton step solves by one GMRES cycle
+preconditioned with the last SuperLU factorization of an interior Jacobian,
+and factors its own Jacobian only when there is none yet or that solve fails
+the same residual check as a direct one.  The Jacobian changes only through
+its cofactor term from step to step and through epsilon from rung to rung,
+so one factorization usually serves a whole continuation ladder.  The
+Jacobian's pattern is symmetric and its values nearly so, so 2D Jacobians
+are factored in SuperLU's symmetric mode (minimum degree on A^T + A,
+diagonal pivot threshold 0.1), which cuts their fill by a third to a half;
+3D Jacobians keep the default COLAMD ordering with partial pivoting, which
+fills less at 3D sizes (see ``sparse_solve``).
 
 Robust starts at small epsilon come from a continuation ladder: solve at a
-large epsilon first, halve until the target, warm-starting each solve from
-the previous solution.  The first solve is seeded with the interpolant of
-the convex quadratic |x - c|^2 / 2, c the domain centre, with boundary dofs
-pinned to the Dirichlet data.
+large epsilon first, halve until the target.  The first solve is seeded with
+the interpolant of the convex quadratic |x - c|^2 / 2, c the domain centre,
+the second with the first solution, and later ones with a secant predictor
+in log epsilon; boundary dofs are always pinned to the Dirichlet data.
+Rungs before the target only have to land inside the next rung's Newton
+basin, so they stop at a residual of ``_RUNG_TOL``; the target rung stops at
+the configured ``abs_tol``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +55,8 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 20
+# residual at which a continuation rung before the target one stops
+_RUNG_TOL = 1e-4
 
 
 class SingularMatrixError(RuntimeError):
@@ -79,7 +85,12 @@ class NewtonError(RuntimeError):
 @dataclass(frozen=True)
 class NewtonConfig:
     """Iteration controls; the damping backtracking factor is fixed at 1/2,
-    with at most ``_MAX_HALVINGS`` halvings per step."""
+    with at most ``_MAX_HALVINGS`` halvings per step.
+
+    ``abs_tol`` bounds the residual infinity norm of a ``newton_solve`` and
+    of the target rung of a ``continuation_solve``; the ladder's earlier
+    rungs stop at max(abs_tol, ``_RUNG_TOL``).
+    """
 
     abs_tol: float = 1e-10
     max_iters: int = 50
@@ -105,7 +116,9 @@ class NewtonConfig:
 @dataclass
 class SolveReport:
     """Iteration counts and residual history of one solve (or a ladder);
-    ``factorizations`` counts the LU factorizations of the Newton steps."""
+    ``factorizations`` counts the LU factorizations of the Newton steps and
+    ``gmres_iterations`` the iterations of their preconditioned GMRES
+    cycles, failed cycles included."""
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
@@ -113,6 +126,7 @@ class SolveReport:
     wall_time: float = 0.0
     rungs: list = field(default_factory=list)
     factorizations: int = 0
+    gmres_iterations: int = 0
 
 
 # SuperLU's symmetric mode: minimum degree on A^T + A, and a diagonal pivot
@@ -150,23 +164,24 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     factorization.  It is a list, empty or holding the SuperLU factorization
     of an earlier matrix.  If it holds one of this matrix's shape, the
     system is first solved by one GMRES cycle of at most ``_GMRES_ITERS``
-    iterations preconditioned with that factorization, and x is returned
+    iterations preconditioned with that factorization, and x is accepted
     when it is finite and passes the backward-error check above.  Otherwise
-    the held factorization is dropped, this matrix is factored as without
-    ``factor``, and its factorization is left in the list for the next
-    solve.
+    the held factorization is dropped before this matrix is factored as
+    without ``factor``, so at most one factorization is alive, and the new
+    one is left in the list for the next solve.  With ``factor`` the result
+    is ``(x, factored, gmres_iterations)``: whether this call factored, and
+    how many GMRES iterations it ran.
     """
     csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
     n = csr.shape[0]
     if csr.shape[0] != csr.shape[1] or b.shape != (n,):
         raise ValueError("need a square matrix and a matching vector")
+    iters = 0
     if factor and factor[0].shape == csr.shape:
-        precond = spla.LinearOperator(csr.shape, factor[0].solve, dtype=float)
-        x, _ = spla.gmres(csr, b, rtol=_GMRES_RTOL, restart=_GMRES_ITERS,
-                          maxiter=1, M=precond)
+        x, iters = _preconditioned_gmres(csr, b, factor[0])
         if _backward_error(csr, x, b) < _RESIDUAL_TOL:
-            return x
+            return x, False, iters
     if factor is not None:
         factor.clear()
     try:
@@ -187,7 +202,19 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
             f"(worst row {row})",
             row=row,
         )
-    return x
+    return x if factor is None else (x, True, iters)
+
+
+def _preconditioned_gmres(csr, b, lu):
+    """One GMRES cycle preconditioned with ``lu``: x and its iteration count.
+
+    The preconditioner, and with it a reference to ``lu``, dies on return."""
+    residuals = []
+    precond = spla.LinearOperator(csr.shape, lu.solve, dtype=float)
+    x, _ = spla.gmres(csr, b, rtol=_GMRES_RTOL, restart=_GMRES_ITERS,
+                      maxiter=1, M=precond, callback=residuals.append,
+                      callback_type="pr_norm")
+    return x, len(residuals)
 
 
 def _backward_error(csr, x, b):
@@ -211,18 +238,22 @@ def _suspect_row(csr):
     return int(np.argmin(row_max))
 
 
-def newton_solve(f, g_data, params, config=None, initial=None):
+def newton_solve(f, g_data, params, config=None, initial=None, *,
+                 factor=None):
     """Damped Newton iteration for the nonlinear scheme.
 
     ``initial`` must satisfy the Dirichlet dofs; each accepted step strictly
     reduces the residual infinity norm.  ``f`` and the callables of
     ``g_data`` must be pure functions: their load and boundary-flux vectors
-    are formed once and reused by every residual of the solve.  The first
-    step factors the interior Jacobian, a 2D one in SuperLU's symmetric
-    mode and a 3D one with the default ordering; later steps solve by GMRES
-    preconditioned with the last factorization and factor afresh only when
-    that solve fails the residual check (see ``sparse_solve``).  Returns
-    the solution and a report; raises NewtonError with a distinct reason
+    are formed once and reused by every residual of the solve.  A step
+    solves by GMRES preconditioned with the last factorization, and factors
+    its interior Jacobian (a 2D one in SuperLU's symmetric mode, a 3D one
+    with the default ordering) only when none is held or that solve fails
+    the residual check (see ``sparse_solve``).  ``factor`` is the holder of
+    that factorization, a list as ``sparse_solve`` takes it: passing one
+    lets a factorization serve several solves, and without it the first
+    step factors and the holder lives as long as this call.  Returns the
+    solution and a report; raises NewtonError with a distinct reason
     otherwise.
     """
     if initial is None:
@@ -232,7 +263,8 @@ def newton_solve(f, g_data, params, config=None, initial=None):
     ii = space.interior_dofs
     u = initial.copy()
     report = SolveReport()
-    factor = []  # the last factorization; it lives as long as this call
+    if factor is None:
+        factor = []
     t0 = time.perf_counter()
     try:
         while True:
@@ -253,15 +285,16 @@ def newton_solve(f, g_data, params, config=None, initial=None):
                     "max_iters",
                     report,
                 )
-            held = factor[0] if factor else None
             try:
-                step = sparse_solve(J[np.ix_(ii, ii)], -r[ii],
-                                    symmetric=space.dim == 2, factor=factor)
+                step, factored, gmres_iters = sparse_solve(
+                    J[np.ix_(ii, ii)], -r[ii], symmetric=space.dim == 2,
+                    factor=factor)
             except SingularMatrixError as exc:
                 raise NewtonError(
                     f"singular Jacobian: {exc}", "singular_jacobian", report
                 ) from exc
-            report.factorizations += factor[0] is not held
+            report.factorizations += factored
+            report.gmres_iterations += gmres_iters
             t = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 trial = u.copy()
@@ -310,8 +343,16 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
 
     ``data_factory(eps) -> (f, g_data)`` lets the source and boundary data
     depend on the rung (manufactured data usually does); otherwise the given
-    ``f`` and ``g_data`` are used on every rung.  Each rung is warm-started
-    from the previous solution with re-pinned boundary dofs.
+    ``f`` and ``g_data`` are used on every rung.  The first rung starts from
+    ``convex_seed`` and the second from the first rung's solution.  From
+    the third rung on, the start is the secant predictor in log epsilon,
+    u_k + theta (u_k - u_{k-1}) with theta = log(eps_{k+1} / eps_k) /
+    log(eps_k / eps_{k-1}), through the last two rungs' solutions.  Each
+    start has its boundary dofs re-pinned.  Every rung but the last stops at
+    the residual max(config.abs_tol, ``_RUNG_TOL``), enough to land in the
+    next rung's Newton basin; the last stops at ``config.abs_tol``.  All
+    rungs share one factorization holder (see ``newton_solve``), which dies
+    with this call.
     """
     config = config or NewtonConfig()
     if config.continuation_schedule is not None:
@@ -320,39 +361,53 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
             raise ValueError("schedule must end at eps_target")
     else:
         ladder = default_ladder(eps_target)
+    rung_config = replace(config, abs_tol=max(config.abs_tol, _RUNG_TOL))
     total = SolveReport()
+    factor = []
     t0 = time.perf_counter()
-    u = None
+    u = prev = None
     try:
-        for eps in ladder:
+        for k, eps in enumerate(ladder):
             params = PenaltyParams(sigma, eps, weight_mode)
             if data_factory is not None:
                 f_eps, g_eps = data_factory(eps)
             else:
                 f_eps, g_eps = f, g_data
             if u is None:
-                u = convex_seed(space, g_eps.g)
+                start = convex_seed(space, g_eps.g)
             else:
+                start = u.copy()
+                if prev is not None:
+                    theta = (math.log(eps / ladder[k - 1])
+                             / math.log(ladder[k - 1] / ladder[k - 2]))
+                    start.coeffs += theta * (u.coeffs - prev.coeffs)
                 bvals, _ = apply_dirichlet(space, g_eps.g)
-                u.coeffs[space.boundary_dofs] = bvals
+                start.coeffs[space.boundary_dofs] = bvals
+            last = k == len(ladder) - 1
             try:
-                u, rep = newton_solve(f_eps, g_eps, params, config, u)
+                solution, rep = newton_solve(
+                    f_eps, g_eps, params, config if last else rung_config,
+                    start, factor=factor)
             except NewtonError as exc:
-                total.rungs.append((eps, exc.report))
-                total.iterations += exc.report.iterations
-                total.factorizations += exc.report.factorizations
-                total.residual_history.extend(exc.report.residual_history)
+                _add_rung(total, eps, exc.report)
                 raise NewtonError(
                     f"continuation failed at eps = {eps:g}: {exc}",
                     exc.reason,
                     total,
                     epsilon=eps,
                 ) from exc
-            total.rungs.append((eps, rep))
-            total.iterations += rep.iterations
-            total.factorizations += rep.factorizations
-            total.residual_history.extend(rep.residual_history)
+            _add_rung(total, eps, rep)
+            prev, u = u, solution
         total.converged = True
         return u, total
     finally:
         total.wall_time = time.perf_counter() - t0
+
+
+def _add_rung(total, eps, rep):
+    """Append one rung's report to a ladder's and add up its counts."""
+    total.rungs.append((eps, rep))
+    total.iterations += rep.iterations
+    total.factorizations += rep.factorizations
+    total.gmres_iterations += rep.gmres_iterations
+    total.residual_history.extend(rep.residual_history)

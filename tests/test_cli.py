@@ -285,6 +285,7 @@ def test_solve_2d_artifacts(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "converged" in out and "min dof value" in out
+    assert "factorizations" in out and "GMRES iterations" in out
 
     dofs = (tmp_path / "solution_dofs.txt").read_text().splitlines()
     space = FeSpace(build_structured_mesh(2, 6), 2)

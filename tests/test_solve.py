@@ -1,6 +1,7 @@
 """Solver tests: direct sparse solves, Newton iteration, continuation."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from maviscid.assembly import (
     BoundaryData,
     CoefficientField,
     PenaltyParams,
+    apply_dirichlet,
     assemble_Ah_sigma,
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
@@ -20,6 +22,8 @@ from maviscid.cases import builtin_case
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
 from maviscid.solve import (
+    _GMRES_ITERS,
+    _RUNG_TOL,
     NewtonConfig,
     NewtonError,
     SingularMatrixError,
@@ -211,8 +215,9 @@ def test_sparse_solve_with_its_own_factor_does_not_refactor(monkeypatch):
         raise AssertionError("factored although the held factor fits")
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", no_factor)
-    x = sparse_solve(A, b, factor=held)
+    x, factored, gmres_iters = sparse_solve(A, b, factor=held)
     assert held == [before]
+    assert not factored and 1 <= gmres_iters <= _GMRES_ITERS
     assert _backward_error(A, x, b) < 1e-12
 
 
@@ -225,9 +230,12 @@ def test_sparse_solve_replaces_an_unfit_held_factor(splu_calls, held_matrix):
     old = spla.splu(sp.diags(rng.uniform(1.0, 2.0, size)).tocsc())
     held = [old]
     splu_calls.clear()
-    x = sparse_solve(A, b, symmetric=True, factor=held)
+    x, factored, gmres_iters = sparse_solve(A, b, symmetric=True, factor=held)
     assert _backward_error(A, x, b) < 1e-10
     assert len(splu_calls) == 1 and len(held) == 1 and held[0] is not old
+    # a held factor of the wrong shape is not tried
+    assert factored and gmres_iters == (
+        _GMRES_ITERS if held_matrix == "unrelated" else 0)
     assert np.abs(held[0].solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
 
@@ -255,6 +263,34 @@ def test_newton_reuses_one_factorization(splu_calls):
 
 def _nan_gmres(A, b, **kwargs):
     return np.full(len(b), np.nan), 1
+
+
+class _WeakLU:
+    """A SuperLU factorization behind an object that takes weak references."""
+
+    def __init__(self, lu):
+        self.lu, self.shape = lu, lu.shape
+
+    def solve(self, b):
+        return self.lu.solve(b)
+
+
+def test_at_most_one_factorization_is_alive(monkeypatch):
+    # every GMRES answer fails the check, so every step replaces the held
+    # factor; the old one must be gone before the new one is made
+    alive, refs, splu = [], [], spla.splu
+
+    def spy(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        lu = _WeakLU(splu(*args, **kwargs))
+        refs.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
+    monkeypatch.setattr("scipy.sparse.linalg.gmres", _nan_gmres)
+    _, report = _case_solve("III", 2, 4)
+    assert len(alive) == report.factorizations >= 3
+    assert alive == [0] * len(alive)
 
 
 @pytest.mark.parametrize("case, dim, n", [("III", 2, 8), ("VI", 3, 4)])
@@ -469,12 +505,92 @@ def test_continuation_annotates_failures():
     assert err.value.reason == "max_iters"
 
 
-def test_continuation_factors_once_per_rung():
-    # case III, 2D n=8, on the default ladder: each rung's first Jacobian is
-    # factored and preconditions the rest of the rung
+def test_continuation_factors_once_per_ladder():
+    # case III, 2D n=8, on the default ladder: the first rung's first
+    # Jacobian is factored and preconditions every later step of the ladder
     _, report = _case_solve("III", 2, 8)
     assert report.factorizations == sum(r.factorizations for _, r in report.rungs)
-    assert report.factorizations == len(report.rungs) < report.iterations
+    assert report.gmres_iterations == sum(
+        r.gmres_iterations for _, r in report.rungs)
+    assert report.factorizations == 1 < len(report.rungs)
+    assert report.gmres_iterations > 0
+
+
+def test_continuation_rung_tolerances():
+    # rungs before the target stop at _RUNG_TOL, the target one at abs_tol
+    _, report = _case_solve("III", 2, 8)
+    ends = [r.residual_history[-1] for _, r in report.rungs]
+    assert max(ends[:-1]) <= _RUNG_TOL
+    assert ends[-1] <= 1e-8 < max(ends[:-1])
+
+
+def _ladder_by_hand(case, dim, n, schedule, abs_tol, loose):
+    """A ladder of plain ``newton_solve`` calls on a built-in case, k=2.
+
+    ``loose`` runs it as ``continuation_solve`` does: earlier rungs to
+    _RUNG_TOL, the secant predictor from the third rung on, and one
+    factorization holder; otherwise every rung runs to abs_tol from the
+    previous solution, each with its own holder."""
+    spec = builtin_case(case)
+    space = FeSpace(build_structured_mesh(dim, n), 2)
+    holder = [] if loose else None
+    solutions, iterations = [], []
+    for k, eps in enumerate(schedule):
+        f, data = spec.data(eps)
+        if k == 0:
+            start = convex_seed(space, data.g)
+        else:
+            start = solutions[-1].copy()
+            if loose and k >= 2:
+                theta = math.log(eps / schedule[k - 1]) / math.log(
+                    schedule[k - 1] / schedule[k - 2])
+                start.coeffs += theta * (solutions[-1].coeffs - solutions[-2].coeffs)
+            start.coeffs[space.boundary_dofs] = apply_dirichlet(space, data.g)[0]
+        tol = max(abs_tol, _RUNG_TOL) if loose and k < len(schedule) - 1 else abs_tol
+        u, rep = newton_solve(f, data, PenaltyParams(spec.sigma, eps, spec.weight_mode),
+                              NewtonConfig(abs_tol=tol), start, factor=holder)
+        solutions.append(u)
+        iterations.append(rep.iterations)
+    return solutions[-1], iterations
+
+
+@pytest.mark.parametrize("case, dim, n", [("III", 2, 8), ("VI", 3, 4)])
+def test_continuation_matches_a_strict_ladder(case, dim, n):
+    u, report = _case_solve(case, dim, n)
+    ladder = [e for e, _ in report.rungs]
+    u_strict, iterations = _ladder_by_hand(case, dim, n, ladder, 1e-8, loose=False)
+    assert report.iterations < sum(iterations)
+    gap = np.abs(u.coeffs - u_strict.coeffs).max()
+    assert gap <= 1e-6 * np.abs(u_strict.coeffs).max()
+
+
+def test_continuation_counts_repeat():
+    counts = []
+    for _ in range(2):
+        _, report = _case_solve("III", 2, 8)
+        counts.append((report.iterations, report.factorizations,
+                       report.gmres_iterations,
+                       [r.iterations for _, r in report.rungs]))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "schedule", [(0.5,), (0.5, 0.25), (0.5, 0.3, 0.1)],
+    ids=["one_rung", "two_rungs", "non_halving"])
+def test_continuation_schedules(schedule):
+    # one and two rungs run no predictor; three non-halving rungs take the
+    # secant step with theta = log(1/3) / log(3/5)
+    spec = builtin_case("III")
+    space = FeSpace(build_structured_mesh(2, 6), 2)
+    u, report = continuation_solve(
+        space, None, None, spec.sigma, schedule[-1],
+        NewtonConfig(abs_tol=1e-8, continuation_schedule=schedule),
+        weight_mode=spec.weight_mode, data_factory=spec.data,
+    )
+    assert report.converged and [e for e, _ in report.rungs] == list(schedule)
+    u_hand, iterations = _ladder_by_hand("III", 2, 6, schedule, 1e-8, loose=True)
+    assert [r.iterations for _, r in report.rungs] == iterations
+    assert np.array_equal(u.coeffs, u_hand.coeffs)
 
 
 def test_continuation_viscosity_profile():
