@@ -210,8 +210,7 @@ def builtin_case(case_id):
 def _boundary_points(dim, count, rng):
     pts = rng.uniform(0.0, 1.0, size=(count, dim))
     walls = rng.integers(0, 2 * dim, size=count)
-    for i, w in enumerate(walls):
-        pts[i, w // 2] = float(w % 2)
+    pts[np.arange(count), walls // 2] = walls % 2
     return pts
 
 

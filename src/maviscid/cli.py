@@ -12,9 +12,6 @@ Three subcommands:
   per-level constants and a nonzero exit when a bound degrades or fails.
 
 Exit codes: 0 success, 1 solver or verification failure, 2 usage error.
-The environment variable MAVISCID_THREADS caps the worker count used for
-independent mesh-refinement rows; outputs are identical at any setting.
-Rows start in order, and none starts once the run has reached a failed row.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +63,8 @@ _CONFIG_KEYS = {"case", "dim", "degrees", "h_list", "eps_list", "sigma",
                 "weight_mode", "seed", "out", "format"}
 
 GRID_SAMPLES = 101
+# random zero-boundary samples that ``verify`` scores per mesh level
+PROBE_SAMPLES = 100
 SLICE_OFFSETS = (0.25, 0.5, 0.75)
 
 
@@ -200,19 +198,16 @@ def _ensure_outdir(cfg):
         ) from exc
 
 
-def _worker_count(n_jobs):
-    raw = os.environ.get("MAVISCID_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"MAVISCID_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(cap, n_jobs))
-
-
 def _progress(msg):
     print(msg, file=sys.stderr, flush=True)
+
+
+def _counts(report):
+    """Newton steps, rungs, factorizations and GMRES iterations of one solve,
+    worded the same in every summary line."""
+    return (f"{report.iterations} Newton steps over {len(report.rungs)} rungs, "
+            f"{report.factorizations} factorizations, "
+            f"{report.gmres_iterations} GMRES iterations")
 
 
 # ------------------------------------------------------------------ tables
@@ -266,48 +261,34 @@ def _solve_on_mesh(spec, degree, h, eps_target, schedule=None):
     return u, report
 
 
-def _run_h_study(cfg, degree):
-    """One row per mesh size at fixed epsilon; rows solve independently.
+def _run_h_study(spec, degree):
+    """One row per mesh size at fixed epsilon, each from its own ladder.
 
-    Rows start in order with at most one per worker in flight, and none
-    starts once a failed row has been seen."""
-    spec = cfg.spec
+    Returns the rows and, if a row failed, ``(h, NewtonError)``; no row
+    runs after a failed one."""
     eps = spec.eps_list[0]
-    hs = spec.h_list
-
-    def job(h):
-        u, rep = _solve_on_mesh(spec, degree, h, eps)
-        e = error_norms(spec.exact_solution, u)
-        _progress(
-            f"case {spec.id} k={degree} h={h:g}: {rep.iterations} Newton "
-            f"steps over {len(rep.rungs)} rungs, {rep.factorizations} "
-            f"factorizations, {rep.gmres_iterations} GMRES iterations "
-            f"({rep.wall_time:.1f} s)"
-        )
-        return h, e
-
-    workers = _worker_count(len(hs))
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(job, h) for h in hs[:workers]]
-        for i, h in enumerate(hs):
-            try:
-                rows.append(futures[i].result())
-            except NewtonError as exc:
-                return rows, (h, exc)
-            if i + workers < len(hs):
-                futures.append(pool.submit(job, hs[i + workers]))
+    for h in spec.h_list:
+        try:
+            u, rep = _solve_on_mesh(spec, degree, h, eps)
+        except NewtonError as exc:
+            return rows, (h, exc)
+        rows.append((h, error_norms(spec.exact_solution, u)))
+        _progress(f"case {spec.id} k={degree} h={h:g}: {_counts(rep)} "
+                  f"({rep.wall_time:.1f} s)")
     return rows, None
 
 
-def _run_eps_study(cfg, degree):
-    """One row per epsilon at fixed mesh, warm-starting down the ladder."""
-    spec = cfg.spec
-    h = spec.h_list[0]
-    n = int(round(1.0 / h))
+def _run_eps_study(spec, degree):
+    """One row per epsilon at fixed mesh, warm-starting down the ladder.
+
+    The first row runs a ladder; later rows start from the previous row's
+    solution and share one factorization holder.  Returns the rows and, if
+    a row failed, ``(eps, NewtonError)``."""
+    n = int(round(1.0 / spec.h_list[0]))
     space = FeSpace(build_structured_mesh(spec.dim, n), degree)
     config = NewtonConfig(abs_tol=CASE_ABS_TOL)
-    rows, u = [], None
+    rows, u, factor = [], None, []
     for eps in spec.eps_list:
         f, bdata = spec.data(eps)
         params = PenaltyParams(spec.sigma, eps, spec.weight_mode)
@@ -319,15 +300,12 @@ def _run_eps_study(cfg, degree):
                 )
             else:
                 u.coeffs[space.boundary_dofs] = apply_dirichlet(space, bdata.g)[0]
-                u, rep = newton_solve(f, bdata, params, config, u)
+                u, rep = newton_solve(f, bdata, params, config, u, factor=factor)
         except NewtonError as exc:
             return rows, (eps, exc)
-        e = error_norms(spec.exact_solution, u)
-        rows.append((eps, e))
-        _progress(
-            f"case {spec.id} k={degree} eps={eps:g}: "
-            f"{rep.iterations} Newton steps ({rep.wall_time:.1f} s)"
-        )
+        rows.append((eps, error_norms(spec.exact_solution, u)))
+        _progress(f"case {spec.id} k={degree} eps={eps:g}: {_counts(rep)} "
+                  f"({rep.wall_time:.1f} s)")
     return rows, None
 
 
@@ -347,9 +325,9 @@ def cmd_convergence(cfg):
     status = 0
     for degree in spec.degrees:
         if axis == "h":
-            rows, failure = _run_h_study(cfg, degree)
+            rows, failure = _run_h_study(spec, degree)
         else:
-            rows, failure = _run_eps_study(cfg, degree)
+            rows, failure = _run_eps_study(spec, degree)
         if rows:
             _write_tables(cfg, degree, rows, axis)
         if failure is not None:
@@ -441,10 +419,7 @@ def cmd_solve(cfg):
     else:
         artifacts.extend(_write_slices_3d(u, cfg.out))
     final = report.residual_history[-1] if report.residual_history else 0.0
-    print(f"case {spec.id}: converged at eps={eps_target:g} "
-          f"in {report.iterations} Newton steps over {len(report.rungs)} rungs, "
-          f"{report.factorizations} factorizations, "
-          f"{report.gmres_iterations} GMRES iterations")
+    print(f"case {spec.id}: converged at eps={eps_target:g} in {_counts(report)}")
     print(f"final residual {final:.3e}, min dof value {u.coeffs.min():.6e}")
     if spec.exact_solution is not None:
         e = error_norms(spec.exact_solution, u)
@@ -457,7 +432,7 @@ def cmd_solve(cfg):
 # ------------------------------------------------------------------ verify
 
 
-def cmd_verify(cfg, samples=100):
+def cmd_verify(cfg):
     spec = cfg.spec
     levels = [int(round(1.0 / h)) for h in spec.h_list]
     degree = spec.degrees[0]
@@ -465,7 +440,7 @@ def cmd_verify(cfg, samples=100):
     failures = []
     for n in levels:
         space = FeSpace(build_structured_mesh(spec.dim, n), degree)
-        V = _samples(space, samples, cfg.seed)
+        V = _samples(space, PROBE_SAMPLES, cfg.seed)
         for name, series, consts in (
             ("miranda_talenti", mt, _miranda_talenti_constants(space, V)),
             ("sobolev", sb, _sobolev_constants(space, V)),

@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 
 from maviscid.analysis import (
-    error_norms,
+    _coercivity_values,
+    _samples,
     rate_table,
     verify_discrete_sobolev,
     verify_miranda_talenti,
@@ -34,18 +35,15 @@ from maviscid.analysis import (
 from maviscid.assembly import (
     CoefficientField,
     PenaltyParams,
-    apply_dirichlet,
     assemble_Ah_sigma,
     assemble_jacobian,
     assemble_nonlinear_residual,
     det_and_cofactor,
 )
 from maviscid.cases import builtin_case, check_case_consistency
+from maviscid.cli import _run_eps_study, _run_h_study, _solve_on_mesh
 from maviscid.elements import FeSpace, cell_quadrature, interpolate
 from maviscid.mesh import build_structured_mesh
-from maviscid.solve import NewtonConfig, continuation_solve, newton_solve
-
-ABS_TOL = 1e-8
 
 
 def report(num, ok, detail):
@@ -53,24 +51,6 @@ def report(num, ok, detail):
     print()
     print(line)
     assert ok, line
-
-
-def solve_case(spec, degree, h, eps_target):
-    n = int(round(1.0 / h))
-    space = FeSpace(build_structured_mesh(spec.dim, n), degree)
-    config = NewtonConfig(abs_tol=ABS_TOL)
-    return continuation_solve(
-        space, None, None, spec.sigma, eps_target, config,
-        weight_mode=spec.weight_mode, data_factory=spec.data,
-    )
-
-
-def refinement_orders(spec, degree):
-    rows = []
-    for h in spec.h_list:
-        u, _ = solve_case(spec, degree, h, spec.eps_list[0])
-        rows.append((h, error_norms(spec.exact_solution, u)))
-    return rate_table(rows)
 
 
 # external reference magnitudes for the same study configuration, used only
@@ -82,7 +62,9 @@ REFERENCE_II_K2_FINEST = {"l2": 4.63e-06, "h1": 2.57e-05, "h2": 7.37e-03}
 def test_acceptance_1_quartic_2d_quadratic():
     t0 = time.perf_counter()
     spec = builtin_case("II")
-    table = refinement_orders(spec, 2)
+    rows, failure = _run_h_study(spec, 2)
+    assert failure is None, failure
+    table = rate_table(rows)
     wall = time.perf_counter() - t0
     last = table[-1]
     ok = (
@@ -110,7 +92,9 @@ def test_acceptance_1_quartic_2d_quadratic():
 def test_acceptance_2_quartic_2d_cubic():
     t0 = time.perf_counter()
     spec = builtin_case("II")
-    table = refinement_orders(spec, 3)
+    rows, failure = _run_h_study(spec, 3)
+    assert failure is None, failure
+    table = rate_table(rows)
     wall = time.perf_counter() - t0
     last = table[-1]
     ok = abs(last.h2_order - 2.00) <= 0.10 and wall < 600.0
@@ -125,21 +109,8 @@ def test_acceptance_3_exponential_eps_rates():
     t0 = time.perf_counter()
     spec = builtin_case("I")
     n = int(round(1.0 / spec.h_list[0]))
-    space = FeSpace(build_structured_mesh(spec.dim, n), 2)
-    config = NewtonConfig(abs_tol=ABS_TOL)
-    rows, u = [], None
-    for eps in spec.eps_list:
-        f, bdata = spec.data(eps)
-        if u is None:
-            u, _ = continuation_solve(
-                space, None, None, spec.sigma, eps, config,
-                weight_mode=spec.weight_mode, data_factory=spec.data,
-            )
-        else:
-            u.coeffs[space.boundary_dofs] = apply_dirichlet(space, bdata.g)[0]
-            params = PenaltyParams(spec.sigma, eps, spec.weight_mode)
-            u, _ = newton_solve(f, bdata, params, config, u)
-        rows.append((eps, error_norms(spec.exact_solution, u)))
+    rows, failure = _run_eps_study(spec, 2)
+    assert failure is None, failure
     wall = time.perf_counter() - t0
 
     def fitted_slope(errors):
@@ -168,7 +139,9 @@ def test_acceptance_3_exponential_eps_rates():
 def test_acceptance_4_quartic_3d():
     t0 = time.perf_counter()
     spec = builtin_case("V")
-    table = refinement_orders(spec, 2)
+    rows, failure = _run_h_study(spec, 2)
+    assert failure is None, failure
+    table = rate_table(rows)
     wall = time.perf_counter() - t0
     last = table[-1]
     ok = abs(last.h2_order - 1.00) <= 0.15 and wall < 600.0
@@ -182,7 +155,7 @@ def test_acceptance_4_quartic_3d():
 def _viscosity_profile_checks(cid, budget):
     t0 = time.perf_counter()
     spec = builtin_case(cid)
-    u, rep = solve_case(spec, 2, spec.h_list[0], spec.eps_list[0])
+    u, rep = _solve_on_mesh(spec, 2, spec.h_list[0], spec.eps_list[0])
     wall = time.perf_counter() - t0
     space = u.space
     rng = np.random.default_rng(11)
@@ -361,27 +334,18 @@ def test_acceptance_7_coercivity_probe():
     for n in (8, 16):
         space = FeSpace(build_structured_mesh(2, n), 2)
         w = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
+        V = _samples(space, 100, 0)
         for eps in (0.1, 0.01):
-            # A_h(cof(D^2 w)) is minus the Newton jacobian at w
-            A = -assemble_jacobian(w, PenaltyParams(1.0, eps, "full"))
-            ii = space.interior_dofs
-            for s in range(100):
-                rng = np.random.default_rng(s)
-                v = np.zeros(space.ndofs)
-                v[ii] = rng.uniform(-1.0, 1.0, len(ii))
-                worst = min(worst, float(v @ (A @ v)))
+            values = _coercivity_values(w, PenaltyParams(1.0, eps, "full"), V)
+            worst = min(worst, float(values.min()))
     # with the penalty removed a violation may exist; probing must detect
     # it (a finite, possibly negative minimum), not crash
     space = FeSpace(build_structured_mesh(2, 8), 2)
     w = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
-    A0 = -assemble_jacobian(w, PenaltyParams(0.0, 0.1, "full"))
-    ii = space.interior_dofs
-    unpenalized = np.inf
-    for s in range(100):
-        rng = np.random.default_rng(s)
-        v = np.zeros(space.ndofs)
-        v[ii] = rng.uniform(-1.0, 1.0, len(ii))
-        unpenalized = min(unpenalized, float(v @ (A0 @ v)))
+    V = _samples(space, 100, 0)
+    unpenalized = float(
+        _coercivity_values(w, PenaltyParams(0.0, 0.1, "full"), V).min()
+    )
     wall = time.perf_counter() - t0
     detected = np.isfinite(unpenalized)
     ok = worst > 0.0 and detected and wall < 120.0

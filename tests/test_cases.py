@@ -8,6 +8,7 @@ import pytest
 from maviscid.cases import (
     CASE_IDS,
     ExperimentSpec,
+    _boundary_points,
     builtin_case,
     case_with_overrides,
     check_case_consistency,
@@ -104,6 +105,21 @@ def test_inconsistent_data_detected():
 
     bad = replace(spec, make_f=lambda eps: lambda p: 36.0 * p[:, 0] ** 2)
     assert check_case_consistency(bad, eps=0.01) > 1e-3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_boundary_points_match_the_per_point_loop(dim):
+    def loop_reference(dim, count, rng):
+        pts = rng.uniform(0.0, 1.0, size=(count, dim))
+        walls = rng.integers(0, 2 * dim, size=count)
+        for i, w in enumerate(walls):
+            pts[i, w // 2] = float(w % 2)
+        return pts
+
+    got = _boundary_points(dim, 50, np.random.default_rng(7))
+    want = loop_reference(dim, 50, np.random.default_rng(7))
+    assert got.tobytes() == want.tobytes()
+    assert np.all(np.any((got == 0.0) | (got == 1.0), axis=1))
 
 
 def test_study_defaults():

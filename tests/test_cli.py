@@ -2,7 +2,7 @@
 
 import csv
 import math
-import os
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +114,23 @@ def test_small_eps_study(tmp_path):
     assert float(rows[0]["l2"]) > 0 and float(rows[1]["l2"]) > 0
 
 
+def test_eps_rows_share_one_factorization(tmp_path, capsys):
+    # the first row factors in its ladder, the second once for the rows
+    # after it, and the third reuses that factorization
+    code = run(
+        "convergence", "--case", "I", "--degree", "2", "--h-list", "1/8",
+        "--eps-list", "0.5", "0.25", "0.125", "--out", str(tmp_path),
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    counts = [
+        int(re.search(r"(\d+) factorizations", line).group(1))
+        for line in err.splitlines() if " eps=" in line
+    ]
+    assert counts == [1, 1, 0]
+    assert err.count("GMRES iterations") == 3
+
+
 def test_config_file_with_flag_override(tmp_path):
     spec = case_with_overrides(
         "II", {"h_list": "1/4 1/8", "eps_list": "0.05"}
@@ -130,39 +147,19 @@ def test_config_file_with_flag_override(tmp_path):
     assert not (tmp_path / "caseII_k3.csv").exists()
 
 
-def test_threaded_rows_match_serial(tmp_path, monkeypatch):
-    argv = (
-        "convergence", "--case", "II", "--degree", "2",
-        "--h-list", "1/4", "1/8", "--eps-list", "0.05", "--format", "csv",
-    )
-    monkeypatch.delenv("MAVISCID_THREADS", raising=False)
-    assert run(*argv, "--out", str(tmp_path / "serial")) == 0
-    monkeypatch.setenv("MAVISCID_THREADS", "2")
-    assert run(*argv, "--out", str(tmp_path / "par")) == 0
-    serial = (tmp_path / "serial" / "caseII_k2.csv").read_bytes()
-    par = (tmp_path / "par" / "caseII_k2.csv").read_bytes()
-    assert serial == par
-
-
-def test_failed_row_stops_the_h_study(tmp_path, monkeypatch, capsys):
+def test_failed_row_stops_the_h_study(tmp_path, capsys):
     # plain weights at sigma = 1 under-penalize: row 1/8 fails at eps = 0.125
-    argv = (
+    code = run(
         "convergence", "--case", "II", "--degree", "2",
         "--h-list", "1/4", "1/8", "1/16", "--eps-list", "0.01",
         "--sigma", "1", "--weight-mode", "plain", "--format", "csv",
+        "--out", str(tmp_path),
     )
-    monkeypatch.delenv("MAVISCID_THREADS", raising=False)
-    assert run(*argv, "--out", str(tmp_path / "serial")) == 1
+    assert code == 1
     err = capsys.readouterr().err
     assert "h=0.125" in err
     assert "h=0.0625" not in err
-    monkeypatch.setenv("MAVISCID_THREADS", "3")
-    assert run(*argv, "--out", str(tmp_path / "par")) == 1
-    serial = (tmp_path / "serial" / "caseII_k2.csv").read_bytes()
-    par = (tmp_path / "par" / "caseII_k2.csv").read_bytes()
-    assert serial == par
-    with open(tmp_path / "serial" / "caseII_k2.csv") as fh:
-        assert [row["h"] for row in csv.DictReader(fh)] == ["0.25"]
+    assert [row["h"] for row in read_csv(tmp_path / "caseII_k2.csv")] == ["0.25"]
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
@@ -202,17 +199,6 @@ def test_mesh_size_above_one_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "not 1/n" in capsys.readouterr().err
-
-
-def test_invalid_thread_env_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MAVISCID_THREADS", "many")
-    code = run(
-        "convergence", "--case", "II", "--degree", "2",
-        "--h-list", "1/4", "1/8", "--eps-list", "0.05",
-        "--out", str(tmp_path),
-    )
-    assert code == 2
-    assert "MAVISCID_THREADS" in capsys.readouterr().err
 
 
 _SOLVE_III = ("solve", "--case", "III", "--h-list", "1/4")
