@@ -19,14 +19,16 @@ from typing import Optional
 import numpy as np
 
 from maviscid.assembly import (
-    _bilap_csr,
+    _bilap,
     _cached,
     _cell_blocks,
     _cell_tables,
     _face_penalty_consistency,
+    _on_pattern,
+    _pattern,
     _phys_hessians,
     _phys_points,
-    _scatter_matrix,
+    _scatter_data,
     assemble_jacobian,
 )
 from maviscid.elements import _MAX_EXACTNESS
@@ -120,13 +122,15 @@ def error_norms(u_exact, u_h):
 
 @_cached
 def _hess_gram(space):
-    """Gram matrix of the broken Hessian inner product, cached per space."""
+    """Data of the Gram matrix of the broken Hessian inner product on the
+    space's pattern, cached per space."""
     rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
+    slots = _pattern(space).cell_slots
 
     def block(cells, wq):
         hp = _phys_hessians(space, cells, hess_ref)
         local = np.einsum("cq,cqaij,cqbij->cab", wq, hp, hp, optimize=True)
-        return _scatter_matrix(space, space.cell_dofs[cells], local)
+        return _scatter_data(space, slots[cells], local)
 
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
@@ -148,8 +152,8 @@ def _norm_pieces(space, coeffs):
     coefficient vector, or of each column of an (ndofs, samples) block."""
     P, _ = _face_penalty_consistency(space)
     return tuple(
-        np.sqrt(np.maximum((coeffs * (M @ coeffs)).sum(axis=0), 0.0))
-        for M in (_hess_gram(space), _bilap_csr(space), P)
+        np.sqrt(np.maximum((coeffs * (_on_pattern(space, data) @ coeffs)).sum(axis=0), 0.0))
+        for data in (_hess_gram(space), _bilap(space), P)
     )
 
 

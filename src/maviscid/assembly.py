@@ -29,6 +29,17 @@ operator is A_h(Phi) = A_h(0) - (Phi : D^2 v, w), the Newton Jacobian is
 -A_h(cof(D^2 u_h)), and the residual is (det(D^2 u_h), w) - A_h(0) u_h plus
 the data vector.
 
+Every matrix lives on one sparsity pattern per space (``_pattern``): the
+union of the couplings of dofs sharing a cell and of dofs on the two cells
+of an interior face, in CSR form with sorted columns.  B, P, C, the Hessian
+Gram matrix, A_h(0) and the low-order matrices are ``data`` vectors on it,
+accumulated with ``np.bincount`` over pattern slots: a cell block through
+the cached cell-slot map, a chunk of faces through slots looked up for that
+chunk alone.  Sums and differences of matrices are sums and differences of
+their data, and the Newton solver takes the interior-dof block through a
+cached map of the slots it keeps (``_interior_block``).  Matrices handed out
+share the pattern's read-only index arrays.
+
 Each form that is a polynomial on the affine cells is integrated with a
 rule of exactly its degree, exact with the fewest points:
 (det D^2 u_h, v) and (cof D^2 u_h : D^2 v, w) in the Newton step and the
@@ -39,15 +50,23 @@ keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
 cell-point maximum of the discrete Sobolev probe, whose value depends on
 the points.  The basis is tabulated on reference points only: cell tables
 are built on first use and cached on the space per exactness, and a face
-rule once per placement of a face in its cell (``_face_tables``).  A space
-caches the cell tables, B, P and C, the boundary-face tables (the data
-vector reads them on every rung), and the current rung's A_h(0) and data
-vector.  Interior faces keep no per-face arrays: P and C are formed one
-chunk of faces at a time.  Every cell integral runs through one loop over
-blocks of cells (``_cell_blocks``) and per-block matrices are summed in
-block order.  The residual alone (the line-search evaluation) forms the
-determinant vector from that loop and assembles no matrix; the Newton step
-forms the residual and the Jacobian in one pass.
+rule once per placement of a face in its cell (``_face_tables``).  Cell
+forms contract on the reference cell: a coefficient Phi (cof D^2 u_h in the
+Newton pass) is pulled back to J^-1 Phi J^-T and met with the reference
+Hessian tables, D^2 u_h is formed from them and pushed forward as one
+d x d matrix per point, and lap v is D^2_ref v : J^-1 J^-T; only the
+Hessian Gram matrix and the error norms work with physical Hessians.
+
+A space caches the pattern (int32 index arrays and the cell-slot map), the
+interior map once a Newton step needs it, the cell tables, the data of B,
+P and C (and of the Gram matrix once a norm needs it), the boundary-face
+tables (the data vector reads them on every rung), and the current rung's
+A_h(0) and data vector.  Interior faces keep no per-face arrays: P and C
+are formed one chunk of faces at a time.  Every cell integral runs through
+one loop over blocks of cells (``_cell_blocks``) and per-block data are
+summed in block order.  The residual alone (the line-search evaluation)
+forms the determinant vector from that loop and assembles no matrix; the
+Newton step forms the residual and the Jacobian in one pass.
 """
 
 from __future__ import annotations
@@ -55,7 +74,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.io
@@ -267,22 +286,142 @@ def _phys_hessians(space, cells, hess_ref):
     return np.einsum("cki,qbkl,clj->cqbij", ji, hess_ref, ji, optimize=True)
 
 
+def _hessian_map(space, cells):
+    """Per cell, the (d * d, d * d) matrix K with K[(i, j), (k, l)] =
+    (J^-1)_ki (J^-1)_lj.  A flattened reference Hessian H pushes forward to
+    J^-T H J^-1 = K H, and a flattened coefficient Phi pulls back to
+    J^-1 Phi J^-T = Phi K, so that Phi : D^2 v = (Phi K) : D^2_ref v."""
+    ji = space.jac_inv[cells]
+    m, d, _ = ji.shape
+    return np.einsum("cki,clj->cijkl", ji, ji).reshape(m, d * d, d * d)
+
+
 def _phys_points(space, cells, ref_pts):
-    return space.cell_origin[cells][:, None, :] + np.einsum(
-        "cij,qj->cqi", space.jac[cells], ref_pts
+    """Physical images (m, nq, d) of reference points on a block of cells."""
+    return space.cell_origin[cells][:, None, :] + ref_pts @ np.swapaxes(
+        space.jac[cells], 1, 2
     )
 
 
-def _scatter_matrix(space, dof_blocks, local_blocks):
-    """Accumulate (m, a, b) local blocks into a global CSR matrix."""
-    nb = dof_blocks.shape[1]
-    rows = np.repeat(dof_blocks, nb, axis=1).ravel()
-    cols = np.tile(dof_blocks, (1, nb)).ravel()
-    A = sp.coo_matrix(
-        (local_blocks.ravel(), (rows, cols)), shape=(space.ndofs, space.ndofs)
-    ).tocsr()
-    A.eliminate_zeros()
-    return A
+class _Pattern(NamedTuple):
+    """A space's sparsity pattern: CSR ``indptr`` and sorted ``indices``, and
+    ``cell_slots`` (M, nb * nb), the position in ``indices`` of each cell's
+    (test dof, trial dof) pair in row-major order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    cell_slots: np.ndarray
+
+
+def _read_only(*arrays):
+    """Lock cached index arrays: a matrix built on them cannot change them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _slot_finder(indptr, indices):
+    """Map row dofs (m, a) and column dofs (m, b) to the slots (m, a, b) of
+    their pairs in a pattern with sorted columns.  Every pair must be in it."""
+    n = len(indptr) - 1
+    lookup = sp.csr_array(
+        (np.arange(len(indices), dtype=np.int32), indices, indptr), shape=(n, n)
+    )
+
+    def find(rows, cols):
+        m, a, b = len(rows), rows.shape[1], cols.shape[1]
+        pairs = np.repeat(rows, b, axis=1).ravel(), np.tile(cols, (1, a)).ravel()
+        return lookup[pairs].reshape(m, a, b)
+
+    return find
+
+
+@_cached
+def _pattern(space):
+    """The union of the cell and interior-face couplings, cached per space.
+
+    With E the cell-dof incidence and L the identity plus the interior-face
+    cell adjacency, dofs i and j couple exactly where (E^T L E)_ij is
+    nonzero: they share a cell or sit on the two cells of an interior face.
+    """
+    mesh, n = space.mesh, space.ndofs
+    M, nb = space.cell_dofs.shape
+    E = sp.csr_matrix(
+        (np.ones(M * nb, dtype=bool), space.cell_dofs.ravel(),
+         np.arange(0, M * nb + 1, nb)),
+        shape=(M, n),
+    )
+    cells = np.arange(M)
+    c0, c1 = mesh.iface_cells.T
+    L = sp.csr_matrix(
+        (np.ones(M + 2 * len(c0), dtype=bool),
+         (np.concatenate([cells, c0, c1]), np.concatenate([cells, c1, c0]))),
+        shape=(M, M),
+    )
+    union = sp.csr_matrix(E.T) @ (L @ E)
+    union.sort_indices()
+    indptr = union.indptr.astype(np.int32)
+    indices = union.indices.astype(np.int32)
+    del union
+    find = _slot_finder(indptr, indices)
+    cell_slots = np.concatenate([
+        find(dofs, dofs).reshape(len(dofs), -1)
+        for dofs in np.split(space.cell_dofs, range(_CELL_CHUNK, M, _CELL_CHUNK))
+    ])
+    return _Pattern(*_read_only(indptr, indices, cell_slots))
+
+
+def _face_slots(space, find, cells):
+    """Slots (F, 2 nb, 2 nb) of the couplings of the dofs of both sides
+    ``cells`` (F, 2) of faces, side 0 first: the blocks within a side from
+    the cell-slot map, the blocks across the face from ``find``."""
+    nb = space.ref.node_count
+    within = _pattern(space).cell_slots[cells].reshape(len(cells), 2, nb, nb)
+    d0, d1 = space.cell_dofs[cells[:, 0]], space.cell_dofs[cells[:, 1]]
+    return np.concatenate([
+        np.concatenate([within[:, 0], find(d0, d1)], axis=2),
+        np.concatenate([find(d1, d0), within[:, 1]], axis=2),
+    ], axis=1)
+
+
+@_cached
+def _interior_pattern(space):
+    """(kept, indptr, indices): the pattern slots whose row and column are
+    interior dofs, in order, and the CSR index arrays of that block."""
+    pattern = _pattern(space)
+    interior = np.zeros(space.ndofs, dtype=bool)
+    interior[space.interior_dofs] = True
+    row_interior = np.repeat(interior, np.diff(pattern.indptr))
+    kept = np.flatnonzero(row_interior & interior[pattern.indices]).astype(np.int32)
+    renumber = (np.cumsum(interior) - 1).astype(np.int32)
+    indices = renumber[pattern.indices[kept]]
+    # kept slots are sorted and rows are contiguous runs of slots
+    starts = np.searchsorted(kept, pattern.indptr[space.interior_dofs])
+    indptr = np.append(starts, len(kept)).astype(np.int32)
+    return _read_only(kept, indptr, indices)
+
+
+def _on_pattern(space, data):
+    """The CSR matrix with ``data`` on the space's pattern."""
+    pattern = _pattern(space)
+    return sp.csr_matrix(
+        (data, pattern.indices, pattern.indptr), shape=(space.ndofs, space.ndofs)
+    )
+
+
+def _interior_block(space, A):
+    """The interior-dof block of a matrix on the space's pattern."""
+    kept, indptr, indices = _interior_pattern(space)
+    n = len(indptr) - 1
+    return sp.csr_matrix((A.data[kept], indices, indptr), shape=(n, n))
+
+
+def _scatter_data(space, slots, local):
+    """Accumulate (m, a, b) local blocks into a data vector on the pattern;
+    ``slots`` holds the blocks' positions in it, (m, a, b) or (m, a * b)."""
+    return np.bincount(
+        slots.ravel(), weights=local.ravel(), minlength=len(_pattern(space).indices)
+    )
 
 
 def _scatter_vector(space, cells, local):
@@ -297,21 +436,31 @@ def _load_block(wq, q, val):
     return np.einsum("cq,cq,qa->ca", wq, q, val)
 
 
-def _loworder_block(wq, val, phi, hp):
-    """Local (Phi : D^2 v, w) blocks: trial Hessian against test value."""
-    contracted = np.einsum("cqij,cqbij->cqb", phi, hp)
-    return np.einsum("cq,qa,cqb->cab", wq, val, contracted)
+def _loworder_block(wq, val, phi, K, hess_ref):
+    """Local (Phi : D^2 v, w) blocks of a coefficient phi (m, nq, d, d): its
+    pull-back (see ``_hessian_map``) against the trial reference Hessians,
+    times the test values."""
+    m, nq, d, _ = phi.shape
+    pulled = phi.reshape(m, nq, d * d) @ K
+    # (nq, m, d d) @ (nq, d d, nb): one product per quadrature point
+    hess_t = hess_ref.reshape(nq, -1, d * d).swapaxes(1, 2)
+    contracted = (pulled.swapaxes(0, 1) @ hess_t).swapaxes(0, 1)
+    return (wq[:, :, None] * val).swapaxes(1, 2) @ contracted
 
 
 @_cached
-def _bilap_csr(space):
-    """(lap v, lap w) over all cells, cached (epsilon-independent)."""
+def _bilap(space):
+    """Data of (lap v, lap w) over all cells, cached (epsilon-independent)."""
     rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
+    slots = _pattern(space).cell_slots
 
     def block(cells, wq):
-        lap = np.einsum("cqbii->cqb", _phys_hessians(space, cells, hess_ref))
+        # lap v = D^2_ref v : J^-1 J^-T
+        ji = space.jac_inv[cells]
+        metric = ji @ np.swapaxes(ji, 1, 2)
+        lap = np.einsum("qbkl,ckl->cqb", hess_ref, metric)
         local = np.einsum("cq,cqa,cqb->cab", wq, lap, lap)
-        return _scatter_matrix(space, space.cell_dofs[cells], local)
+        return _scatter_data(space, slots[cells], local)
 
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
@@ -347,15 +496,18 @@ def _face_tables(space, rule, cells, vertex_ids):
 
 @_cached
 def _face_penalty_consistency(space):
-    """Cached CSR pair (P, C): gradient-jump penalty and consistency terms,
-    summed over chunks of interior faces gathered on both sides, plus first."""
+    """Cached data pair (P, C): gradient-jump penalty and consistency terms,
+    summed over chunks of interior faces gathered on both sides, plus first.
+    Each chunk looks up its faces' pattern slots and drops them after use."""
     mesh = space.mesh
     # (jump grad v, jump grad w) has degree 2 (k - 1), ({lap v}, jump grad w) less
     rule = face_quadrature(space.dim, 2 * (space.degree - 1))
     grad, hess, placement = _face_tables(
         space, rule, mesh.iface_cells, mesh.iface_vertex_ids
     )
-    P = C = sp.csr_matrix((space.ndofs, space.ndofs))
+    pattern = _pattern(space)
+    find = _slot_finder(pattern.indptr, pattern.indices)
+    P, C = np.zeros(len(pattern.indices)), np.zeros(len(pattern.indices))
     for start in range(0, len(mesh.iface_cells), _FACE_CHUNK):
         sl = slice(start, start + _FACE_CHUNK)
         _, wq = _face_points(
@@ -370,11 +522,11 @@ def _face_penalty_consistency(space):
             jump.append(np.einsum("cqbj,cj->cqb", grad[p], conormal))
             avg.append(0.5 * np.einsum("cqbkl,cki,cli->cqb", hess[p], ji, ji, optimize=True))
         jump, avg = np.concatenate(jump, axis=2), np.concatenate(avg, axis=2)
-        fdofs = space.cell_dofs[mesh.iface_cells[sl]].reshape(len(wq), -1)
+        slots = _face_slots(space, find, mesh.iface_cells[sl])
         wj = wq / mesh.iface_diameters[sl][:, None]
-        P = P + _scatter_matrix(space, fdofs, np.einsum("fq,fqa,fqb->fab", wj, jump, jump))
+        P += _scatter_data(space, slots, np.einsum("fq,fqa,fqb->fab", wj, jump, jump))
         local = np.einsum("fq,fqa,fqb->fab", wq, jump, avg)
-        C = C + _scatter_matrix(space, fdofs, local + np.swapaxes(local, 1, 2))
+        C += _scatter_data(space, slots, local + np.swapaxes(local, 1, 2))
     return P, C
 
 
@@ -391,7 +543,7 @@ def _boundary_tables(space):
     )
     conormal = np.einsum("cji,ci->cj", space.jac_inv[cells], mesh.bface_normals)
     gradn = np.einsum("cqbj,cj->cqb", grad[placement[:, 0]], conormal)
-    return space.cell_dofs[cells], phys, gradn, wq
+    return space.cell_dofs[cells].astype(np.int32), phys, gradn, wq
 
 
 # ----------------------------------------------------------- vector pieces
@@ -416,15 +568,16 @@ def _boundary_flux_vector(space, psi):
     return np.bincount(bdofs.ravel(), weights=local.ravel(), minlength=space.ndofs)
 
 
-def _loworder_csr(space, field):
-    """(Phi : D^2 v, w) for a coefficient field Phi."""
+def _loworder(space, field):
+    """Data of (Phi : D^2 v, w) for a coefficient field Phi."""
     rule, val, _, hess_ref = _cell_tables(space)
+    slots = _pattern(space).cell_slots
 
     def block(cells, wq):
         phys = _phys_points(space, cells, rule.points)
         phi = field(phys.reshape(-1, space.dim)).reshape(phys.shape + (space.dim,))
-        local = _loworder_block(wq, val, phi, _phys_hessians(space, cells, hess_ref))
-        return _scatter_matrix(space, space.cell_dofs[cells], local)
+        local = _loworder_block(wq, val, phi, _hessian_map(space, cells), hess_ref)
+        return _scatter_data(space, slots[cells], local)
 
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
@@ -436,13 +589,19 @@ def _newton_tables(space):
 
 
 def _iterate_hessians(space, coeffs):
-    """Yield, per cell block, (cells, weights, physical basis Hessians,
-    det(D^2 u_h), cof(D^2 u_h)) at the Newton-pass quadrature points."""
+    """Yield, per cell block, (cells, weights, Hessian maps, det(D^2 u_h),
+    cof(D^2 u_h)) at the Newton-pass quadrature points.  D^2 u_h is formed
+    on the reference cell and pushed forward, one d x d matrix per point
+    (see ``_hessian_map``)."""
     rule, _, _, hess_ref = _newton_tables(space)
+    nq, nb, d = hess_ref.shape[:3]
+    # (nb, nq d d): basis function b's reference Hessians at all points
+    table = hess_ref.swapaxes(0, 1).reshape(nb, -1)
     for cells, wq in _cell_blocks(space, rule):
-        hp = _phys_hessians(space, cells, hess_ref)
-        hu = np.einsum("cqbij,cb->cqij", hp, coeffs[space.cell_dofs[cells]])
-        yield (cells, wq, hp) + det_and_cofactor(hu)
+        K = _hessian_map(space, cells)
+        href = (coeffs[space.cell_dofs[cells]] @ table).reshape(len(cells), nq, d * d)
+        hu = (href @ K.swapaxes(1, 2)).reshape(len(cells), nq, d, d)
+        yield (cells, wq, K) + det_and_cofactor(hu)
 
 
 def _det_vector(space, coeffs):
@@ -456,13 +615,14 @@ def _det_vector(space, coeffs):
 
 def _nonlinear_cell_terms(space, coeffs):
     """One pass for the Newton step: the (det(D^2 u_h), v_i) vector and the
-    cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
-    _, val, _, _ = _newton_tables(space)
+    data of the cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
+    _, val, _, hess_ref = _newton_tables(space)
+    slots = _pattern(space).cell_slots
     det_vec = low_cof = 0
-    for cells, wq, hp, det, cof in _iterate_hessians(space, coeffs):
+    for cells, wq, K, det, cof in _iterate_hessians(space, coeffs):
         det_vec = det_vec + _scatter_vector(space, cells, _load_block(wq, det, val))
-        local = _loworder_block(wq, val, cof, hp)
-        low_cof = low_cof + _scatter_matrix(space, space.cell_dofs[cells], local)
+        local = _loworder_block(wq, val, cof, K, hess_ref)
+        low_cof = low_cof + _scatter_data(space, slots[cells], local)
     return det_vec, low_cof
 
 
@@ -471,9 +631,10 @@ def _nonlinear_cell_terms(space, coeffs):
 
 @_cached
 def _operator(space, params):
-    """A_h(0) = eps (lap v, lap w) - eps C + weight P, cached per params."""
+    """Data of A_h(0) = eps (lap v, lap w) - eps C + weight P, cached per
+    params."""
     P, C = _face_penalty_consistency(space)
-    return params.epsilon * (_bilap_csr(space) - C) + params.jump_weight * P
+    return params.epsilon * (_bilap(space) - C) + params.jump_weight * P
 
 
 @_cached
@@ -495,7 +656,9 @@ def assemble_Ah_sigma(space, field, params):
     """
     if field.dim != space.dim:
         raise ValueError("coefficient field dimension does not match the mesh")
-    return _check_finite(_operator(space, params) - _loworder_csr(space, field))
+    return _check_finite(
+        _on_pattern(space, _operator(space, params) - _loworder(space, field))
+    )
 
 
 def assemble_linearized_rhs(space, phi, psi, params):
@@ -518,7 +681,7 @@ def _check_dirichlet(u_h, g_data):
 def _residual(u_h, f, g_data, params, det_vec):
     """The residual at ``u_h`` given its (det(D^2 u_h), v_i) vector."""
     space = u_h.space
-    r = det_vec - _operator(space, params) @ u_h.coeffs
+    r = det_vec - _on_pattern(space, _operator(space, params)) @ u_h.coeffs
     r += _data_vector(space, f, g_data, params)
     r[space.boundary_dofs] = 0.0
     return r
@@ -545,7 +708,7 @@ def assemble_jacobian(u_h, params):
                   - b(w_j, v_i), that is -A_h(cof(D^2 u_h))."""
     space = u_h.space
     _, low_cof = _nonlinear_cell_terms(space, u_h.coeffs)
-    return _check_finite(low_cof - _operator(space, params))
+    return _check_finite(_on_pattern(space, low_cof - _operator(space, params)))
 
 
 def assemble_residual_and_jacobian(u_h, f, g_data, params):
@@ -558,7 +721,7 @@ def assemble_residual_and_jacobian(u_h, f, g_data, params):
     space = u_h.space
     det_vec, low_cof = _nonlinear_cell_terms(space, u_h.coeffs)
     return (_residual(u_h, f, g_data, params, det_vec),
-            _check_finite(low_cof - _operator(space, params)))
+            _check_finite(_on_pattern(space, low_cof - _operator(space, params))))
 
 
 def apply_dirichlet(space, g):

@@ -283,8 +283,9 @@ def _run_eps_study(spec, degree):
     """One row per epsilon at fixed mesh, warm-starting down the ladder.
 
     The first row runs a ladder; later rows start from the previous row's
-    solution and share one factorization holder.  Returns the rows and, if
-    a row failed, ``(eps, NewtonError)``."""
+    solution.  All rows share one factorization holder, so the first row's
+    last factorization serves the next.  Returns the rows and, if a row
+    failed, ``(eps, NewtonError)``."""
     n = int(round(1.0 / spec.h_list[0]))
     space = FeSpace(build_structured_mesh(spec.dim, n), degree)
     config = NewtonConfig(abs_tol=CASE_ABS_TOL)
@@ -297,6 +298,7 @@ def _run_eps_study(spec, degree):
                 u, rep = continuation_solve(
                     space, None, None, spec.sigma, eps, config,
                     weight_mode=spec.weight_mode, data_factory=spec.data,
+                    factor=factor,
                 )
             else:
                 u.coeffs[space.boundary_dofs] = apply_dirichlet(space, bdata.g)[0]

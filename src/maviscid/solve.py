@@ -38,6 +38,7 @@ import scipy.sparse.linalg as spla
 from maviscid.assembly import (
     PenaltyParams,
     _check_finite,
+    _interior_block,
     apply_dirichlet,
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
@@ -287,7 +288,7 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
                 )
             try:
                 step, factored, gmres_iters = sparse_solve(
-                    J[np.ix_(ii, ii)], -r[ii], symmetric=space.dim == 2,
+                    _interior_block(space, J), -r[ii], symmetric=space.dim == 2,
                     factor=factor)
             except SingularMatrixError as exc:
                 raise NewtonError(
@@ -338,7 +339,7 @@ def convex_seed(space, g):
 
 
 def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
-                       weight_mode="full", data_factory=None):
+                       weight_mode="full", data_factory=None, *, factor=None):
     """Solve the nonlinear scheme at eps_target via a decreasing epsilon ladder.
 
     ``data_factory(eps) -> (f, g_data)`` lets the source and boundary data
@@ -351,8 +352,9 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
     start has its boundary dofs re-pinned.  Every rung but the last stops at
     the residual max(config.abs_tol, ``_RUNG_TOL``), enough to land in the
     next rung's Newton basin; the last stops at ``config.abs_tol``.  All
-    rungs share one factorization holder (see ``newton_solve``), which dies
-    with this call.
+    rungs share one factorization holder (see ``newton_solve``): ``factor``
+    if given, so that the last factorization can serve later solves, and
+    otherwise one that dies with this call.
     """
     config = config or NewtonConfig()
     if config.continuation_schedule is not None:
@@ -363,7 +365,8 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
         ladder = default_ladder(eps_target)
     rung_config = replace(config, abs_tol=max(config.abs_tol, _RUNG_TOL))
     total = SolveReport()
-    factor = []
+    if factor is None:
+        factor = []
     t0 = time.perf_counter()
     u = prev = None
     try:

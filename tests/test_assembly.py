@@ -21,17 +21,28 @@ from maviscid.assembly import (
     assemble_residual_and_jacobian,
     det_and_cofactor,
     dump_matrix_market,
-    _bilap_csr,
+    _bilap,
     _boundary_flux_vector,
     _boundary_tables,
+    _cell_blocks,
+    _cell_tables,
+    _data_vector,
     _det_vector,
     _face_penalty_consistency,
     _face_points,
+    _face_tables,
+    _interior_block,
     _iterate_hessians,
     _load_vector,
     _nonlinear_cell_terms,
+    _on_pattern,
+    _operator,
+    _pattern,
+    _phys_hessians,
+    _phys_points,
 )
-from maviscid.analysis import _hess_gram
+from maviscid.analysis import _hess_gram, mesh_norm
+from maviscid.cases import builtin_case
 from maviscid.elements import (
     FeSpace,
     ReferenceElement,
@@ -40,6 +51,7 @@ from maviscid.elements import (
     interpolate,
 )
 from maviscid.mesh import SimplicialMesh, build_structured_mesh
+from maviscid.solve import NewtonConfig, continuation_solve, convex_seed, newton_solve
 
 
 # ------------------------------------------------------- brute-force oracles
@@ -149,6 +161,74 @@ def brute_boundary_flux(space, basis, psi_fn):
                 _, g, _ = eval_fe(basis[idof], cell, xref)
                 r[idof] += wq * pv * (g @ mesh.bface_normals[f])
     return r
+
+
+def coo_matrix(space, dof_blocks, local_blocks):
+    """Accumulate (m, a, b) local blocks into a CSR matrix through COO."""
+    nb = dof_blocks.shape[1]
+    rows = np.repeat(dof_blocks, nb, axis=1).ravel()
+    cols = np.tile(dof_blocks, (1, nb)).ravel()
+    return sp.coo_matrix(
+        (local_blocks.ravel(), (rows, cols)), shape=(space.ndofs, space.ndofs)
+    ).tocsr()
+
+
+def coo_reference(u, f, data, params):
+    """r, J, A_h(0), B, P, C and the Hessian Gram matrix assembled through
+    COO from physical basis Hessians, on the same rules and tables."""
+    space = u.space
+    k, mesh = space.degree, space.mesh
+
+    def cell_sum(degree, local):
+        rule, val, _, hess_ref = _cell_tables(space, degree)
+        return sum(
+            coo_matrix(space, space.cell_dofs[cells],
+                       local(wq, val, _phys_hessians(space, cells, hess_ref), cells))
+            for cells, wq in _cell_blocks(space, rule)
+        )
+
+    def bilap(wq, val, hp, cells):
+        lap = np.einsum("cqbii->cqb", hp)
+        return np.einsum("cq,cqa,cqb->cab", wq, lap, lap)
+
+    def gram(wq, val, hp, cells):
+        return np.einsum("cq,cqaij,cqbij->cab", wq, hp, hp)
+
+    B, G = cell_sum(2 * (k - 2), bilap), cell_sum(2 * (k - 2), gram)
+    rule = face_quadrature(space.dim, 2 * (k - 1))
+    grad, hess, placement = _face_tables(space, rule, mesh.iface_cells, mesh.iface_vertex_ids)
+    _, wq = _face_points(space, rule, mesh.iface_vertex_ids, mesh.iface_measures)
+    jump, avg = [], []
+    for side, sign in ((0, 1.0), (1, -1.0)):
+        ji = space.jac_inv[mesh.iface_cells[:, side]]
+        conormal = sign * np.einsum("cji,ci->cj", ji, mesh.iface_normals)
+        p = placement[:, side]
+        jump.append(np.einsum("cqbj,cj->cqb", grad[p], conormal))
+        avg.append(0.5 * np.einsum("cqbkl,cki,cli->cqb", hess[p], ji, ji))
+    jump, avg = np.concatenate(jump, axis=2), np.concatenate(avg, axis=2)
+    fdofs = space.cell_dofs[mesh.iface_cells].reshape(len(wq), -1)
+    wj = wq / mesh.iface_diameters[:, None]
+    P = coo_matrix(space, fdofs, np.einsum("fq,fqa,fqb->fab", wj, jump, jump))
+    local = np.einsum("fq,fqa,fqb->fab", wq, jump, avg)
+    C = coo_matrix(space, fdofs, local + np.swapaxes(local, 1, 2))
+    A0 = params.epsilon * (B - C) + params.jump_weight * P
+
+    det_vec = np.zeros(space.ndofs)
+
+    def low_cof(wq, val, hp, cells):
+        hu = np.einsum("cqbij,cb->cqij", hp, u.coeffs[space.cell_dofs[cells]])
+        det, cof = det_and_cofactor(hu)
+        det_vec[:] += np.bincount(
+            space.cell_dofs[cells].ravel(),
+            weights=np.einsum("cq,cq,qa->ca", wq, det, val).ravel(),
+            minlength=space.ndofs,
+        )
+        return np.einsum("cq,qa,cqb->cab", wq, val, np.einsum("cqij,cqbij->cqb", cof, hp))
+
+    J = cell_sum(space.dim * (k - 2) + k, low_cof) - A0
+    r = det_vec - A0 @ u.coeffs + _data_vector(space, f, data, params)
+    r[space.boundary_dofs] = 0.0
+    return dict(r=r, J=J, A0=A0, B=B, P=P, C=C, G=G)
 
 
 def field_2d(points):
@@ -321,7 +401,8 @@ def test_face_terms_match_brute_force_on_shuffled_meshes(dim, degree):
         return 1.0 + p[:, 0] * p[:, -1]
 
     pairs = zip(
-        _face_penalty_consistency(space) + (_boundary_flux_vector(space, psi),),
+        [_on_pattern(space, M) for M in _face_penalty_consistency(space)]
+        + [_boundary_flux_vector(space, psi)],
         brute_face_terms(space, basis) + (brute_boundary_flux(space, basis, psi),),
     )
     for got, ref in pairs:
@@ -359,7 +440,7 @@ def test_smooth_quadratic_energy_3d():
 def test_penalty_vanishes_on_c1_functions(dim, degree):
     mesh = build_structured_mesh(dim, 2)
     space = FeSpace(mesh, degree)
-    P, C = _face_penalty_consistency(space)
+    P, C = (_on_pattern(space, M) for M in _face_penalty_consistency(space))
     scale = np.max(np.abs(P.toarray()))
     lin = interpolate(space, lambda p: 1.0 + p @ np.arange(1.0, dim + 1.0))
     quad = interpolate(space, lambda p: (p**2).sum(axis=1) + p[:, 0] * p[:, 1])
@@ -384,13 +465,8 @@ def test_penalty_vanishes_on_c1_functions(dim, degree):
         assert abs(v.coeffs @ (C @ v.coeffs)) < 1e-12 * scale
 
 
-def test_space_keeps_no_per_face_arrays():
-    # P and C are formed chunk by chunk: after a Newton step the space caches
-    # no array with one row per interior face
-    space, u, _, data = _perturbed_state(3, 2, seed=3)
-    assemble_residual_and_jacobian(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.2))
-    num_faces = len(space.mesh.iface_cells)
-
+def cached_arrays(space):
+    """Every distinct numpy array the space's cache holds."""
     def arrays(obj):
         if isinstance(obj, np.ndarray):
             yield obj
@@ -400,9 +476,60 @@ def test_space_keeps_no_per_face_arrays():
         elif hasattr(obj, "__dict__"):  # sparse matrices and quadrature rules
             yield from arrays(list(vars(obj).values()))
 
-    found = list(arrays(list(space._cache.values())))
+    return list({id(a): a for a in arrays(list(space._cache.values()))}.values())
+
+
+def test_space_keeps_no_per_face_arrays():
+    # P and C are formed chunk by chunk: after a Newton step the space caches
+    # no array with one row per interior face
+    space, u, _, data = _perturbed_state(3, 2, seed=3)
+    assemble_residual_and_jacobian(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.2))
+    num_faces = len(space.mesh.iface_cells)
+    found = cached_arrays(space)
     assert found
     assert not [a.shape for a in found if a.ndim and a.shape[0] == num_faces]
+
+
+def test_solved_space_caches_one_int32_pattern():
+    # after a ladder, a norm and an operator, the space holds one row-pointer
+    # array over all dofs, and every index array it caches is int32
+    spec = builtin_case("III")
+    space = FeSpace(build_structured_mesh(2, 4), 2)
+    u, _ = continuation_solve(
+        space, None, None, spec.sigma, 0.1, NewtonConfig(abs_tol=1e-8),
+        weight_mode=spec.weight_mode, data_factory=spec.data,
+    )
+    v = space.function()
+    v.coeffs[space.interior_dofs] = 1.0
+    mesh_norm(v)
+    assemble_Ah_sigma(space, CoefficientField.identity(2), PenaltyParams(1.0, 0.1))
+    found = cached_arrays(space)
+    assert len([a for a in found if a.shape == (space.ndofs + 1,)]) == 1
+    indices = [a for a in found if a.dtype.kind in "iu"]
+    assert len(indices) >= 6 and all(a.dtype == np.int32 for a in indices)
+
+
+@pytest.mark.parametrize("dim,n,degree", [(2, 8, 2), (3, 4, 3)])
+def test_pattern_is_the_union_of_cell_and_face_couplings(dim, n, degree):
+    space = FeSpace(build_structured_mesh(dim, n), degree)
+    want = np.zeros((space.ndofs, space.ndofs), dtype=bool)
+    for dofs in space.cell_dofs:
+        want[np.ix_(dofs, dofs)] = True
+    for c0, c1 in space.mesh.iface_cells:
+        dofs = np.concatenate([space.cell_dofs[c0], space.cell_dofs[c1]])
+        want[np.ix_(dofs, dofs)] = True
+    pattern = _pattern(space)
+    rows = np.repeat(np.arange(space.ndofs), np.diff(pattern.indptr))
+    got = np.zeros_like(want)
+    got[rows, pattern.indices] = True
+    assert np.array_equal(got, want)
+    # one slot per coupling, columns sorted within each row
+    assert len(pattern.indices) == want.sum()
+    assert np.all((np.diff(pattern.indices) > 0) | (np.diff(rows) > 0))
+    # each cell's slots hold its (test, trial) dof pairs in row-major order
+    nb = space.ref.node_count
+    assert np.array_equal(rows[pattern.cell_slots], np.repeat(space.cell_dofs, nb, axis=1))
+    assert np.array_equal(pattern.indices[pattern.cell_slots], np.tile(space.cell_dofs, (1, nb)))
 
 
 def test_symmetry_without_coefficient():
@@ -486,8 +613,8 @@ def test_zero_data_zero_residual():
     assert np.max(np.abs(r)) == 0.0
 
 
-def _perturbed_state(dim, n, seed):
-    space = FeSpace(build_structured_mesh(dim, n), 2)
+def _perturbed_state(dim, n, seed, degree=2):
+    space = FeSpace(build_structured_mesh(dim, n), degree)
     u0 = lambda p: np.exp(0.5 * (p**2).sum(axis=1))
     u = interpolate(space, u0)
     rng = np.random.default_rng(seed)
@@ -535,7 +662,7 @@ def test_line_search_residual_builds_no_matrix(monkeypatch):
     def no_scatter(*args):
         raise AssertionError("the residual assembled a matrix")
 
-    monkeypatch.setattr("maviscid.assembly._scatter_matrix", no_scatter)
+    monkeypatch.setattr("maviscid.assembly._scatter_data", no_scatter)
     assert np.array_equal(r0, assemble_nonlinear_residual(u, f, data, params))
 
 
@@ -559,14 +686,64 @@ def test_residual_follows_changed_data():
         assert (J != J_ref).nnz == 0
 
 
-@pytest.mark.parametrize("dim,n,degree", [(2, 8, 2), (3, 4, 3)])
-def test_cached_matrices_store_no_zeros(dim, n, degree):
-    # one cell block: nothing sums the block matrix, so the scatter itself
-    # must drop the zeros its duplicate entries cancel to
-    space = FeSpace(build_structured_mesh(dim, n), degree)
+@pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_pattern_assembly_matches_coo_reference(dim, degree):
+    # the pattern scatter and the reference-space Newton kernel against COO
+    # assembly of physical-Hessian blocks: the same sums in another order
+    space, u, _, data = _perturbed_state(dim, 4 if dim == 2 else 2, seed=3, degree=degree)
+    f = lambda p: 1.0 + p[:, 0]
+    params = PenaltyParams(1.5, 0.2, "full")
+    ref = coo_reference(u, f, data, params)
+    r, J = assemble_residual_and_jacobian(u, f, data, params)
     P, C = _face_penalty_consistency(space)
-    for M in (_bilap_csr(space), P, C, _hess_gram(space)):
-        assert (M.data == 0).sum() == 0
+    got = dict(r=r, J=J, A0=_operator(space, params), B=_bilap(space), P=P, C=C,
+               G=_hess_gram(space))
+    for name, want in ref.items():
+        a = got[name].toarray() if sp.issparse(got[name]) else got[name]
+        if a.ndim == 1 and want.ndim == 2:
+            a = _on_pattern(space, a).toarray()
+        want = want.toarray() if sp.issparse(want) else want
+        assert np.max(np.abs(a - want)) <= 1e-14 * np.max(np.abs(want)), name
+    ii = space.interior_dofs
+    assert np.array_equal(_interior_block(space, J).toarray(), J.toarray()[np.ix_(ii, ii)])
+
+
+class _Handed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case_id,degree,n,nnz", [
+    ("VI", 2, 6, 59595), ("III", 2, 32, 94505), ("II", 3, 32, 355009),
+])
+def test_interior_jacobian_stores_no_zeros(case_id, degree, n, nnz, monkeypatch):
+    # the interior block of the pattern is exactly the Jacobian's nonzeros:
+    # the counts are those of Jacobians built through COO with zeros dropped
+    spec = builtin_case(case_id)
+    space = FeSpace(build_structured_mesh(spec.dim, n), degree)
+    f, data = spec.data(0.5)
+    handed = []
+
+    def spy(A, b, **kwargs):
+        handed.append(A)
+        raise _Handed
+
+    monkeypatch.setattr("maviscid.solve.sparse_solve", spy)
+    with pytest.raises(_Handed):
+        newton_solve(f, data, PenaltyParams(spec.sigma, 0.5, spec.weight_mode),
+                     initial=convex_seed(space, data.g))
+    (J,) = handed
+    assert J.nnz == nnz
+    assert not np.any(J.data == 0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_phys_points_match_the_einsum_form(dim):
+    space = FeSpace(shuffled_mesh(dim, 3), 2)
+    cells = np.arange(space.mesh.num_cells)
+    pts = space.cell_rule.points
+    want = space.cell_origin[cells][:, None, :] + np.einsum("cij,qj->cqi", space.jac[cells], pts)
+    got = _phys_points(space, cells, pts)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -584,7 +761,7 @@ def test_sized_rules_match_the_high_rule(dim, degree, monkeypatch):
         P, C = _face_penalty_consistency(space)
         _, low_cof = _nonlinear_cell_terms(space, u.coeffs)
         det_vec = _det_vector(space, u.coeffs)
-        return space, [_bilap_csr(space), P, C, _hess_gram(space), det_vec, low_cof]
+        return space, [_bilap(space), P, C, _hess_gram(space), det_vec, low_cof]
 
     space, sized = forms()
     monkeypatch.setattr("maviscid.assembly.cell_quadrature", lambda d, e: space.cell_rule)

@@ -9,6 +9,7 @@ import pytest
 
 from maviscid.analysis import verify_discrete_sobolev, verify_miranda_talenti
 from maviscid.cases import builtin_case, case_with_overrides, serialize_case
+from maviscid import cli
 from maviscid.cli import _write_grid_2d, main
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
@@ -114,9 +115,17 @@ def test_small_eps_study(tmp_path):
     assert float(rows[0]["l2"]) > 0 and float(rows[1]["l2"]) > 0
 
 
-def test_eps_rows_share_one_factorization(tmp_path, capsys):
-    # the first row factors in its ladder, the second once for the rows
-    # after it, and the third reuses that factorization
+def test_eps_rows_share_one_factorization(tmp_path, capsys, monkeypatch):
+    # the first row factors in its ladder and the rows after it reuse that
+    # factorization; the rows are those of a study that factored per row
+    written = []
+    write_tables = cli._write_tables
+
+    def spy(cfg, degree, rows, axis):
+        written.extend(rows)
+        return write_tables(cfg, degree, rows, axis)
+
+    monkeypatch.setattr(cli, "_write_tables", spy)
     code = run(
         "convergence", "--case", "I", "--degree", "2", "--h-list", "1/8",
         "--eps-list", "0.5", "0.25", "0.125", "--out", str(tmp_path),
@@ -127,8 +136,17 @@ def test_eps_rows_share_one_factorization(tmp_path, capsys):
         int(re.search(r"(\d+) factorizations", line).group(1))
         for line in err.splitlines() if " eps=" in line
     ]
-    assert counts == [1, 1, 0]
+    assert counts == [1, 0, 0]
     assert err.count("GMRES iterations") == 3
+    # (l2, h1, h2) per row from a study that factored on rows 1 and 2
+    expected = (
+        (0.5, 0.09833667421828635, 0.4704466564254509, 2.7922476548662036),
+        (0.25, 0.09485383103592042, 0.4556829051031701, 2.781058487029934),
+        (0.125, 0.0798138460967133, 0.3891977873343098, 2.5581750854959293),
+    )
+    assert [eps for eps, _ in written] == [row[0] for row in expected]
+    for (_, got), (_, *want) in zip(written, expected):
+        assert np.allclose([got.l2, got.h1, got.h2_broken], want, rtol=1e-6, atol=0)
 
 
 def test_config_file_with_flag_override(tmp_path):
