@@ -199,7 +199,10 @@ def _linf_estimate(space, coeffs):
     rule, val, _, _ = _cell_tables(space)
     for cells, _ in _cell_blocks(space, rule):
         vh = np.einsum("qb,cb...->cq...", val, coeffs[space.cell_dofs[cells]])
-        best = np.maximum(best, np.abs(vh).max(axis=(0, 1)))
+        # max |vh| as max(max, -min), and vh dropped before the next block
+        # is formed: one block-sized array is live at a time
+        best = np.maximum(best, np.maximum(vh.max(axis=(0, 1)), -vh.min(axis=(0, 1))))
+        del vh
     return best
 
 

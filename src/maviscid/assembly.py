@@ -81,6 +81,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from maviscid.elements import cell_quadrature, face_quadrature
+from maviscid.mesh import _number_rows
 
 __all__ = [
     "CoefficientField",
@@ -484,8 +485,9 @@ def _face_tables(space, rule, cells, vertex_ids):
     d = space.dim
     local = np.argmax(
         space.mesh.cells[cells][:, :, None, :] == vertex_ids[:, None, :, None], axis=3
-    )
-    placements, index = np.unique(local.reshape(-1, d), axis=0, return_inverse=True)
+    ).reshape(-1, d)
+    first, index = _number_rows(local)
+    placements = local[first]
     corners = np.vstack([np.zeros(d), np.eye(d)])  # reference cell vertices
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])
     ref = np.einsum("qm,pmi->pqi", bary, corners[placements])

@@ -3,8 +3,9 @@
 Reference bases are built from the monomial basis through the inverted node
 Vandermonde matrix, so values, gradients, and Hessians are all evaluated from
 one coefficient table.  Quadrature rules are collapsed (Duffy) Gauss-Jacobi
-tensor rules: positive weights, points strictly inside the simplex, arbitrary
-requested exactness up to the supported caps.  Global spaces number shared
+tensor rules, one construction for segments, triangles and tetrahedra:
+positive weights, points strictly inside the simplex, arbitrary requested
+exactness up to the supported caps.  Global spaces number shared
 degrees of freedom by mesh topology: a node is keyed by the global ids of the
 vertices it combines and its integer barycentric weights, so nodes on shared
 vertices, edges and faces get one dof without comparing coordinates.
@@ -17,6 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
+
+from maviscid.mesh import _number_rows
 
 __all__ = [
     "QuadratureRule",
@@ -52,31 +55,24 @@ def _jacobi01(m, alpha):
 
 
 def _simplex_rule(sdim, exactness):
+    """Collapsed (Duffy) rule on the reference simplex of dimension ``sdim``.
+
+    Coordinate i is x_i (1 - x_0) ... (1 - x_{i-1}); the map's Jacobian
+    (1 - x_i)^(sdim - 1 - i) on axis i is taken up by a Gauss-Jacobi rule
+    there, and the last axis is plain Gauss.
+    """
     m = (exactness + 2) // 2  # Gauss: 2m-1 >= exactness
-    if sdim == 1:
-        x, w = _gauss01(m)
-        return x[:, None], w
-    if sdim == 2:
-        # Duffy map (a,b) -> (a, b(1-a)); the (1-a) Jacobian is the Jacobi weight
-        a, wa = _jacobi01(m, 1)
-        b, wb = _gauss01(m)
-        A, B = np.meshgrid(a, b, indexing="ij")
-        pts = np.column_stack([A.ravel(), (B * (1 - A)).ravel()])
-        w = np.outer(wa, wb).ravel()
-        return pts, w
-    if sdim == 3:
-        # (a,b,c) -> (a, b(1-a), c(1-a)(1-b)); Jacobian (1-a)^2 (1-b)
-        a, wa = _jacobi01(m, 2)
-        b, wb = _jacobi01(m, 1)
-        c, wc = _gauss01(m)
-        A, B, C = np.meshgrid(a, b, c, indexing="ij")
-        x = A.ravel()
-        y = (B * (1 - A)).ravel()
-        z = (C * (1 - A) * (1 - B)).ravel()
-        pts = np.column_stack([x, y, z])
-        w = (wa[:, None, None] * wb[None, :, None] * wc[None, None, :]).ravel()
-        return pts, w
-    raise ValueError(f"unsupported simplex dimension {sdim}")
+    rules = [_jacobi01(m, sdim - 1 - i) for i in range(sdim - 1)] + [_gauss01(m)]
+    grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    coords = []
+    for i, x in enumerate(grid):
+        for prev in grid[:i]:
+            x = x * (1 - prev)
+        coords.append(x.ravel())
+    w = rules[0][1]
+    for _, wi in rules[1:]:
+        w = np.multiply.outer(w, wi)
+    return np.column_stack(coords), w.ravel()
 
 
 def cell_quadrature(dim, exactness):
@@ -175,11 +171,6 @@ class ReferenceElement:
         hess = np.einsum("njab,cj->ncab", hmono, C)
         return val, grad, hess
 
-    def evaluate(self, point):
-        """(values, gradients, Hessians) of all basis functions at one point."""
-        val, grad, hess = self.tabulate(np.asarray(point)[None, :])
-        return val[0], grad[0], hess[0]
-
 
 class FeSpace:
     """Continuous Lagrange space of degree ``k`` on a simplicial mesh.
@@ -218,15 +209,10 @@ class FeSpace:
         weights = np.column_stack([k - exps.sum(axis=1), exps])  # (nb, d+1)
         pairs = np.where(weights > 0, mesh.cells[:, None, :] * (k + 1) + weights, -1)
         keys = np.sort(pairs, axis=2).reshape(M * nb, -1)
-        _, first, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
         # number dofs in order of first occurrence over (cell, local node)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self.cell_dofs = rank[inverse.ravel()].reshape(M, nb)
-        self.dof_coords = phys.reshape(M * nb, d)[first[order]]
+        first, inverse = _number_rows(keys)
+        self.cell_dofs = inverse.reshape(M, nb)
+        self.dof_coords = phys.reshape(M * nb, d)[first]
         self.ndofs = len(self.dof_coords)
 
         # local nodes on local face f: zero weight on local vertex f

@@ -3,13 +3,17 @@
 Cells are affine simplices with positive orientation.  Every mesh carries its
 full interior/boundary face data (vertex ids, unit normals, diameters,
 measures) so interior-penalty face terms can be assembled without re-deriving
-topology.  Built-in generators cover the unit square (two triangles per grid
-square, consistent diagonal) and the unit cube (Kuhn subdivision, six
-tetrahedra per grid cube); both are conforming and quasi-uniform.
+topology.  The built-in generator is the Kuhn subdivision of (0,1)^d for d = 2
+and 3: each grid cube is split into d! simplices, one per axis permutation
+(two triangles sharing the (0,0)-(1,1) diagonal, six tetrahedra sharing the
+main diagonal), so the mesh is conforming and quasi-uniform.  Generation,
+point location, face geometry and the conformity check are written once for
+both dimensions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -20,6 +24,24 @@ __all__ = [
     "build_structured_mesh",
     "dump_off",
 ]
+
+
+def _number_rows(rows):
+    """Number the distinct rows of an (N, c) int array in order of first
+    occurrence: returns ``first`` (U,), the first row of each number, and
+    ``inverse`` (N,), each row's number.  Rows are sorted with ``lexsort``,
+    whose column keys cannot overflow the way a packed integer key can."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep row order
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]  # each group's smallest row, in sorted-row order
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    return first[by_first], inverse
 
 
 def _local_face_indices(dim):
@@ -41,9 +63,10 @@ class SimplicialMesh:
         Vertex indices per cell.  Cells with negative signed volume are
         reoriented (last two vertices swapped) on construction.
     structure : tuple, optional
-        Generator tag, ``("diag", n)`` or ``("kuhn", n)``: it selects direct
-        point location and skips the hanging-vertex scan (generator meshes
-        are conforming by construction).  Meshes without it are located by a
+        Generator tag ``("kuhn", n)`` of ``build_structured_mesh``: it selects
+        direct point location (cell d! * cube + rank of the local coordinate
+        order) and skips the hanging-vertex scan (generator meshes are
+        conforming by construction).  Meshes without it are located by a
         linear scan and scanned for hanging vertices.  ``locate`` rejects
         points outside the mesh on both paths.
 
@@ -113,23 +136,21 @@ class SimplicialMesh:
         keys = np.sort(
             self.cells[:, _local_face_indices(dim)], axis=2
         ).reshape(-1, dim)
-        faces, first, inverse, counts = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True,
-            return_counts=True,
-        )
-        order = np.argsort(first)
-        shared = counts[order] > 2
+        first, inverse = _number_rows(keys)
+        faces = keys[first]
+        counts = np.bincount(inverse)
+        shared = counts > 2
         if np.any(shared):
-            f = order[np.argmax(shared)]
+            f = np.argmax(shared)
             raise ValueError(
                 f"non-conforming mesh: face {tuple(int(v) for v in faces[f])} "
                 f"shared by {counts[f]} cells"
             )
-        interior = order[counts[order] == 2]
-        boundary = order[counts[order] == 1]
+        interior = np.flatnonzero(counts == 2)
+        boundary = np.flatnonzero(counts == 1)
         # rows grouped by face in cell order: a face's second owner follows
         # its first
-        owners = np.argsort(inverse.ravel(), kind="stable")
+        owners = np.argsort(inverse, kind="stable")
         second = owners[(np.cumsum(counts) - counts)[interior] + 1]
         rows = np.column_stack([first[interior], second])
         self.iface_vertex_ids = faces[interior]
@@ -154,29 +175,27 @@ class SimplicialMesh:
         self.bface_measures = meas
 
     def _face_geometry(self, vertex_ids, opposite):
-        """Unit normals (pointing away from ``opposite``), diameters, measures."""
+        """Unit normals (pointing away from ``opposite``), diameters, measures.
+
+        The generalized cross product of a face's edge vectors is normal to
+        it with length (d - 1)! times its measure; the diameter is its
+        longest edge.
+        """
         fc = self.vertices[vertex_ids]  # (F, dim, dim)
         if len(fc) == 0:
-            z = np.zeros((0, self.dim)), np.zeros(0), np.zeros(0)
-            return z
+            return np.zeros((0, self.dim)), np.zeros(0), np.zeros(0)
+        e = fc[:, 1:] - fc[:, :1]
         if self.dim == 2:
-            t = fc[:, 1] - fc[:, 0]
-            length = np.linalg.norm(t, axis=1)
-            n = np.stack([t[:, 1], -t[:, 0]], axis=1) / length[:, None]
-            diam = length
-            meas = length
+            cr = np.stack([e[:, 0, 1], -e[:, 0, 0]], axis=1)
         else:
-            e1 = fc[:, 1] - fc[:, 0]
-            e2 = fc[:, 2] - fc[:, 0]
-            cr = np.cross(e1, e2)
-            dbl_area = np.linalg.norm(cr, axis=1)
-            n = cr / dbl_area[:, None]
-            e3 = fc[:, 2] - fc[:, 1]
-            diam = np.maximum(
-                np.linalg.norm(e1, axis=1),
-                np.maximum(np.linalg.norm(e2, axis=1), np.linalg.norm(e3, axis=1)),
-            )
-            meas = 0.5 * dbl_area
+            cr = np.cross(e[:, 0], e[:, 1])
+        size = np.linalg.norm(cr, axis=1)
+        n = cr / size[:, None]
+        meas = size / math.factorial(self.dim - 1)
+        diam = functools.reduce(np.maximum, (
+            np.linalg.norm(fc[:, b] - fc[:, a], axis=1)
+            for a, b in itertools.combinations(range(self.dim), 2)
+        ))
         mid = fc.mean(axis=1)
         wrong = np.einsum("fd,fd->f", n, mid - opposite) < 0
         n[wrong] *= -1.0
@@ -184,9 +203,10 @@ class SimplicialMesh:
 
     def _check_no_hanging_vertices(self):
         # a hanging vertex shows up as a vertex of one single-owner face lying
-        # strictly inside another single-owner face; faces triple-shared are
-        # caught during table construction.  Generator meshes are conforming
-        # by construction and are not scanned.
+        # on another single-owner face (inside it or on its edges) without
+        # being one of its vertices; faces triple-shared are caught during
+        # table construction.  Generator meshes are conforming by
+        # construction and are not scanned.
         B = len(self.bface_vertex_ids)
         if self.structure is not None or B == 0:
             return
@@ -195,39 +215,25 @@ class SimplicialMesh:
             return                        # take gigabytes: such input goes unchecked
         q = self.vertices[cand_ids]  # (P, d)
         fc = self.vertices[self.bface_vertex_ids]  # (B, dim, d)
-        a = fc[:, 0]
+        e = fc[:, 1:] - fc[:, :1]  # (B, dim-1, d) edge vectors
+        et = e.transpose(0, 2, 1)
+        rel = q[None, :, :] - fc[:, :1]  # (B, P, d)
+        # face coordinates of each point's projection: the (symmetric) Gram
+        # system e e^T s = e rel
+        s = rel @ et @ np.linalg.inv(e @ et)
+        dist = np.linalg.norm(rel - s @ e, axis=2)
+        own = np.any(
+            cand_ids[None, :, None] == self.bface_vertex_ids[:, None, :], axis=2
+        )
         tol = 1e-10 * max(self.h, 1.0)
-        if self.dim == 2:
-            t = fc[:, 1] - a  # (B, 2)
-            L2 = (t**2).sum(1)
-            rel = q[None, :, :] - a[:, None, :]  # (B, P, 2)
-            s = np.einsum("bpd,bd->bp", rel, t) / L2[:, None]
-            perp = rel - s[:, :, None] * t[:, None, :]
-            dist = np.linalg.norm(perp, axis=2)
-            inside = (dist < tol) & (s > 1e-8) & (s < 1 - 1e-8)
-        else:
-            e1 = fc[:, 1] - a
-            e2 = fc[:, 2] - a
-            # solve the 2x2 Gram system for barycentric face coordinates
-            g11 = (e1**2).sum(1)
-            g22 = (e2**2).sum(1)
-            g12 = (e1 * e2).sum(1)
-            det = g11 * g22 - g12**2
-            rel = q[None, :, :] - a[:, None, :]
-            r1 = np.einsum("bpd,bd->bp", rel, e1)
-            r2 = np.einsum("bpd,bd->bp", rel, e2)
-            s = (g22[:, None] * r1 - g12[:, None] * r2) / det[:, None]
-            u = (g11[:, None] * r2 - g12[:, None] * r1) / det[:, None]
-            proj = s[:, :, None] * e1[:, None, :] + u[:, :, None] * e2[:, None, :]
-            dist = np.linalg.norm(rel - proj, axis=2)
-            inside = (
-                (dist < tol)
-                & (s > 1e-8)
-                & (u > 1e-8)
-                & (s + u < 1 - 1e-8)
-            )
-        if np.any(inside):
-            b, p = np.argwhere(inside)[0]
+        hanging = (
+            (dist < tol)
+            & np.all(s > -1e-8, axis=2)
+            & (s.sum(axis=2) < 1 + 1e-8)
+            & ~own
+        )
+        if np.any(hanging):
+            b, p = np.argwhere(hanging)[0]
             raise ValueError(
                 "non-conforming mesh: vertex "
                 f"{int(cand_ids[p])} hangs on face "
@@ -238,26 +244,24 @@ class SimplicialMesh:
 
     def locate(self, points):
         """Cell index containing each point; ValueError for a point outside
-        the mesh by more than 1e-10.  Ties on cell interfaces are resolved
-        arbitrarily (fields evaluated there are continuous anyway)."""
+        the mesh by more than 1e-10.  A point on a cell interface goes to the
+        lowest containing cell of its grid cube on a generator mesh, and to
+        the lowest-numbered containing cell on the scan (fields evaluated
+        there are continuous anyway)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.structure is not None:
             outside = ~np.all((pts >= -1e-10) & (pts <= 1 + 1e-10), axis=1)
             if np.any(outside):
                 raise ValueError(f"point {pts[np.argmax(outside)]} not inside any cell")
-            kind, n = self.structure
+            _, n = self.structure
+            d = self.dim
             ij = np.clip((pts * n).astype(np.int64), 0, n - 1)
             loc = pts * n - ij
-            if kind == "diag":
-                i, j = ij[:, 0], ij[:, 1]
-                lower = loc[:, 0] >= loc[:, 1]
-                return 2 * (j * n + i) + np.where(lower, 0, 1)
-            if kind == "kuhn":
-                i, j, k = ij[:, 0], ij[:, 1], ij[:, 2]
-                cube = (k * n + j) * n + i
-                order = np.argsort(-loc, axis=1, kind="stable")
-                code = order[:, 0] * 9 + order[:, 1] * 3 + order[:, 2]
-                return 6 * cube + _KUHN_RANK[code]
+            cube = ij @ n ** np.arange(d)
+            # the simplex walking the axes in order of decreasing local
+            # coordinate; ties go to the earlier axis, i.e. the lower cell
+            order = np.argsort(-loc, axis=1, kind="stable")
+            return math.factorial(d) * cube + _KUHN_RANK[d][order @ d ** np.arange(d)]
         return self._locate_scan(pts)
 
     def _locate_scan(self, pts):
@@ -278,62 +282,44 @@ class SimplicialMesh:
         return found
 
 
-# rank of each permutation of (0,1,2) in itertools order, keyed by
-# perm[0]*9 + perm[1]*3 + perm[2]
-_KUHN_RANK = np.full(27, -1, dtype=np.int64)
-for _r, _p in enumerate(itertools.permutations(range(3))):
-    _KUHN_RANK[_p[0] * 9 + _p[1] * 3 + _p[2]] = _r
+# rank of each permutation of range(d) in itertools order, keyed by
+# sum_i perm[i] * d**i
+_KUHN_RANK = {}
+for _d in (2, 3):
+    _KUHN_RANK[_d] = np.full(_d**_d, -1, dtype=np.int64)
+    for _r, _p in enumerate(itertools.permutations(range(_d))):
+        _KUHN_RANK[_d][np.dot(_p, _d ** np.arange(_d))] = _r
 
 
 def build_structured_mesh(dim, n):
     """Uniform simplicial mesh of (0,1)^dim with ``n`` cells per axis.
 
-    2D: each grid square is split along its (0,0)-(1,1) local diagonal into
-    two triangles, the same diagonal everywhere.  3D: each grid cube is split
-    into six tetrahedra (Kuhn subdivision), conforming across cube faces.
-    The mesh diameter is sqrt(2)/n resp. sqrt(3)/n.
+    Kuhn subdivision: vertex sum_i idx_i (n+1)^i sits at idx / n (x
+    fastest), and the grid cube sum_i idx_i n^i gives cells d! * cube + r,
+    where the simplex of the r-th axis permutation in ``itertools`` order
+    walks from the cube's origin to its far corner along the axes in that
+    order (reoriented on construction).  In 2D cell 2 (j n + i) is
+    [v00, v10, v11] and cell 2 (j n + i) + 1 is [v00, v11, v01]; in 3D each
+    cube holds six tetrahedra around its main diagonal.  Conforming across
+    cube faces; the mesh diameter is sqrt(dim) / n.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if dim == 2:
-        return _square_mesh(n)
-    if dim == 3:
-        return _cube_mesh(n)
-    raise ValueError("dim must be 2 or 3")
-
-
-def _square_mesh(n):
+    if dim not in (2, 3):
+        raise ValueError("dim must be 2 or 3")
     axis = np.linspace(0.0, 1.0, n + 1)
-    X, Y = np.meshgrid(axis, axis, indexing="xy")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    # vertex index = j*(n+1) + i; grid squares in (j, i) order, each split
-    # into the triangle below its diagonal, then the one above
-    J, I = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    v00 = (J * (n + 1) + I).ravel()
-    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
-    cells = np.stack(
-        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])],
-        axis=1,
-    ).reshape(-1, 3)
-    return SimplicialMesh(2, verts, cells, structure=("diag", n))
-
-
-def _cube_mesh(n):
-    axis = np.linspace(0.0, 1.0, n + 1)
-    # vertex index = (k*(n+1) + j)*(n+1) + i
-    K, J, I = np.meshgrid(axis, axis, axis, indexing="ij")
-    verts = np.column_stack([I.ravel(), J.ravel(), K.ravel()])
-    # each tet walks from the cube origin to its far corner along the axes in
-    # permutation order: the points whose sorted local coordinates match it
-    strides = np.array([1, n + 1, (n + 1) ** 2])
-    walks = np.array(
-        [np.cumsum([0, *strides[list(p)]]) for p in itertools.permutations(range(3))]
-    )
-    K, J, I = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-    origins = ((K * (n + 1) + J) * (n + 1) + I).ravel()
-    cells = (origins[:, None, None] + walks).reshape(-1, 4)
-    return SimplicialMesh(3, verts, cells, structure=("kuhn", n))
+    # meshgrid's last axis runs fastest, so x comes last
+    grid = np.meshgrid(*[axis] * dim, indexing="ij")
+    verts = np.column_stack([g.ravel() for g in grid[::-1]])
+    strides = (n + 1) ** np.arange(dim)
+    walks = np.array([
+        np.cumsum([0, *strides[list(p)]])
+        for p in itertools.permutations(range(dim))
+    ])
+    origins = strides @ np.indices((n,) * dim).reshape(dim, -1)[::-1]
+    cells = (origins[:, None, None] + walks).reshape(-1, dim + 1)
+    return SimplicialMesh(dim, verts, cells, structure=("kuhn", n))
 
 
 def dump_off(mesh):

@@ -153,6 +153,55 @@ def test_nonconforming_mesh_rejected():
         SimplicialMesh(2, verts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
+def test_hanging_vertex_on_a_face_edge_rejected():
+    # vertex 5 halves edge (0, 1) of the top cell, shared by its boundary
+    # faces (0, 1, 2) and (0, 1, 3); the two cells below split (0, 1, 2)
+    # into (0, 5, 2) and (5, 1, 2)
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (.2, .2, 1), (.2, .2, -1), (.5, 0, 0)]
+    cells = [(0, 1, 2, 3), (0, 5, 2, 4), (5, 1, 2, 4)]
+    with pytest.raises(ValueError, match=r"vertex 5 hangs on face \(0, 1, [23]\)"):
+        SimplicialMesh(3, verts, cells)
+
+
+def test_hanging_vertex_at_a_face_centroid_rejected():
+    # vertex 5 sits at the centroid of the top cell's bottom face, which
+    # three cells below split around it
+    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (.2, .2, 1), (.2, .2, -1),
+             (1 / 3, 1 / 3, 0)]
+    cells = [(0, 1, 2, 3), (0, 1, 5, 4), (1, 2, 5, 4), (2, 0, 5, 4)]
+    with pytest.raises(ValueError, match=r"vertex 5 hangs on face \(0, 1, 2\)"):
+        SimplicialMesh(3, verts, cells)
+
+
+def test_square_cell_layout():
+    # grid square (i, j) holds cell 2 (j n + i) below its (0,0)-(1,1)
+    # diagonal and cell 2 (j n + i) + 1 above it
+    n = 2
+    mesh = build_structured_mesh(2, n)
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+            assert mesh.cells[2 * (j * n + i)].tolist() == [v00, v10, v11]
+            assert mesh.cells[2 * (j * n + i) + 1].tolist() == [v00, v11, v01]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_locate_sends_diagonal_ties_to_the_lower_cell(dim):
+    # points on each grid cube's main diagonal lie on every one of its
+    # simplices; they go to the first, the even (lower) cell in 2D
+    n = 4
+    mesh = build_structured_mesh(dim, n)
+    idx = np.indices((n,) * dim).reshape(dim, -1)[::-1].T  # x fastest
+    cube = idx @ n ** np.arange(dim)
+    for t in (0.0, 0.25, 0.5, 0.75):
+        cells = mesh.locate((idx + t) / n)
+        assert np.array_equal(cells, math.factorial(dim) * cube)
+    if dim == 2:
+        # a tie on one cube's diagonal inside the whole mesh
+        assert mesh.locate([[0.5 + 0.0625, 0.25 + 0.0625]]).tolist() == [2 * (1 * n + 2)]
+
+
 def test_rejects_bad_n():
     with pytest.raises(ValueError):
         build_structured_mesh(2, 0)
