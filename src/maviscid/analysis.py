@@ -9,6 +9,7 @@ on discrete functions vanishing at boundary dofs, Monte-Carlo probes of the
 discrete Miranda-Talenti and Sobolev inequalities and of coercivity, which
 score sample i drawn from ``default_rng(seed + i)`` as ``maviscid verify``
 does, and order tables with log-ratio slopes between consecutive rows.
+The norms read assembly's cached matrices; analysis builds none.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ import numpy as np
 
 from maviscid.assembly import (
     _bilap,
-    _cached,
     _cell_blocks,
     _cell_tables,
+    _discrete_hessians,
     _face_penalty_consistency,
+    _hess_gram,
+    _hessian_map,
     _on_pattern,
-    _pattern,
-    _phys_hessians,
     _phys_points,
-    _scatter_data,
     assemble_jacobian,
 )
 from maviscid.elements import _MAX_EXACTNESS
@@ -105,7 +105,7 @@ def error_norms(u_exact, u_h):
         coef = u_h.coeffs[space.cell_dofs[cells]]
         vh = np.einsum("qb,cb->cq", val, coef)
         gh = np.einsum("qbj,cji,cb->cqi", grad, ji, coef, optimize=True)
-        hh = np.einsum("cki,qbkl,clj,cb->cqij", ji, hess, ji, coef, optimize=True)
+        hh = _discrete_hessians(_hessian_map(space, cells), coef, hess)
         pf = _phys_points(space, cells, rule.points).reshape(-1, space.dim)
         ev = vh - np.asarray(u_exact.value(pf)).reshape(vh.shape)
         eg = gh - np.asarray(u_exact.gradient(pf)).reshape(gh.shape)
@@ -118,21 +118,6 @@ def error_norms(u_exact, u_h):
         h1=float(np.sqrt(l2 + h1s)),
         h2_broken=float(np.sqrt(l2 + h1s + h2s)),
     )
-
-
-@_cached
-def _hess_gram(space):
-    """Data of the Gram matrix of the broken Hessian inner product on the
-    space's pattern, cached per space."""
-    rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
-    slots = _pattern(space).cell_slots
-
-    def block(cells, wq):
-        hp = _phys_hessians(space, cells, hess_ref)
-        local = np.einsum("cq,cqaij,cqbij->cab", wq, hp, hp, optimize=True)
-        return _scatter_data(space, slots[cells], local)
-
-    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
 def _samples(space, samples, seed):
@@ -249,6 +234,16 @@ def rate_table(rows):
     return out
 
 
+def _row_cells(row, missing="-"):
+    """The text cells of a rate-table row: the parameter, then each error in
+    scientific notation and its order to 2 decimals (``missing`` if none)."""
+    cells = [f"{row.parameter:g}"]
+    for err, order in ((row.l2, row.l2_order), (row.h1, row.h1_order),
+                       (row.h2, row.h2_order)):
+        cells += [f"{err:.2e}", missing if order is None else f"{order:.2f}"]
+    return cells
+
+
 def format_rate_table(rows, parameter_name="h"):
     """Markdown table with errors in scientific notation, orders to 2 decimals."""
     head = (
@@ -256,17 +251,4 @@ def format_rate_table(rows, parameter_name="h"):
         "| H2 error | order |"
     )
     sep = "|---" * 7 + "|"
-    lines = [head, sep]
-    for r in rows:
-        def fmt_err(e):
-            return f"{e:.2e}"
-
-        def fmt_ord(o):
-            return "-" if o is None else f"{o:.2f}"
-
-        lines.append(
-            f"| {r.parameter:g} | {fmt_err(r.l2)} | {fmt_ord(r.l2_order)} "
-            f"| {fmt_err(r.h1)} | {fmt_ord(r.h1_order)} "
-            f"| {fmt_err(r.h2)} | {fmt_ord(r.h2_order)} |"
-        )
-    return "\n".join(lines)
+    return "\n".join([head, sep] + ["| " + " | ".join(_row_cells(r)) + " |" for r in rows])

@@ -9,7 +9,8 @@ space and summed with coefficients:
 * the interior-face consistency matrix C with entries
   sum_F ({lap v}, jump grad w) + ({lap w}, jump grad v),
 * the low-order matrix (Phi : D^2 v, w) for a symmetric coefficient field,
-* the pointwise-determinant load vector (det(D^2 u_h), w).
+* the pointwise-determinant load vector (det(D^2 u_h), w),
+* the Hessian Gram matrix (D^2 v, D^2 w) of the mesh-dependent norm.
 
 The jump of a gradient across a face is the scalar
 grad v+ . n+ + grad v- . n-, and {.} is the two-sided average; both are
@@ -50,12 +51,13 @@ keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
 cell-point maximum of the discrete Sobolev probe, whose value depends on
 the points.  The basis is tabulated on reference points only: cell tables
 are built on first use and cached on the space per exactness, and a face
-rule once per placement of a face in its cell (``_face_tables``).  Cell
-forms contract on the reference cell: a coefficient Phi (cof D^2 u_h in the
-Newton pass) is pulled back to J^-1 Phi J^-T and met with the reference
-Hessian tables, D^2 u_h is formed from them and pushed forward as one
-d x d matrix per point, and lap v is D^2_ref v : J^-1 J^-T; only the
-Hessian Gram matrix and the error norms work with physical Hessians.
+rule once per placement of a face in its cell (``_face_tables``).  Every
+physical Hessian goes through one map per cell (``_hessian_map``): a
+coefficient Phi (cof D^2 u_h in the Newton pass) is pulled back by it and
+met with the reference Hessian tables, D^2 u_h (in the Newton pass and the
+error norms) is formed from those tables and pushed forward by it as one
+d x d matrix per point, and so are the basis Hessians of the Gram matrix;
+lap v is D^2_ref v : J^-1 J^-T.
 
 A space caches the pattern (int32 index arrays and the cell-slot map), the
 interior map once a Newton step needs it, the cell tables, the data of B,
@@ -281,12 +283,6 @@ def _cell_blocks(space, rule):
         yield cells, rule.weights[None, :] * space.jac_det[cells][:, None]
 
 
-def _phys_hessians(space, cells, hess_ref):
-    """Physical-space basis Hessians for a block of cells: (m, nq, nb, d, d)."""
-    ji = space.jac_inv[cells]
-    return np.einsum("cki,qbkl,clj->cqbij", ji, hess_ref, ji, optimize=True)
-
-
 def _hessian_map(space, cells):
     """Per cell, the (d * d, d * d) matrix K with K[(i, j), (k, l)] =
     (J^-1)_ki (J^-1)_lj.  A flattened reference Hessian H pushes forward to
@@ -295,6 +291,16 @@ def _hessian_map(space, cells):
     ji = space.jac_inv[cells]
     m, d, _ = ji.shape
     return np.einsum("cki,clj->cijkl", ji, ji).reshape(m, d * d, d * d)
+
+
+def _discrete_hessians(K, coef, hess_ref):
+    """D^2 u_h (m, nq, d, d) from its dof values ``coef`` (m, nb) on a block
+    of cells with Hessian maps ``K``, at the points of a reference Hessian
+    table (nq, nb, d, d): formed on the reference cell and pushed forward."""
+    (m, nb), (nq, _, d) = coef.shape, hess_ref.shape[:3]
+    # (nb, nq d d): basis function b's reference Hessians at all points
+    href = (coef @ hess_ref.swapaxes(0, 1).reshape(nb, -1)).reshape(m, nq, d * d)
+    return (href @ K.swapaxes(1, 2)).reshape(m, nq, d, d)
 
 
 def _phys_points(space, cells, ref_pts):
@@ -466,6 +472,25 @@ def _bilap(space):
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
+@_cached
+def _hess_gram(space):
+    """Data of the Gram matrix (D^2 v, D^2 w) of the broken Hessian inner
+    product, cached per space (built when a norm needs it)."""
+    rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
+    nq, nb, d = hess_ref.shape[:3]
+    # (nb nq, d d): the basis functions' flattened reference Hessians
+    table = hess_ref.swapaxes(0, 1).reshape(nb * nq, d * d)
+    slots = _pattern(space).cell_slots
+
+    def block(cells, wq):
+        # (m, nb, nq d d) physical Hessians, met pairwise under the weights
+        hp = (table @ _hessian_map(space, cells).swapaxes(1, 2)).reshape(len(cells), nb, -1)
+        local = (np.repeat(wq, d * d, axis=1)[:, None, :] * hp) @ hp.swapaxes(1, 2)
+        return _scatter_data(space, slots[cells], local)
+
+    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
+
+
 def _face_points(space, rule, vertex_ids, measures):
     """Physical points (F, nq, d) and weights (F, nq) of a face rule on faces."""
     d = space.dim
@@ -592,17 +617,11 @@ def _newton_tables(space):
 
 def _iterate_hessians(space, coeffs):
     """Yield, per cell block, (cells, weights, Hessian maps, det(D^2 u_h),
-    cof(D^2 u_h)) at the Newton-pass quadrature points.  D^2 u_h is formed
-    on the reference cell and pushed forward, one d x d matrix per point
-    (see ``_hessian_map``)."""
+    cof(D^2 u_h)) at the Newton-pass quadrature points."""
     rule, _, _, hess_ref = _newton_tables(space)
-    nq, nb, d = hess_ref.shape[:3]
-    # (nb, nq d d): basis function b's reference Hessians at all points
-    table = hess_ref.swapaxes(0, 1).reshape(nb, -1)
     for cells, wq in _cell_blocks(space, rule):
         K = _hessian_map(space, cells)
-        href = (coeffs[space.cell_dofs[cells]] @ table).reshape(len(cells), nq, d * d)
-        hu = (href @ K.swapaxes(1, 2)).reshape(len(cells), nq, d, d)
+        hu = _discrete_hessians(K, coeffs[space.cell_dofs[cells]], hess_ref)
         yield (cells, wq, K) + det_and_cofactor(hu)
 
 

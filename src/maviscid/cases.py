@@ -18,7 +18,7 @@ construction: data inconsistent with the derivation rule is a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -35,11 +35,20 @@ __all__ = [
     "case_with_overrides",
 ]
 
-CASE_IDS = ("I", "II", "III", "IV", "V", "VI")
-
 DEFAULT_SIGMA = 20.0
 DEFAULT_WEIGHT_MODE = "plain"
 _EPS_LADDER = (0.5, 0.25, 0.125, 0.05, 0.025, 0.0125, 0.005)
+
+# case id: (dim, family, degrees, h_list, eps_list)
+_CASES = {
+    "I": (2, "exponential", (2,), (1 / 64,), _EPS_LADDER),
+    "II": (2, "quartic", (2, 3), (1 / 8, 1 / 16, 1 / 32, 1 / 64), (0.01,)),
+    "III": (2, "profile", (2,), (1 / 64,), (0.005,)),
+    "IV": (3, "exponential", (2,), (1 / 12,), _EPS_LADDER),
+    "V": (3, "quartic", (2,), (1 / 3, 1 / 6, 1 / 12), (0.01,)),
+    "VI": (3, "profile", (2,), (1 / 12,), (0.005,)),
+}
+CASE_IDS = tuple(_CASES)
 
 
 @dataclass(frozen=True)
@@ -96,39 +105,37 @@ def _exp_det(dim):
     return f
 
 
-def _quartic_2d():
+def _quartic(exponents):
+    """u = (x_1^e_1 + ... + x_d^e_d) / 2 with its gradient and Hessian, each
+    axis raised to its own integer power."""
+
     def value(p):
-        return 0.5 * (p[:, 0] ** 4 + p[:, 1] ** 4)
-
-    def gradient(p):
-        return np.stack([2.0 * p[:, 0] ** 3, 2.0 * p[:, 1] ** 3], axis=1)
-
-    def hessian(p):
-        H = np.zeros((len(p), 2, 2))
-        H[:, 0, 0] = 6.0 * p[:, 0] ** 2
-        H[:, 1, 1] = 6.0 * p[:, 1] ** 2
-        return H
-
-    return ScalarField(value, gradient, hessian)
-
-
-def _quartic_3d():
-    def value(p):
-        return 0.5 * (p[:, 0] ** 4 + p[:, 1] ** 2 + p[:, 2] ** 4)
+        return 0.5 * sum(p[:, i] ** e for i, e in enumerate(exponents))
 
     def gradient(p):
         return np.stack(
-            [2.0 * p[:, 0] ** 3, p[:, 1], 2.0 * p[:, 2] ** 3], axis=1
+            [0.5 * e * p[:, i] ** (e - 1) for i, e in enumerate(exponents)], axis=1
         )
 
     def hessian(p):
-        H = np.zeros((len(p), 3, 3))
-        H[:, 0, 0] = 6.0 * p[:, 0] ** 2
-        H[:, 1, 1] = 1.0
-        H[:, 2, 2] = 6.0 * p[:, 2] ** 2
+        H = np.zeros((len(p), len(exponents), len(exponents)))
+        for i, e in enumerate(exponents):
+            H[:, i, i] = 0.5 * e * (e - 1) * p[:, i] ** (e - 2)
         return H
 
     return ScalarField(value, gradient, hessian)
+
+
+# the quartics' exponents and their hand-written f = -eps lap^2 u + det D^2 u
+# and psi = lap u, which check_case_consistency tests against the field
+_QUARTICS = {
+    2: ((4, 4),
+        lambda eps: lambda p: 36.0 * p[:, 0] ** 2 * p[:, 1] ** 2 - 24.0 * eps,
+        lambda eps: lambda p: 6.0 * p[:, 0] ** 2 + 6.0 * p[:, 1] ** 2),
+    3: ((4, 2, 4),
+        lambda eps: lambda p: 36.0 * p[:, 0] ** 2 * p[:, 2] ** 2 - 24.0 * eps,
+        lambda eps: lambda p: 1.0 + 6.0 * p[:, 0] ** 2 + 6.0 * p[:, 2] ** 2),
+}
 
 
 def _zero(p):
@@ -142,64 +149,23 @@ def _one(p):
 def builtin_case(case_id):
     """One of the six built-in experiments, consistency-checked."""
     cid = str(case_id).strip().upper()
-    if cid == "I":
-        u = _exp_field(2)
-        spec = ExperimentSpec(
-            id="I", dim=2, exact_solution=u, exact_kind="viscosity_limit",
-            make_f=lambda eps: _exp_det(2), g=u.value, make_psi=None,
-            degrees=[2], h_list=[1 / 64], eps_list=list(_EPS_LADDER),
-        )
-    elif cid == "II":
-        u = _quartic_2d()
-
-        def make_f(eps):
-            return lambda p: 36.0 * p[:, 0] ** 2 * p[:, 1] ** 2 - 24.0 * eps
-
-        def make_psi(eps):
-            return lambda p: 6.0 * p[:, 0] ** 2 + 6.0 * p[:, 1] ** 2
-
-        spec = ExperimentSpec(
-            id="II", dim=2, exact_solution=u, exact_kind="regularized",
-            make_f=make_f, g=u.value, make_psi=make_psi,
-            degrees=[2, 3], h_list=[1 / 8, 1 / 16, 1 / 32, 1 / 64],
-            eps_list=[0.01], bilap=lambda p: np.full(len(p), 24.0),
-        )
-    elif cid == "III":
-        spec = ExperimentSpec(
-            id="III", dim=2, exact_solution=None, exact_kind="none",
-            make_f=lambda eps: _one, g=_zero, make_psi=None,
-            degrees=[2], h_list=[1 / 64], eps_list=[0.005],
-        )
-    elif cid == "IV":
-        u = _exp_field(3)
-        spec = ExperimentSpec(
-            id="IV", dim=3, exact_solution=u, exact_kind="viscosity_limit",
-            make_f=lambda eps: _exp_det(3), g=u.value, make_psi=None,
-            degrees=[2], h_list=[1 / 12], eps_list=list(_EPS_LADDER),
-        )
-    elif cid == "V":
-        u = _quartic_3d()
-
-        def make_f(eps):
-            return lambda p: 36.0 * p[:, 0] ** 2 * p[:, 2] ** 2 - 24.0 * eps
-
-        def make_psi(eps):
-            return lambda p: 1.0 + 6.0 * p[:, 0] ** 2 + 6.0 * p[:, 2] ** 2
-
-        spec = ExperimentSpec(
-            id="V", dim=3, exact_solution=u, exact_kind="regularized",
-            make_f=make_f, g=u.value, make_psi=make_psi,
-            degrees=[2], h_list=[1 / 3, 1 / 6, 1 / 12],
-            eps_list=[0.01], bilap=lambda p: np.full(len(p), 24.0),
-        )
-    elif cid == "VI":
-        spec = ExperimentSpec(
-            id="VI", dim=3, exact_solution=None, exact_kind="none",
-            make_f=lambda eps: _one, g=_zero, make_psi=None,
-            degrees=[2], h_list=[1 / 12], eps_list=[0.005],
-        )
-    else:
+    if cid not in _CASES:
         raise ValueError(f"unknown case id {case_id!r} (expected I..VI)")
+    dim, family, degrees, h_list, eps_list = _CASES[cid]
+    u = make_psi = bilap = None
+    if family == "exponential":
+        u = _exp_field(dim)
+        kind, make_f = "viscosity_limit", lambda eps: _exp_det(dim)
+    elif family == "quartic":
+        exponents, make_f, make_psi = _QUARTICS[dim]
+        u, kind, bilap = _quartic(exponents), "regularized", lambda p: np.full(len(p), 24.0)
+    else:
+        kind, make_f = "none", lambda eps: _one
+    spec = ExperimentSpec(
+        id=cid, dim=dim, exact_solution=u, exact_kind=kind, make_f=make_f,
+        g=_zero if u is None else u.value, make_psi=make_psi, degrees=list(degrees),
+        h_list=list(h_list), eps_list=list(eps_list), bilap=bilap,
+    )
     if spec.exact_solution is not None:
         gap = check_case_consistency(spec)
         if gap > 1e-10:
@@ -307,8 +273,4 @@ def case_with_overrides(base_id, overrides):
         kwargs["sigma"] = float(overrides["sigma"])
     if "weight_mode" in overrides:
         kwargs["weight_mode"] = str(overrides["weight_mode"])
-    if not kwargs:
-        return spec
-    from dataclasses import replace
-
-    return replace(spec, **kwargs)
+    return replace(spec, **kwargs) if kwargs else spec

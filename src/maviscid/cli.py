@@ -29,6 +29,7 @@ from maviscid.analysis import (
     RateRow,
     _coercivity_values,
     _miranda_talenti_constants,
+    _row_cells,
     _samples,
     _sobolev_constants,
     error_norms,
@@ -215,20 +216,7 @@ def _counts(report):
 
 def _csv_table(rows, axis):
     lines = [f"{axis},l2,l2_order,h1,h1_order,h2_broken,h2_order"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    f"{r.parameter:.6g}",
-                    f"{r.l2:.2e}",
-                    "" if r.l2_order is None else f"{r.l2_order:.2f}",
-                    f"{r.h1:.2e}",
-                    "" if r.h1_order is None else f"{r.h1_order:.2f}",
-                    f"{r.h2:.2e}",
-                    "" if r.h2_order is None else f"{r.h2_order:.2f}",
-                ]
-            )
-        )
+    lines += [",".join(_row_cells(r, missing="")) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -25,6 +25,10 @@ __all__ = [
     "dump_off",
 ]
 
+# (boundary face, vertex) pairs per block of the hanging-vertex check, so
+# that its (faces, vertices, d) arrays stay near 6 MB each
+_HANGING_PAIRS = 2**18
+
 
 def _number_rows(rows):
     """Number the distinct rows of an (N, c) int array in order of first
@@ -211,34 +215,35 @@ class SimplicialMesh:
         if self.structure is not None or B == 0:
             return
         cand_ids = np.unique(self.bface_vertex_ids)
-        if B * len(cand_ids) > int(2e8):  # past 2e8 pairs the (B, P, d) arrays
-            return                        # take gigabytes: such input goes unchecked
+        if B * len(cand_ids) > int(2e8):  # at about 0.2 us a pair, past 2e8
+            return                        # pairs the scan would take 40 s: unchecked
         q = self.vertices[cand_ids]  # (P, d)
-        fc = self.vertices[self.bface_vertex_ids]  # (B, dim, d)
-        e = fc[:, 1:] - fc[:, :1]  # (B, dim-1, d) edge vectors
-        et = e.transpose(0, 2, 1)
-        rel = q[None, :, :] - fc[:, :1]  # (B, P, d)
-        # face coordinates of each point's projection: the (symmetric) Gram
-        # system e e^T s = e rel
-        s = rel @ et @ np.linalg.inv(e @ et)
-        dist = np.linalg.norm(rel - s @ e, axis=2)
-        own = np.any(
-            cand_ids[None, :, None] == self.bface_vertex_ids[:, None, :], axis=2
-        )
         tol = 1e-10 * max(self.h, 1.0)
-        hanging = (
-            (dist < tol)
-            & np.all(s > -1e-8, axis=2)
-            & (s.sum(axis=2) < 1 + 1e-8)
-            & ~own
-        )
-        if np.any(hanging):
-            b, p = np.argwhere(hanging)[0]
-            raise ValueError(
-                "non-conforming mesh: vertex "
-                f"{int(cand_ids[p])} hangs on face "
-                f"{tuple(int(v) for v in self.bface_vertex_ids[b])}"
+        # face blocks in order: the first hanging pair found is the first overall
+        step = max(1, _HANGING_PAIRS // len(cand_ids))
+        for start in range(0, B, step):
+            ids = self.bface_vertex_ids[start:start + step]
+            fc = self.vertices[ids]  # (b, dim, d)
+            e = fc[:, 1:] - fc[:, :1]  # (b, dim-1, d) edge vectors
+            et = e.transpose(0, 2, 1)
+            rel = q[None, :, :] - fc[:, :1]  # (b, P, d)
+            # face coordinates of each point's projection: the (symmetric)
+            # Gram system e e^T s = e rel
+            s = rel @ et @ np.linalg.inv(e @ et)
+            dist = np.linalg.norm(rel - s @ e, axis=2)
+            own = np.any(cand_ids[None, :, None] == ids[:, None, :], axis=2)
+            hanging = (
+                (dist < tol)
+                & np.all(s > -1e-8, axis=2)
+                & (s.sum(axis=2) < 1 + 1e-8)
+                & ~own
             )
+            if np.any(hanging):
+                b, p = np.argwhere(hanging)[0]
+                raise ValueError(
+                    "non-conforming mesh: vertex "
+                    f"{int(cand_ids[p])} hangs on face {tuple(int(v) for v in ids[b])}"
+                )
 
     # --------------------------------------------------------------- location
 

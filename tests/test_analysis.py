@@ -16,8 +16,6 @@ from maviscid.analysis import (
     verify_discrete_sobolev,
     verify_miranda_talenti,
     _coercivity_values,
-    _face_penalty_consistency,
-    _hess_gram,
     _linf_estimate,
     _norm_pieces,
     _samples,
@@ -27,6 +25,8 @@ from maviscid.assembly import (
     PenaltyParams,
     assemble_jacobian,
     assemble_nonlinear_residual,
+    _face_penalty_consistency,
+    _hess_gram,
     _on_pattern,
 )
 from maviscid.elements import (

@@ -31,6 +31,7 @@ from maviscid.assembly import (
     _face_penalty_consistency,
     _face_points,
     _face_tables,
+    _hess_gram,
     _interior_block,
     _iterate_hessians,
     _load_vector,
@@ -38,10 +39,9 @@ from maviscid.assembly import (
     _on_pattern,
     _operator,
     _pattern,
-    _phys_hessians,
     _phys_points,
 )
-from maviscid.analysis import _hess_gram, mesh_norm
+from maviscid.analysis import mesh_norm
 from maviscid.cases import builtin_case
 from maviscid.elements import (
     FeSpace,
@@ -173,6 +173,12 @@ def coo_matrix(space, dof_blocks, local_blocks):
     ).tocsr()
 
 
+def phys_hessians(space, cells, hess_ref):
+    """Physical basis Hessians J^-T H J^-1 on a block of cells: (m, nq, nb, d, d)."""
+    ji = space.jac_inv[cells]
+    return np.einsum("cki,qbkl,clj->cqbij", ji, hess_ref, ji, optimize=True)
+
+
 def coo_reference(u, f, data, params):
     """r, J, A_h(0), B, P, C and the Hessian Gram matrix assembled through
     COO from physical basis Hessians, on the same rules and tables."""
@@ -183,7 +189,7 @@ def coo_reference(u, f, data, params):
         rule, val, _, hess_ref = _cell_tables(space, degree)
         return sum(
             coo_matrix(space, space.cell_dofs[cells],
-                       local(wq, val, _phys_hessians(space, cells, hess_ref), cells))
+                       local(wq, val, phys_hessians(space, cells, hess_ref), cells))
             for cells, wq in _cell_blocks(space, rule)
         )
 

@@ -88,6 +88,21 @@ def test_quartic_3d_frozen_values():
     assert bdata.psi_field(0.01)(P(0.0, 0.4, 1.0))[0] == pytest.approx(7.0)
 
 
+@pytest.mark.parametrize("case_id,point,value,gradient,hessian", [
+    # u = (x^4 + y^4) / 2
+    ("II", (0.5, 0.25), 0.033203125, (0.25, 0.03125), (1.5, 0.375)),
+    # u = (x^4 + y^2 + z^4) / 2
+    ("V", (0.5, 0.25, 1.0), 0.5625, (0.25, 0.25, 2.0), (1.5, 1.0, 6.0)),
+])
+def test_quartic_exact_solution_frozen_values(case_id, point, value, gradient, hessian):
+    # dyadic points give exact values; the gradient is read only by the
+    # error norms, so the consistency check does not cover it
+    u = builtin_case(case_id).exact_solution
+    assert u.value(P(*point)).tolist() == [value]
+    assert u.gradient(P(*point)).tolist() == [list(gradient)]
+    assert u.hessian(P(*point)).tolist() == [np.diag(hessian).tolist()]
+
+
 def test_profile_cases_have_unit_source_and_zero_boundary():
     for cid, dim in (("III", 2), ("VI", 3)):
         spec = builtin_case(cid)

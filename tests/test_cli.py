@@ -7,7 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from maviscid.analysis import verify_discrete_sobolev, verify_miranda_talenti
+from maviscid.analysis import (
+    ErrorNorms,
+    format_rate_table,
+    rate_table,
+    verify_discrete_sobolev,
+    verify_miranda_talenti,
+)
 from maviscid.cases import builtin_case, case_with_overrides, serialize_case
 from maviscid import cli
 from maviscid.cli import _write_grid_2d, main
@@ -82,6 +88,24 @@ def test_small_h_study_writes_tables(tmp_path, capsys):
     assert "| h |" in md
     out = capsys.readouterr().out
     assert "case II, degree 2:" in out
+
+
+def test_rate_table_text_frozen():
+    # a first row without orders, a parameter of 1/3 (six significant
+    # digits) and a zero error, whose order is left out
+    rows = rate_table([(1 / 3, ErrorNorms(1e-3, 2e-2, 0.3)),
+                       (1 / 6, ErrorNorms(0.0, 5e-3, 0.15))])
+    assert format_rate_table(rows) == (
+        "| h | L2 error | order | H1 error | order | H2 error | order |\n"
+        "|---|---|---|---|---|---|---|\n"
+        "| 0.333333 | 1.00e-03 | - | 2.00e-02 | - | 3.00e-01 | - |\n"
+        "| 0.166667 | 0.00e+00 | - | 5.00e-03 | 2.00 | 1.50e-01 | 1.00 |"
+    )
+    assert cli._csv_table(rows, "h") == (
+        "h,l2,l2_order,h1,h1_order,h2_broken,h2_order\n"
+        "0.333333,1.00e-03,,2.00e-02,,3.00e-01,\n"
+        "0.166667,0.00e+00,,5.00e-03,2.00,1.50e-01,1.00\n"
+    )
 
 
 def test_csv_round_trip_orders(tmp_path):

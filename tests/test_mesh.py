@@ -140,13 +140,25 @@ def test_face_arrays():
         assert getattr(mesh, name).shape == shape
 
 
+# hanging vertex: left cell spans the full edge that the two right cells
+# split at (1, 0.5)
+HANGING_2D = (2, [(0, 0), (1, 0), (1, 0.5), (1, 1), (0, 1), (2, 0.5)],
+              [(0, 1, 3), (1, 5, 2), (2, 5, 3)])
+# vertex 5 halves edge (0, 1) of the top cell, shared by its boundary faces
+# (0, 1, 2) and (0, 1, 3); the two cells below split (0, 1, 2) into
+# (0, 5, 2) and (5, 1, 2)
+HANGING_ON_EDGE = (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (.2, .2, 1), (.2, .2, -1), (.5, 0, 0)],
+                   [(0, 1, 2, 3), (0, 5, 2, 4), (5, 1, 2, 4)])
+# vertex 5 sits at the centroid of the top cell's bottom face, which three
+# cells below split around it
+HANGING_AT_CENTROID = (3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (.2, .2, 1), (.2, .2, -1),
+                           (1 / 3, 1 / 3, 0)],
+                       [(0, 1, 2, 3), (0, 1, 5, 4), (1, 2, 5, 4), (2, 0, 5, 4)])
+
+
 def test_nonconforming_mesh_rejected():
-    # hanging vertex: left cell spans the full edge that the two right cells
-    # split at (1, 0.5)
-    verts = [(0, 0), (1, 0), (1, 0.5), (1, 1), (0, 1), (2, 0.5)]
-    cells = [(0, 1, 3), (1, 5, 2), (2, 5, 3)]
     with pytest.raises(ValueError):
-        SimplicialMesh(2, verts, cells)
+        SimplicialMesh(*HANGING_2D)
     # three triangles on one edge
     verts = [(0, 0), (1, 0), (0.5, 1), (0.5, -1), (0.5, 0.5)]
     with pytest.raises(ValueError, match=r"face \(0, 1\) shared by 3 cells"):
@@ -154,23 +166,34 @@ def test_nonconforming_mesh_rejected():
 
 
 def test_hanging_vertex_on_a_face_edge_rejected():
-    # vertex 5 halves edge (0, 1) of the top cell, shared by its boundary
-    # faces (0, 1, 2) and (0, 1, 3); the two cells below split (0, 1, 2)
-    # into (0, 5, 2) and (5, 1, 2)
-    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (.2, .2, 1), (.2, .2, -1), (.5, 0, 0)]
-    cells = [(0, 1, 2, 3), (0, 5, 2, 4), (5, 1, 2, 4)]
     with pytest.raises(ValueError, match=r"vertex 5 hangs on face \(0, 1, [23]\)"):
-        SimplicialMesh(3, verts, cells)
+        SimplicialMesh(*HANGING_ON_EDGE)
 
 
 def test_hanging_vertex_at_a_face_centroid_rejected():
-    # vertex 5 sits at the centroid of the top cell's bottom face, which
-    # three cells below split around it
-    verts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (.2, .2, 1), (.2, .2, -1),
-             (1 / 3, 1 / 3, 0)]
-    cells = [(0, 1, 2, 3), (0, 1, 5, 4), (1, 2, 5, 4), (2, 0, 5, 4)]
     with pytest.raises(ValueError, match=r"vertex 5 hangs on face \(0, 1, 2\)"):
-        SimplicialMesh(3, verts, cells)
+        SimplicialMesh(*HANGING_AT_CENTROID)
+
+
+@pytest.mark.parametrize("pairs", [1, 12])
+def test_hanging_vertex_check_in_small_blocks(pairs, monkeypatch):
+    # the check scans blocks of boundary faces; blocks of one or two faces
+    # give the same verdicts and report the same vertex and face
+    meshes = (HANGING_2D, HANGING_ON_EDGE, HANGING_AT_CENTROID)
+    messages = []
+    for mesh in meshes:
+        with pytest.raises(ValueError) as whole:
+            SimplicialMesh(*mesh)
+        messages.append(str(whole.value))
+    monkeypatch.setattr("maviscid.mesh._HANGING_PAIRS", pairs)
+    for mesh, message in zip(meshes, messages):
+        with pytest.raises(ValueError) as blocked:
+            SimplicialMesh(*mesh)
+        assert str(blocked.value) == message
+    mesh = build_structured_mesh(3, 3)
+    perm = np.random.default_rng(5).permutation(mesh.num_cells)
+    shuffled = SimplicialMesh(3, mesh.vertices, mesh.cells[perm])
+    assert len(shuffled.bface_vertex_ids) == len(mesh.bface_vertex_ids)
 
 
 def test_square_cell_layout():
