@@ -183,7 +183,9 @@ def _linf_estimate(space, coeffs):
     best = np.abs(coeffs).max(axis=0, initial=0.0)
     rule, val, _, _ = _cell_tables(space)
     for cells, _ in _cell_blocks(space, rule):
-        vh = np.einsum("qb,cb...->cq...", val, coeffs[space.cell_dofs[cells]])
+        local = coeffs[space.cell_dofs[cells]]
+        # values at the points, (m, nq, samples) or (m, nq) for one vector
+        vh = val @ local if coeffs.ndim == 2 else local @ val.T
         # max |vh| as max(max, -min), and vh dropped before the next block
         # is formed: one block-sized array is live at a time
         best = np.maximum(best, np.maximum(vh.max(axis=(0, 1)), -vh.min(axis=(0, 1))))

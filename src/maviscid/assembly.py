@@ -35,11 +35,16 @@ union of the couplings of dofs sharing a cell and of dofs on the two cells
 of an interior face, in CSR form with sorted columns.  B, P, C, the Hessian
 Gram matrix, A_h(0) and the low-order matrices are ``data`` vectors on it,
 accumulated with ``np.bincount`` over pattern slots: a cell block through
-the cached cell-slot map, a chunk of faces through slots looked up for that
-chunk alone.  Sums and differences of matrices are sums and differences of
-their data, and the Newton solver takes the interior-dof block through a
-cached map of the slots it keeps (``_interior_block``).  Matrices handed out
-share the pattern's read-only index arrays.
+the cached cell-slot map, a chunk of faces on their face patches
+(``_face_patch``).  A face patch holds side 0's dofs and side 1's dofs off
+the shared face; side 1's jump and average values at a shared dof are added
+into side 0's, so each shared dof is scattered once.  Every patch coupling
+but those of one side's off-face dofs with the other side's lies in a
+cell's slots, and only those are looked up, for that chunk alone.  Sums
+and differences of matrices are sums and differences of their data, and the
+Newton solver takes the interior-dof block through a cached map of the
+slots it keeps (``_interior_block``).  Matrices handed out share the
+pattern's read-only index arrays.
 
 Each form that is a polynomial on the affine cells is integrated with a
 rule of exactly its degree, exact with the fewest points:
@@ -64,7 +69,8 @@ interior map once a Newton step needs it, the cell tables, the data of B,
 P and C (and of the Gram matrix once a norm needs it), the boundary-face
 tables (the data vector reads them on every rung), and the current rung's
 A_h(0) and data vector.  Interior faces keep no per-face arrays: P and C
-are formed one chunk of faces at a time.  Every cell integral runs through
+are formed one chunk of faces at a time, and each chunk's face patches and
+looked-up slots are dropped after use.  Every cell integral runs through
 one loop over blocks of cells (``_cell_blocks``) and per-block data are
 summed in block order.  The residual alone (the line-search evaluation)
 forms the determinant vector from that loop and assembles no matrix; the
@@ -378,19 +384,6 @@ def _pattern(space):
     return _Pattern(*_read_only(indptr, indices, cell_slots))
 
 
-def _face_slots(space, find, cells):
-    """Slots (F, 2 nb, 2 nb) of the couplings of the dofs of both sides
-    ``cells`` (F, 2) of faces, side 0 first: the blocks within a side from
-    the cell-slot map, the blocks across the face from ``find``."""
-    nb = space.ref.node_count
-    within = _pattern(space).cell_slots[cells].reshape(len(cells), 2, nb, nb)
-    d0, d1 = space.cell_dofs[cells[:, 0]], space.cell_dofs[cells[:, 1]]
-    return np.concatenate([
-        np.concatenate([within[:, 0], find(d0, d1)], axis=2),
-        np.concatenate([find(d1, d0), within[:, 1]], axis=2),
-    ], axis=1)
-
-
 @_cached
 def _interior_pattern(space):
     """(kept, indptr, indices): the pattern slots whose row and column are
@@ -521,39 +514,82 @@ def _face_tables(space, rule, cells, vertex_ids):
     return grad.reshape(shape), hess.reshape(shape + (d,)), index.reshape(cells.shape)
 
 
+def _face_patch(space, find, cells):
+    """The face patch of interior faces with sides ``cells`` (F, 2): side 0's
+    nb dofs, then side 1's dofs off the shared face, whose count a conforming
+    mesh keeps the same on every face.  Returns the patch column (F, nb) of
+    each side-1 dof, a shared dof taking side 0's, and the slots (F, n, n) of
+    the patch couplings: each side's block from its cell's slots, and only
+    the couplings of one side's off-face dofs with the other's from ``find``."""
+    cell_slots = _pattern(space).cell_slots
+    d0, d1 = space.cell_dofs[cells[:, 0]], space.cell_dofs[cells[:, 1]]
+    F, nb = d0.shape
+    match = d1[:, :, None] == d0[:, None, :]  # (F, side-1 dof, side-0 dof)
+    on1 = match.any(axis=2)
+    off0 = np.nonzero(~match.any(axis=1))[1].reshape(F, -1)
+    off1 = np.nonzero(~on1)[1].reshape(F, -1)
+    no = off1.shape[1]
+    col1 = match.argmax(axis=2)
+    col1[~on1] = np.tile(np.arange(nb, nb + no), F)
+    faces, cols1 = np.arange(F)[:, None, None], np.arange(nb, nb + no)
+    slots = np.empty((F, nb + no, nb + no), dtype=cell_slots.dtype)
+    slots[faces, col1[:, :, None], col1[:, None, :]] = (
+        cell_slots[cells[:, 1]].reshape(F, nb, nb)
+    )
+    slots[:, :nb, :nb] = cell_slots[cells[:, 0]].reshape(F, nb, nb)
+    o0, o1 = np.take_along_axis(d0, off0, 1), np.take_along_axis(d1, off1, 1)
+    slots[faces, off0[:, :, None], cols1] = find(o0, o1)
+    slots[faces, cols1[:, None], off0[:, None, :]] = find(o1, o0)
+    return col1, slots
+
+
 @_cached
 def _face_penalty_consistency(space):
     """Cached data pair (P, C): gradient-jump penalty and consistency terms,
-    summed over chunks of interior faces gathered on both sides, plus first.
-    Each chunk looks up its faces' pattern slots and drops them after use."""
-    mesh = space.mesh
+    summed over chunks of interior faces.  A face's jump and average values
+    live on its face patch (``_face_patch``): side 1's values at the shared
+    dofs are added into side 0's, so each shared coupling is scattered once.
+    Each chunk looks up its off-face slots and drops them after use."""
+    mesh, d = space.mesh, space.dim
     # (jump grad v, jump grad w) has degree 2 (k - 1), ({lap v}, jump grad w) less
-    rule = face_quadrature(space.dim, 2 * (space.degree - 1))
+    rule = face_quadrature(d, 2 * (space.degree - 1))
     grad, hess, placement = _face_tables(
         space, rule, mesh.iface_cells, mesh.iface_vertex_ids
     )
+    p_count, nq, nb = grad.shape[:3]
+    grad, hess = grad.reshape(p_count, nq * nb, d), hess.reshape(p_count, nq * nb, d * d)
     pattern = _pattern(space)
     find = _slot_finder(pattern.indptr, pattern.indices)
     P, C = np.zeros(len(pattern.indices)), np.zeros(len(pattern.indices))
     for start in range(0, len(mesh.iface_cells), _FACE_CHUNK):
         sl = slice(start, start + _FACE_CHUNK)
+        cells = mesh.iface_cells[sl]
         _, wq = _face_points(
             space, rule, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl]
         )
-        jump, avg = [], []
+        col1, slots = _face_patch(space, find, cells)
+        F = len(cells)
+        jump = np.zeros((F, nq, slots.shape[1]))
+        avg = np.zeros_like(jump)
         for side, sign in ((0, 1.0), (1, -1.0)):
             # grad v . n = grad_ref v . J^-1 n and lap v = D^2_ref v : J^-1 J^-T
-            ji = space.jac_inv[mesh.iface_cells[sl, side]]
-            conormal = sign * np.einsum("cji,ci->cj", ji, mesh.iface_normals[sl])
+            ji = space.jac_inv[cells[:, side]]
+            conormal = sign * ji @ mesh.iface_normals[sl][:, :, None]
+            metric = (ji @ ji.swapaxes(1, 2)).reshape(F, d * d, 1)
             p = placement[sl, side]
-            jump.append(np.einsum("cqbj,cj->cqb", grad[p], conormal))
-            avg.append(0.5 * np.einsum("cqbkl,cki,cli->cqb", hess[p], ji, ji, optimize=True))
-        jump, avg = np.concatenate(jump, axis=2), np.concatenate(avg, axis=2)
-        slots = _face_slots(space, find, mesh.iface_cells[sl])
+            j = (grad[p] @ conormal).reshape(F, nq, nb)
+            a = 0.5 * (hess[p] @ metric).reshape(F, nq, nb)
+            if side == 0:
+                jump[:, :, :nb], avg[:, :, :nb] = j, a
+            else:  # a face's columns col1 are distinct: += adds each once
+                faces = np.arange(F)[:, None]
+                jump[faces, :, col1] += j.swapaxes(1, 2)
+                avg[faces, :, col1] += a.swapaxes(1, 2)
         wj = wq / mesh.iface_diameters[sl][:, None]
-        P += _scatter_data(space, slots, np.einsum("fq,fqa,fqb->fab", wj, jump, jump))
-        local = np.einsum("fq,fqa,fqb->fab", wq, jump, avg)
-        C += _scatter_data(space, slots, local + np.swapaxes(local, 1, 2))
+        jt = jump.swapaxes(1, 2)
+        P += _scatter_data(space, slots, jt @ (wj[:, :, None] * jump))
+        local = jt @ (wq[:, :, None] * avg)
+        C += _scatter_data(space, slots, local + local.swapaxes(1, 2))
     return P, C
 
 

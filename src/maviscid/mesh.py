@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 # (boundary face, vertex) pairs per block of the hanging-vertex check, so
-# that its (faces, vertices, d) arrays stay near 6 MB each
+# that its (pairs, d) arrays stay near 6 MB each
 _HANGING_PAIRS = 2**18
 
 
@@ -215,34 +215,50 @@ class SimplicialMesh:
         if self.structure is not None or B == 0:
             return
         cand_ids = np.unique(self.bface_vertex_ids)
-        if B * len(cand_ids) > int(2e8):  # at about 0.2 us a pair, past 2e8
-            return                        # pairs the scan would take 40 s: unchecked
         q = self.vertices[cand_ids]  # (P, d)
+        fc = self.vertices[self.bface_vertex_ids]  # (B, dim, d)
         tol = 1e-10 * max(self.h, 1.0)
+        # only the candidates in a face's bounding box, widened well past the
+        # projection test's tolerances, can lie on it.  Sorted on a key
+        # x . w with positive weights, the candidates a box can hold form one
+        # run, keyed in [lo . w, hi . w]; weights off the axes keep a whole
+        # grid plane of vertices from sharing one key
+        margin = 1e-6 * max(self.h, 1.0)
+        lo, hi = fc.min(axis=1) - margin, fc.max(axis=1) + margin
+        w = np.array([1.0, 0.62, 0.38])[:self.dim]
+        order = np.argsort(q @ w)
+        key = (q @ w)[order]
+        first = np.searchsorted(key, lo @ w, side="left")
+        count = np.searchsorted(key, hi @ w, side="right") - first
         # face blocks in order: the first hanging pair found is the first overall
-        step = max(1, _HANGING_PAIRS // len(cand_ids))
-        for start in range(0, B, step):
-            ids = self.bface_vertex_ids[start:start + step]
-            fc = self.vertices[ids]  # (b, dim, d)
-            e = fc[:, 1:] - fc[:, :1]  # (b, dim-1, d) edge vectors
+        block = (np.cumsum(count) - count) // _HANGING_PAIRS
+        for faces in np.split(np.arange(B), np.flatnonzero(np.diff(block)) + 1):
+            c = count[faces]
+            face = np.repeat(faces, c)
+            # each face's run of candidates, face after face
+            p = order[np.repeat(first[faces] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
+            boxed = np.all((q[p] >= lo[face]) & (q[p] <= hi[face]), axis=1)
+            face, p = face[boxed], p[boxed]
+            e = fc[face, 1:] - fc[face, :1]  # (pairs, dim-1, d) edge vectors
             et = e.transpose(0, 2, 1)
-            rel = q[None, :, :] - fc[:, :1]  # (b, P, d)
+            rel = q[p] - fc[face, 0]  # (pairs, d)
             # face coordinates of each point's projection: the (symmetric)
             # Gram system e e^T s = e rel
-            s = rel @ et @ np.linalg.inv(e @ et)
-            dist = np.linalg.norm(rel - s @ e, axis=2)
-            own = np.any(cand_ids[None, :, None] == ids[:, None, :], axis=2)
+            s = (rel[:, None] @ et @ np.linalg.inv(e @ et))[:, 0]
+            dist = np.linalg.norm(rel - (s[:, None] @ e)[:, 0], axis=1)
+            own = np.any(cand_ids[p][:, None] == self.bface_vertex_ids[face], axis=1)
             hanging = (
                 (dist < tol)
-                & np.all(s > -1e-8, axis=2)
-                & (s.sum(axis=2) < 1 + 1e-8)
+                & np.all(s > -1e-8, axis=1)
+                & (s.sum(axis=1) < 1 + 1e-8)
                 & ~own
             )
             if np.any(hanging):
-                b, p = np.argwhere(hanging)[0]
+                b = face[hanging].min()
+                v = cand_ids[p[hanging & (face == b)].min()]
                 raise ValueError(
                     "non-conforming mesh: vertex "
-                    f"{int(cand_ids[p])} hangs on face {tuple(int(v) for v in ids[b])}"
+                    f"{int(v)} hangs on face {tuple(int(i) for i in self.bface_vertex_ids[b])}"
                 )
 
     # --------------------------------------------------------------- location

@@ -40,6 +40,7 @@ from maviscid.assembly import (
     _operator,
     _pattern,
     _phys_points,
+    _slot_finder,
 )
 from maviscid.analysis import mesh_norm
 from maviscid.cases import builtin_case
@@ -119,10 +120,10 @@ def brute_face_terms(space, basis):
                     _, g, H = eval_fe(basis[idof], cell, xref)
                     jump[side * nb + loc] += sgn * (g @ n)
                     avg[side * nb + loc] += 0.5 * np.trace(H)
-            for a in range(2 * nb):
-                for b in range(2 * nb):
-                    P[dofs2[a], dofs2[b]] += wq / mesh.iface_diameters[f] * jump[a] * jump[b]
-                    C[dofs2[a], dofs2[b]] += wq * (avg[b] * jump[a] + avg[a] * jump[b])
+            # entry by entry: a dof shared by both sides is summed twice
+            pairs = np.ix_(dofs2, dofs2)
+            np.add.at(P, pairs, wq / mesh.iface_diameters[f] * np.outer(jump, jump))
+            np.add.at(C, pairs, wq * (np.outer(jump, avg) + np.outer(avg, jump)))
     return P, C
 
 
@@ -392,10 +393,11 @@ def face_placements(mesh, cells, vertex_ids):
     }
 
 
-@pytest.mark.parametrize("dim,degree", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_face_terms_match_brute_force_on_shuffled_meshes(dim, degree):
     # faces tabulate once per placement in their cells; with cell vertices
-    # shuffled, every placement occurs on interior face sides
+    # shuffled, every placement occurs on interior face sides, and the dofs
+    # a face's two sides share sit at varying local positions on each
     mesh = shuffled_mesh(dim, 2)
     sides = face_placements(mesh, mesh.iface_cells[:, 0], mesh.iface_vertex_ids)
     sides |= face_placements(mesh, mesh.iface_cells[:, 1], mesh.iface_vertex_ids)
@@ -414,6 +416,35 @@ def test_face_terms_match_brute_force_on_shuffled_meshes(dim, degree):
     for got, ref in pairs:
         got = got.toarray() if sp.issparse(got) else got
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_face_pass_looks_up_only_off_face_couplings(dim, degree, monkeypatch):
+    # on a face patch every coupling but those of one side's off-face dofs
+    # with the other side's lies in a cell's slots: only those are looked up
+    space = FeSpace(shuffled_mesh(dim, 2), degree)
+    _pattern(space)
+    looked_up = []
+
+    def spy(indptr, indices):
+        find = _slot_finder(indptr, indices)
+
+        def spied(rows, cols):
+            looked_up.append((np.repeat(rows, cols.shape[1], axis=1).ravel(),
+                              np.tile(cols, (1, rows.shape[1])).ravel()))
+            return find(rows, cols)
+
+        return spied
+
+    monkeypatch.setattr("maviscid.assembly._slot_finder", spy)
+    _face_penalty_consistency(space)
+    rows, cols = (np.concatenate(side) for side in zip(*looked_up))
+    off_face = space.ref.node_count - math.comb(degree + dim - 1, dim - 1)
+    assert len(rows) == len(space.mesh.iface_cells) * 2 * off_face**2
+    M, nb = space.cell_dofs.shape
+    E = sp.csr_matrix((np.ones(M * nb), space.cell_dofs.ravel(), np.arange(0, M * nb + 1, nb)),
+                      shape=(M, space.ndofs))
+    assert not np.any(np.asarray((E.T @ E).tocsr()[rows, cols]))
 
 
 # ---------------------------------------------------------- exact identities
