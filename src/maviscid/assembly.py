@@ -46,35 +46,47 @@ Newton solver takes the interior-dof block through a cached map of the
 slots it keeps (``_interior_block``).  Matrices handed out share the
 pattern's read-only index arrays.
 
-Each form that is a polynomial on the affine cells is integrated with a
-rule of exactly its degree, exact with the fewest points:
-(det D^2 u_h, v) and (cof D^2 u_h : D^2 v, w) in the Newton step and the
-line-search residual (degree d (k - 2) + k), B and the Hessian Gram matrix
+The Newton step and the line-search residual need (det D^2 u_h, v) and
+(cof D^2 u_h : D^2 v, w).  On an affine cell D^2 u_h = J^-T H J^-1, with H
+the reference Hessian of u_h, so det D^2 u_h = det H / det J^2 and
+cof D^2 u_h : D^2 v = cof H : H_v / det J^2: each integrand is phi_i times
+a polynomial of degree r = d (k - 2) and equals its interpolant on the
+principal lattice of degree r.  So H, det H and cof H are formed only at
+the lattice nodes (1 per cell for k = 2, 6 for 2D k = 3, 20 for 3D k = 3),
+and met with the reference moment matrix M[i, beta] = int phi_i psi_beta of
+the basis against the lattice's Lagrange basis psi (``_newton_tables``):
+the determinant vector is (det H / |det J|) M^T and a cell's cofactor block
+is M [cof H : H_j] / |det J| at the nodes.  The other forms that are
+polynomials on the affine cells are integrated with a rule of exactly
+their degree, exact with the fewest points: B and the Hessian Gram matrix
 (2 (k - 2)), and P and C on interior faces (2 (k - 1)).  Forms of data
 given as functions (f, psi, coefficient fields) are not polynomials and
 keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
 cell-point maximum of the discrete Sobolev probe, whose value depends on
 the points.  The basis is tabulated on reference points only: cell tables
 are built on first use and cached on the space per exactness, and a face
-rule once per placement of a face in its cell (``_face_tables``).  Every
-physical Hessian goes through one map per cell (``_hessian_map``): a
-coefficient Phi (cof D^2 u_h in the Newton pass) is pulled back by it and
-met with the reference Hessian tables, D^2 u_h (in the Newton pass and the
-error norms) is formed from those tables and pushed forward by it as one
-d x d matrix per point, and so are the basis Hessians of the Gram matrix;
-lap v is D^2_ref v : J^-1 J^-T.
+rule once per placement of a face in its cell (``_face_tables``).  Outside
+the Newton pass every physical Hessian goes through one map per cell
+(``_hessian_map``): a coefficient field Phi is pulled back by it and met
+with the reference Hessian tables, D^2 u_h in the error norms is formed
+from those tables and pushed forward by it as one d x d matrix per point,
+and so are the basis Hessians of the Gram matrix; lap v is
+D^2_ref v : J^-1 J^-T.
 
 A space caches the pattern (int32 index arrays and the cell-slot map), the
-interior map once a Newton step needs it, the cell tables, the data of B,
-P and C (and of the Gram matrix once a norm needs it), the boundary-face
-tables (the data vector reads them on every rung), and the current rung's
-A_h(0) and data vector.  Interior faces keep no per-face arrays: P and C
-are formed one chunk of faces at a time, and each chunk's face patches and
-looked-up slots are dropped after use.  Every cell integral runs through
-one loop over blocks of cells (``_cell_blocks``) and per-block data are
-summed in block order.  The residual alone (the line-search evaluation)
-forms the determinant vector from that loop and assembles no matrix; the
-Newton step forms the residual and the Jacobian in one pass.
+interior map once a Newton step needs it, the cell tables, the Newton
+pass's lattice Hessian table, moment matrix and cofactor table (built on
+its first call), the data of B, P and C (and of the Gram matrix once a norm needs it), the
+boundary-face tables (the data vector reads them on every rung), the load
+vector (f, v) of the last f (``_source_vector``: rungs that share one f
+evaluate it once), and the current rung's A_h(0) and data vector.
+Interior faces keep no per-face arrays: P and C are formed one chunk of
+faces at a time, and each chunk's face patches and looked-up slots are
+dropped after use.  Every cell integral runs through one loop over blocks
+of cells (``_cell_chunks``) and per-block data are summed in block order.
+The residual alone (the line-search evaluation) forms the determinant
+vector from that loop and assembles no matrix; the Newton step forms the
+residual and the Jacobian in one pass.
 """
 
 from __future__ import annotations
@@ -88,7 +100,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from maviscid.elements import cell_quadrature, face_quadrature
+from maviscid.elements import ReferenceElement, cell_quadrature, face_quadrature
 from maviscid.mesh import _number_rows
 
 __all__ = [
@@ -281,11 +293,16 @@ def _cell_tables(space, degree=None):
     return space._cache[key]
 
 
-def _cell_blocks(space, rule):
-    """Yield (cells, rule weights times |det J|) for each block of cells."""
+def _cell_chunks(space):
+    """Yield the cell indices of each block of cells."""
     M = space.mesh.num_cells
     for start in range(0, M, _CELL_CHUNK):
-        cells = np.arange(start, min(start + _CELL_CHUNK, M))
+        yield np.arange(start, min(start + _CELL_CHUNK, M))
+
+
+def _cell_blocks(space, rule):
+    """Yield (cells, rule weights times |det J|) for each block of cells."""
+    for cells in _cell_chunks(space):
         yield cells, rule.weights[None, :] * space.jac_det[cells][:, None]
 
 
@@ -297,16 +314,6 @@ def _hessian_map(space, cells):
     ji = space.jac_inv[cells]
     m, d, _ = ji.shape
     return np.einsum("cki,clj->cijkl", ji, ji).reshape(m, d * d, d * d)
-
-
-def _discrete_hessians(K, coef, hess_ref):
-    """D^2 u_h (m, nq, d, d) from its dof values ``coef`` (m, nb) on a block
-    of cells with Hessian maps ``K``, at the points of a reference Hessian
-    table (nq, nb, d, d): formed on the reference cell and pushed forward."""
-    (m, nb), (nq, _, d) = coef.shape, hess_ref.shape[:3]
-    # (nb, nq d d): basis function b's reference Hessians at all points
-    href = (coef @ hess_ref.swapaxes(0, 1).reshape(nb, -1)).reshape(m, nq, d * d)
-    return (href @ K.swapaxes(1, 2)).reshape(m, nq, d, d)
 
 
 def _phys_points(space, cells, ref_pts):
@@ -429,23 +436,6 @@ def _scatter_vector(space, cells, local):
     return np.bincount(
         space.cell_dofs[cells].ravel(), weights=local.ravel(), minlength=space.ndofs
     )
-
-
-def _load_block(wq, q, val):
-    """Local (q, w) vectors of a quadrature-point field q: (m, nb)."""
-    return np.einsum("cq,cq,qa->ca", wq, q, val)
-
-
-def _loworder_block(wq, val, phi, K, hess_ref):
-    """Local (Phi : D^2 v, w) blocks of a coefficient phi (m, nq, d, d): its
-    pull-back (see ``_hessian_map``) against the trial reference Hessians,
-    times the test values."""
-    m, nq, d, _ = phi.shape
-    pulled = phi.reshape(m, nq, d * d) @ K
-    # (nq, m, d d) @ (nq, d d, nb): one product per quadrature point
-    hess_t = hess_ref.reshape(nq, -1, d * d).swapaxes(1, 2)
-    contracted = (pulled.swapaxes(0, 1) @ hess_t).swapaxes(0, 1)
-    return (wq[:, :, None] * val).swapaxes(1, 2) @ contracted
 
 
 @_cached
@@ -619,7 +609,8 @@ def _load_vector(space, f):
     for cells, wq in _cell_blocks(space, rule):
         phys = _phys_points(space, cells, rule.points)
         fv = np.asarray(f(phys.reshape(-1, space.dim)), dtype=float)
-        out += _scatter_vector(space, cells, _load_block(wq, fv.reshape(len(cells), -1), val))
+        local = np.einsum("cq,cq,qa->ca", wq, fv.reshape(len(cells), -1), val)
+        out += _scatter_vector(space, cells, local)
     return out
 
 
@@ -632,54 +623,78 @@ def _boundary_flux_vector(space, psi):
 
 
 def _loworder(space, field):
-    """Data of (Phi : D^2 v, w) for a coefficient field Phi."""
+    """Data of (Phi : D^2 v, w) for a coefficient field Phi: its pull-back
+    (see ``_hessian_map``) against the trial reference Hessians, times the
+    test values."""
     rule, val, _, hess_ref = _cell_tables(space)
+    nq, nb, d = hess_ref.shape[:3]
+    # (nq, d d, nb): the basis's flattened reference Hessians at each point
+    hess_t = hess_ref.reshape(nq, nb, d * d).swapaxes(1, 2)
     slots = _pattern(space).cell_slots
 
     def block(cells, wq):
-        phys = _phys_points(space, cells, rule.points)
-        phi = field(phys.reshape(-1, space.dim)).reshape(phys.shape + (space.dim,))
-        local = _loworder_block(wq, val, phi, _hessian_map(space, cells), hess_ref)
+        phys = _phys_points(space, cells, rule.points).reshape(-1, d)
+        phi = field(phys).reshape(len(cells), nq, d * d)
+        pulled = phi @ _hessian_map(space, cells)
+        # one product per quadrature point
+        contracted = (pulled.swapaxes(0, 1) @ hess_t).swapaxes(0, 1)
+        local = (wq[:, :, None] * val).swapaxes(1, 2) @ contracted
         return _scatter_data(space, slots[cells], local)
 
     return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
 
+@_cached
 def _newton_tables(space):
-    """Cell tables of the Newton pass: (det D^2 u_h, v) and
-    (cof D^2 u_h : D^2 v, w) are polynomials of degree d (k - 2) + k."""
-    return _cell_tables(space, space.dim * (space.degree - 2) + space.degree)
+    """The Newton pass's tables on the principal lattice of degree
+    r = d (k - 2) (see the module docstring), built on its first call: the
+    basis's flattened reference Hessians (nb, nl d d) at the nl nodes, the
+    moment matrix M (nb, nl) of int phi_i psi_beta on a rule exact to k + r,
+    and the cofactor table (nl d d, nb nb) of M[i, beta] H_j(x_beta), which
+    a cell's flattened cof H at the nodes meets in one product."""
+    d, k = space.dim, space.degree
+    lattice = ReferenceElement(d, d * (k - 2))
+    _, _, hess = space.ref.tabulate(lattice.node_coords)  # (nl, nb, d, d)
+    rule = cell_quadrature(d, k + lattice.degree)
+    val, _, _ = space.ref.tabulate(rule.points)
+    psi, _, _ = lattice.tabulate(rule.points)
+    moments = val.T @ (rule.weights[:, None] * psi)
+    nl, nb = hess.shape[:2]
+    cof_table = np.einsum("ib,bjxy->bxyij", moments, hess).reshape(nl * d * d, nb * nb)
+    return hess.swapaxes(0, 1).reshape(nb, nl * d * d), moments, cof_table
 
 
 def _iterate_hessians(space, coeffs):
-    """Yield, per cell block, (cells, weights, Hessian maps, det(D^2 u_h),
-    cof(D^2 u_h)) at the Newton-pass quadrature points."""
-    rule, _, _, hess_ref = _newton_tables(space)
-    for cells, wq in _cell_blocks(space, rule):
-        K = _hessian_map(space, cells)
-        hu = _discrete_hessians(K, coeffs[space.cell_dofs[cells]], hess_ref)
-        yield (cells, wq, K) + det_and_cofactor(hu)
+    """Yield, per cell block, (cells, local (det(D^2 u_h), v_i) vectors
+    (m, nb), cof H / |det J| (m, nl d d)) with H the reference Hessian of
+    u_h at the lattice nodes of ``_newton_tables``."""
+    hess, moments, _ = _newton_tables(space)
+    d = space.dim
+    for cells in _cell_chunks(space):
+        href = (coeffs[space.cell_dofs[cells]] @ hess).reshape(len(cells), -1, d, d)
+        det, cof = det_and_cofactor(href)
+        scale = 1.0 / space.jac_det[cells]
+        yield (cells, (scale[:, None] * det) @ moments.T,
+               scale[:, None] * cof.reshape(len(cells), -1))
 
 
 def _det_vector(space, coeffs):
     """The (det(D^2 u_h), v_i) vector alone: the line-search residual's pass."""
-    _, val, _, _ = _newton_tables(space)
     return sum(
-        _scatter_vector(space, cells, _load_block(wq, det, val))
-        for cells, wq, _, det, _ in _iterate_hessians(space, coeffs)
+        _scatter_vector(space, cells, local)
+        for cells, local, _ in _iterate_hessians(space, coeffs)
     )
 
 
 def _nonlinear_cell_terms(space, coeffs):
     """One pass for the Newton step: the (det(D^2 u_h), v_i) vector and the
     data of the cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
-    _, val, _, hess_ref = _newton_tables(space)
+    _, _, cof_table = _newton_tables(space)
     slots = _pattern(space).cell_slots
     det_vec = low_cof = 0
-    for cells, wq, K, det, cof in _iterate_hessians(space, coeffs):
-        det_vec = det_vec + _scatter_vector(space, cells, _load_block(wq, det, val))
-        local = _loworder_block(wq, val, cof, K, hess_ref)
-        low_cof = low_cof + _scatter_data(space, slots[cells], local)
+    for cells, local, cof in _iterate_hessians(space, coeffs):
+        det_vec = det_vec + _scatter_vector(space, cells, local)
+        low_cof = low_cof + _scatter_data(space, slots[cells], cof @ cof_table)
     return det_vec, low_cof
 
 
@@ -695,10 +710,17 @@ def _operator(space, params):
 
 
 @_cached
+def _source_vector(space, f):
+    """The load vector (f, v_i), cached per f: a ladder whose rungs share one
+    f evaluates it once per space."""
+    return _load_vector(space, f)
+
+
+@_cached
 def _data_vector(space, f, g_data, params):
     """eps (psi, grad v_i . n) - (f, v_i), cached per (f, g_data, params)."""
     psi = g_data.psi_field(params.epsilon)
-    return params.epsilon * _boundary_flux_vector(space, psi) - _load_vector(space, f)
+    return params.epsilon * _boundary_flux_vector(space, psi) - _source_vector(space, f)
 
 
 # ------------------------------------------------------------- public ops

@@ -154,8 +154,9 @@ def builtin_case(case_id):
     dim, family, degrees, h_list, eps_list = _CASES[cid]
     u = make_psi = bilap = None
     if family == "exponential":
-        u = _exp_field(dim)
-        kind, make_f = "viscosity_limit", lambda eps: _exp_det(dim)
+        # one f for every eps: the solver reuses its load vector on each rung
+        u, f = _exp_field(dim), _exp_det(dim)
+        kind, make_f = "viscosity_limit", lambda eps: f
     elif family == "quartic":
         exponents, make_f, make_psi = _QUARTICS[dim]
         u, kind, bilap = _quartic(exponents), "regularized", lambda p: np.full(len(p), 24.0)

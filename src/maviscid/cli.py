@@ -44,7 +44,7 @@ from maviscid.cases import (
     check_case_consistency,
     parse_config_text,
 )
-from maviscid.elements import FeSpace, ReferenceElement, interpolate
+from maviscid.elements import FeSpace, check_degree, interpolate
 from maviscid.mesh import build_structured_mesh
 from maviscid.solve import (
     NewtonConfig,
@@ -164,9 +164,9 @@ def resolve_config(args):
     # each comparison is written so that NaN fails it
     if not all(0 < x < math.inf for x in (*spec.h_list, *spec.eps_list)):
         raise UsageError("mesh sizes and epsilons must be finite and positive")
-    try:  # the element and the penalty check degree, sigma and weight mode
+    try:  # the space and the penalty check degree, sigma and weight mode
         for k in spec.degrees:
-            ReferenceElement(spec.dim, k)
+            check_degree(k)
         PenaltyParams(spec.sigma, spec.eps_list[0], spec.weight_mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -1,4 +1,4 @@
-"""Lagrange P2/P3 reference elements, simplex quadrature, and FE spaces.
+"""Lagrange reference elements, simplex quadrature, and P2/P3 FE spaces.
 
 Reference bases are built from the monomial basis through the inverted node
 Vandermonde matrix, so values, gradients, and Hessians are all evaluated from
@@ -99,19 +99,27 @@ def _check_exactness(dim, exactness):
         )
 
 
-class ReferenceElement:
-    """Lagrange element of degree ``k`` on the reference simplex.
+def check_degree(degree):
+    """Raise ValueError unless a space of ``degree`` is supported: 2 or 3."""
+    if degree not in (2, 3):
+        raise ValueError("degree must be 2 or 3")
 
-    Nodes are the principal lattice points with coordinates i/k.  The basis is
-    monomials times the inverted node Vandermonde, which gives the Kronecker
-    property by construction and exact analytic derivatives.
+
+class ReferenceElement:
+    """Lagrange element of degree ``k`` (0 to 3) on the reference simplex.
+
+    Nodes are the principal lattice points with coordinates i/k; degree 0 has
+    the centroid.  The basis is monomials times the inverted node Vandermonde,
+    which gives the Kronecker property by construction and exact analytic
+    derivatives.  Spaces take degrees 2 and 3 (``check_degree``); the others
+    serve as lattice bases.
     """
 
     def __init__(self, dim, degree):
         if dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
-        if degree not in (2, 3):
-            raise ValueError("degree must be 2 or 3")
+        if degree not in range(4):
+            raise ValueError("element degree must be 0 to 3")
         self.dim = dim
         self.degree = degree
         multis = sorted(
@@ -119,7 +127,10 @@ class ReferenceElement:
             for m in itertools.product(range(degree + 1), repeat=dim)
             if sum(m) <= degree
         )
-        self.node_coords = np.array(multis, dtype=float) / degree
+        if degree:
+            self.node_coords = np.array(multis, dtype=float) / degree
+        else:
+            self.node_coords = np.full((1, dim), 1.0 / (dim + 1))
         self.exponents = np.array(multis, dtype=np.int64)
         self.node_count = len(multis)
         vander = self._monomials(self.node_coords)
@@ -183,6 +194,7 @@ class FeSpace:
     def __init__(self, mesh, degree):
         self.mesh = mesh
         self.degree = int(degree)
+        check_degree(self.degree)
         self.ref = ReferenceElement(mesh.dim, self.degree)
 
         d, k = mesh.dim, self.degree

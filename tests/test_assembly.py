@@ -32,9 +32,10 @@ from maviscid.assembly import (
     _face_points,
     _face_tables,
     _hess_gram,
+    _hessian_map,
     _interior_block,
-    _iterate_hessians,
     _load_vector,
+    _newton_tables,
     _nonlinear_cell_terms,
     _on_pattern,
     _operator,
@@ -66,13 +67,14 @@ def unit_functions(space):
 def brute_operator(space, field_fn, params):
     """Dense A via per-point python loops over cells and faces.
 
-    Independent of the vectorized scatter path: every basis value comes from
-    a one-dof FeFunction evaluated with eval_fe.
+    Independent of the vectorized scatter path: every cell basis value comes
+    from a one-dof FeFunction evaluated with eval_fe, and every face value
+    from the basis tabulated at that point (``brute_face_terms``).
     """
     mesh = space.mesh
     eps = params.epsilon
     basis = unit_functions(space)
-    P, C = brute_face_terms(space, basis)
+    P, C = brute_face_terms(space)
     A = params.jump_weight * P - eps * C
 
     crule = space.cell_rule
@@ -95,9 +97,11 @@ def brute_operator(space, field_fn, params):
     return A
 
 
-def brute_face_terms(space, basis):
+def brute_face_terms(space):
     """Dense (P, C) by per-point loops over interior faces, each point pulled
-    back into both neighbors with ``reference_coords``."""
+    back into both neighbors with ``reference_coords``.  The basis is
+    tabulated once per (cell, point) and each function pushed forward as in
+    ``eval_fe``."""
     mesh, d = space.mesh, space.mesh.dim
     nb = space.ref.node_count
     P = np.zeros((space.ndofs, space.ndofs))
@@ -116,10 +120,11 @@ def brute_face_terms(space, basis):
             avg = np.zeros(2 * nb)
             for side, (cell, sgn) in enumerate(zip(cells2, (1.0, -1.0))):
                 xref = space.reference_coords(np.array([cell]), x[None, :])[0]
-                for loc, idof in enumerate(space.cell_dofs[cell]):
-                    _, g, H = eval_fe(basis[idof], cell, xref)
-                    jump[side * nb + loc] += sgn * (g @ n)
-                    avg[side * nb + loc] += 0.5 * np.trace(H)
+                _, grad, hess = space.ref.tabulate(xref[None, :])
+                jinv = space.jac_inv[cell]
+                for loc in range(nb):
+                    jump[side * nb + loc] += sgn * ((jinv.T @ grad[0, loc]) @ n)
+                    avg[side * nb + loc] += 0.5 * np.trace(jinv.T @ hess[0, loc] @ jinv)
             # entry by entry: a dof shared by both sides is summed twice
             pairs = np.ix_(dofs2, dofs2)
             np.add.at(P, pairs, wq / mesh.iface_diameters[f] * np.outer(jump, jump))
@@ -131,7 +136,7 @@ def brute_rhs(space, phi_fn, psi_fn, eps):
     """Dense (phi, w_i) + eps (psi, grad w_i . n) without boundary zeroing."""
     mesh = space.mesh
     basis = unit_functions(space)
-    r = eps * brute_boundary_flux(space, basis, psi_fn)
+    r = eps * brute_boundary_flux(space, psi_fn)
     crule = space.cell_rule
     for c in range(mesh.num_cells):
         for q in range(len(crule.weights)):
@@ -145,21 +150,24 @@ def brute_rhs(space, phi_fn, psi_fn, eps):
     return r
 
 
-def brute_boundary_flux(space, basis, psi_fn):
-    """Dense (psi, grad w_i . n) by per-point loops over boundary faces."""
+def brute_boundary_flux(space, psi_fn):
+    """Dense (psi, grad w_i . n) by per-point loops over boundary faces, the
+    basis tabulated once per (cell, point)."""
     mesh, d = space.mesh, space.mesh.dim
     r = np.zeros(space.ndofs)
     frule = space.face_rule
     ref_meas = 1.0 if d == 2 else 0.5
     for f, cell in enumerate(mesh.bface_cells):
         fc = mesh.vertices[mesh.bface_vertex_ids[f]]
+        jinv = space.jac_inv[cell]
         for q in range(len(frule.weights)):
             x = fc[0] + (fc[1:] - fc[0]).T @ frule.points[q]
             wq = frule.weights[q] * mesh.bface_measures[f] / ref_meas
             pv = psi_fn(x[None, :])[0]
             xref = space.reference_coords(np.array([cell]), x[None, :])[0]
-            for idof in space.cell_dofs[cell]:
-                _, g, _ = eval_fe(basis[idof], cell, xref)
+            _, grad, _ = space.ref.tabulate(xref[None, :])
+            for loc, idof in enumerate(space.cell_dofs[cell]):
+                g = jinv.T @ grad[0, loc]
                 r[idof] += wq * pv * (g @ mesh.bface_normals[f])
     return r
 
@@ -403,7 +411,6 @@ def test_face_terms_match_brute_force_on_shuffled_meshes(dim, degree):
     sides |= face_placements(mesh, mesh.iface_cells[:, 1], mesh.iface_vertex_ids)
     assert len(sides) == math.factorial(dim + 1)
     space = FeSpace(mesh, degree)
-    basis = unit_functions(space)
 
     def psi(p):
         return 1.0 + p[:, 0] * p[:, -1]
@@ -411,7 +418,7 @@ def test_face_terms_match_brute_force_on_shuffled_meshes(dim, degree):
     pairs = zip(
         [_on_pattern(space, M) for M in _face_penalty_consistency(space)]
         + [_boundary_flux_vector(space, psi)],
-        brute_face_terms(space, basis) + (brute_boundary_flux(space, basis, psi),),
+        brute_face_terms(space) + (brute_boundary_flux(space, psi),),
     )
     for got, ref in pairs:
         got = got.toarray() if sp.issparse(got) else got
@@ -809,13 +816,62 @@ def test_sized_rules_match_the_high_rule(dim, degree, monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+def newton_terms_on_high_rule(space, coeffs):
+    """The (det(D^2 u_h), v_i) vector and the pattern data of
+    (cof(D^2 u_h) : D^2 v_j, v_i), cell by cell on the space's high cell rule
+    from physical Hessians pushed forward by ``_hessian_map``."""
+    rule = space.cell_rule
+    val, _, hess_ref = space.ref.tabulate(rule.points)
+    nq, nb, d = hess_ref.shape[:3]
+    slots = _pattern(space).cell_slots.reshape(-1, nb, nb)
+    det_vec = np.zeros(space.ndofs)
+    low_cof = np.zeros(len(_pattern(space).indices))
+    for c in range(space.mesh.num_cells):
+        K = _hessian_map(space, np.array([c]))[0]
+        hp = (hess_ref.reshape(nq, nb, d * d) @ K.T).reshape(nq, nb, d, d)
+        dofs = space.cell_dofs[c]
+        det, cof = det_and_cofactor(np.einsum("qbij,b->qij", hp, coeffs[dofs]))
+        wq = rule.weights * space.jac_det[c]
+        det_vec[dofs] += val.T @ (wq * det)
+        low_cof[slots[c]] += np.einsum("q,qa,qij,qbij->ab", wq, val, cof, hp)
+    return det_vec, low_cof
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_newton_terms_match_the_high_rule_on_shuffled_meshes(dim, degree):
+    # the lattice form of the Newton pass against physical Hessians on the
+    # space's high rule; the bound allows the cancellation of det and cof
+    space = FeSpace(shuffled_mesh(dim, 4 if dim == 2 else 2), degree)
+    u = interpolate(space, lambda p: np.exp(0.5 * (p**2).sum(axis=1)))
+    rng = np.random.default_rng(7)
+    u.coeffs[space.interior_dofs] += 0.1 * rng.standard_normal(len(space.interior_dofs))
+    want = newton_terms_on_high_rule(space, u.coeffs)
+    got = (_det_vector(space, u.coeffs), _nonlinear_cell_terms(space, u.coeffs)[1])
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b))
+
+
 def test_newton_and_face_rules_are_sized(monkeypatch):
-    # 3D k=2: the Newton integrands have degree 2, so 8 points per cell
-    # instead of 64, and the interior face terms degree 2, so 4 points per
-    # face instead of 9
-    space, u, _, _ = _perturbed_state(3, 2, seed=3)
-    _, wq, _, _, _ = next(_iterate_hessians(space, u.coeffs))
-    assert wq.shape[1] == 8
+    # the Newton integrands are v_i times polynomials of degree d (k - 2),
+    # formed at that degree's lattice nodes: 1 per cell for k=2, 6 for 2D
+    # k=3 and 20 for 3D k=3, with no Hessian pushed forward or pulled back
+    def no_map(*args):
+        raise AssertionError("the Newton pass used the Hessian map")
+
+    params = PenaltyParams(1.0, 0.2, "plain")
+    f = lambda p: np.ones(len(p))
+    for (dim, degree), nodes in {(2, 2): 1, (3, 2): 1, (2, 3): 6, (3, 3): 20}.items():
+        space, u, _, data = _perturbed_state(dim, 2, seed=3, degree=degree)
+        with monkeypatch.context() as m:
+            m.setattr("maviscid.assembly._hessian_map", no_map)
+            assemble_residual_and_jacobian(u, f, data, params)
+            assemble_nonlinear_residual(u, f, data, params)
+        hess, moments, cof_table = _newton_tables(space)
+        assert moments.shape[1] == nodes
+        assert hess.shape[1] == cof_table.shape[0] == nodes * dim * dim
+    # 3D k=2: the interior face terms have degree 2, so 4 points per face
+    # instead of 9
+    space, _, _, _ = _perturbed_state(3, 2, seed=3)
     counts = []
     face_points = _face_points
 

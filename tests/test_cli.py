@@ -262,6 +262,7 @@ class _ConfigLine(str):
     _CONV_II + ("--h-list", "1/4", "1/4"),
     _CONV_II + ("--h-list", "1/4", "--eps-list", "0.5", "0.5"),
     ("solve", "--case", "II", "--degree", "4", "--h-list", "1/2"),
+    ("solve", "--case", "II", "--degree", "0", "--h-list", "1/2"),
     ("verify", "--case", "II", "--degree", "1", "--h-list", "1/4"),
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("weight_mode = bogus")),
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("seed = abc")),

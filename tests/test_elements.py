@@ -104,6 +104,23 @@ def test_reference_element_kronecker_and_unity(dim, degree):
     assert np.max(np.abs(hess.sum(axis=1))) < 1e-10
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lattice_degrees_build_but_spaces_reject_them(dim):
+    # degrees 0 and 1 are lattice bases (degree 0: the constant at the
+    # centroid); a space takes only 2 and 3
+    ref = ReferenceElement(dim, 0)
+    assert np.array_equal(ref.node_coords, np.full((1, dim), 1.0 / (dim + 1)))
+    val, grad, hess = ref.tabulate(cell_quadrature(dim, 2).points)
+    assert np.all(val == 1.0) and not grad.any() and not hess.any()
+    assert ReferenceElement(dim, 1).node_count == dim + 1
+    mesh = build_structured_mesh(dim, 1)
+    for degree in (0, 1, 4):
+        with pytest.raises(ValueError, match="degree must be 2 or 3"):
+            FeSpace(mesh, degree)
+    with pytest.raises(ValueError):
+        ReferenceElement(dim, 4)
+
+
 @pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_reference_derivatives_match_finite_differences(dim, degree):
     ref = ReferenceElement(dim, degree)

@@ -407,6 +407,39 @@ def test_newton_forms_the_load_vector_once(monkeypatch):
     assert calls == [f]
 
 
+def counting_data(spec, counts):
+    """``spec.data`` with each distinct f wrapped once, recording the number
+    of points of every evaluation in ``counts``."""
+    wrapped = {}
+
+    def data(eps):
+        f, g_data = spec.data(eps)
+        if f not in wrapped:
+            wrapped[f] = lambda p: (counts.append(len(p)), f(p))[1]
+        return wrapped[f], g_data
+
+    return data
+
+
+@pytest.mark.parametrize("case_id,per_rung", [("VI", False), ("IV", False), ("II", True)])
+def test_ladder_evaluates_f_once_per_distinct_f(case_id, per_rung):
+    # the load vector (f, v) is cached per f: a ladder whose rungs share one f
+    # evaluates it on one space's worth of cell-rule points, and one whose f
+    # depends on eps (case II) on every rung
+    spec = builtin_case(case_id)
+    space = FeSpace(build_structured_mesh(spec.dim, 2), 2)
+    counts = []
+    schedule = (0.5, 0.25, 0.125)
+    _, report = continuation_solve(
+        space, None, None, spec.sigma, schedule[-1],
+        NewtonConfig(abs_tol=1e-8, continuation_schedule=schedule),
+        weight_mode=spec.weight_mode, data_factory=counting_data(spec, counts),
+    )
+    assert len(report.rungs) == len(schedule)
+    evaluations = len(schedule) if per_rung else 1
+    assert sum(counts) == evaluations * space.mesh.num_cells * len(space.cell_rule.weights)
+
+
 def test_newton_monotone_history():
     space = FeSpace(build_structured_mesh(2, 6), 2)
     eps = 0.05
