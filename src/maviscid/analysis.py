@@ -9,7 +9,9 @@ on discrete functions vanishing at boundary dofs, Monte-Carlo probes of the
 discrete Miranda-Talenti and Sobolev inequalities and of coercivity, which
 score sample i drawn from ``default_rng(seed + i)`` as ``maviscid verify``
 does, and order tables with log-ratio slopes between consecutive rows.
-The norms read assembly's cached matrices; analysis builds none.
+The norm pieces are sums of weighted squares of point values, formed
+cell block by cell block and face chunk by face chunk: no matrix is
+assembled and nothing is cached for them.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from typing import Optional
 import numpy as np
 
 from maviscid.assembly import (
-    _bilap,
     _cell_blocks,
     _cell_tables,
-    _face_penalty_consistency,
-    _hess_gram,
+    _face_chunks,
+    _face_points,
     _hessian_map,
-    _on_pattern,
+    _interior_face_tables,
+    _normal_derivatives,
     _phys_points,
     assemble_jacobian,
 )
@@ -139,12 +141,44 @@ def _samples(space, samples, seed):
 
 def _norm_pieces(space, coeffs):
     """(broken Hessian norm, broken Laplacian norm, jump seminorm) of a
-    coefficient vector, or of each column of an (ndofs, samples) block."""
-    P, _ = _face_penalty_consistency(space)
-    return tuple(
-        np.sqrt(np.maximum((coeffs * (_on_pattern(space, data) @ coeffs)).sum(axis=0), 0.0))
-        for data in (_hess_gram(space), _bilap(space), P)
-    )
+    coefficient vector, or of each column of an (ndofs, samples) block.
+
+    Each piece is a sum of weighted squares of point values: D^2 v at the
+    points of a cell rule exact to 2 (k - 2), pushed forward from the
+    reference Hessians, and jump grad v . n at those of the interior-face
+    rule, weighted by h_F^-1."""
+    V = coeffs.reshape(len(coeffs), -1)
+    d, samples = space.dim, V.shape[1]
+    rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
+    nq, nb = hess_ref.shape[:2]
+    # (nb, nq d d): basis function b's flattened reference Hessians at all points
+    table = hess_ref.swapaxes(0, 1).reshape(nb, -1)
+    hess2, lap2, jump2 = np.zeros((3, samples))
+    for cells, wq in _cell_blocks(space, rule):
+        m = len(cells)
+        # (m, samples nq, d d) reference Hessians, pushed forward per cell
+        href = (V[space.cell_dofs[cells]].swapaxes(1, 2) @ table).reshape(m, -1, d * d)
+        hp = (href @ _hessian_map(space, cells).swapaxes(1, 2)).reshape(m, samples, nq, -1)
+        lap = hp[..., :: d + 1].sum(axis=3)
+        hess2 += np.einsum("cq,csqk->s", wq, hp**2)
+        lap2 += np.einsum("cq,csq->s", wq, lap**2)
+    mesh = space.mesh
+    rule, grad, _, placement = _interior_face_tables(space)
+    for faces in _face_chunks(space):
+        cells = mesh.iface_cells[faces]
+        _, wq = _face_points(
+            space, rule, mesh.iface_vertex_ids[faces], mesh.iface_measures[faces]
+        )
+        # (F, nq, samples): side 0's normal derivative plus side 1's
+        jump = sum(
+            _normal_derivatives(space, grad, placement, faces, side)
+            @ V[space.cell_dofs[cells[:, side]]]
+            for side in (0, 1)
+        )
+        wj = wq / mesh.iface_diameters[faces][:, None]
+        jump2 += np.einsum("fq,fqs->s", wj, jump**2)
+    # [()] turns a vector's 0-d result into a scalar and leaves arrays as they are
+    return tuple(np.sqrt(x).reshape(coeffs.shape[1:])[()] for x in (hess2, lap2, jump2))
 
 
 def mesh_norm(v_h):
@@ -160,9 +194,10 @@ def mesh_norm(v_h):
 
 def _miranda_talenti_constants(space, V):
     """max(||D^2 v|| - ||lap v||, 0) / |v|_jump for each column v of V; 0 for
-    a jump-free v, which must satisfy ||D^2 v|| <= ||lap v||."""
+    a jump-free v, which must satisfy ||D^2 v|| <= ||lap v||.  A jump below
+    1e-12 max(1, ||D^2 v||) is the roundoff of the face point values."""
     hess, lap, jump = _norm_pieces(space, V)
-    jump_free = jump < 1e-14 * np.maximum(1.0, hess)
+    jump_free = jump < 1e-12 * np.maximum(1.0, hess)
     if np.any(jump_free & (hess > lap + 1e-12)):
         raise AssertionError("Miranda-Talenti violated on a jump-free sample")
     return np.divide(

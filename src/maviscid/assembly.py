@@ -9,8 +9,7 @@ space and summed with coefficients:
 * the interior-face consistency matrix C with entries
   sum_F ({lap v}, jump grad w) + ({lap w}, jump grad v),
 * the low-order matrix (Phi : D^2 v, w) for a symmetric coefficient field,
-* the pointwise-determinant load vector (det(D^2 u_h), w),
-* the Hessian Gram matrix (D^2 v, D^2 w) of the mesh-dependent norm.
+* the pointwise-determinant load vector (det(D^2 u_h), w).
 
 The jump of a gradient across a face is the scalar
 grad v+ . n+ + grad v- . n-, and {.} is the two-sided average; both are
@@ -32,18 +31,18 @@ the data vector.
 
 Every matrix lives on one sparsity pattern per space (``_pattern``): the
 union of the couplings of dofs sharing a cell and of dofs on the two cells
-of an interior face, in CSR form with sorted columns.  B, P, C, the Hessian
-Gram matrix, A_h(0) and the low-order matrices are ``data`` vectors on it,
-accumulated with ``np.bincount`` over pattern slots: a cell block through
-the cached cell-slot map, a chunk of faces on their face patches
-(``_face_patch``).  A face patch holds side 0's dofs and side 1's dofs off
-the shared face; side 1's jump and average values at a shared dof are added
-into side 0's, so each shared dof is scattered once.  Every patch coupling
-but those of one side's off-face dofs with the other side's lies in a
-cell's slots, and only those are looked up, for that chunk alone.  Sums
-and differences of matrices are sums and differences of their data, and the
-Newton solver takes the interior-dof block through a cached map of the
-slots it keeps (``_interior_block``).  Matrices handed out share the
+of an interior face, in CSR form with sorted columns.  B, P, C, A_h(0) and
+the low-order matrices are ``data`` vectors on it.  Each pass adds its
+blocks into one data vector with ``np.add.at`` over pattern slots: a cell
+block through the cached cell-slot map, a chunk of faces on their face
+patches (``_face_patch``).  A face patch holds side 0's dofs and side 1's
+dofs off the shared face; side 1's jump and average values at a shared dof
+are added into side 0's, so each shared dof is scattered once.  Every
+patch coupling but those of one side's off-face dofs with the other side's
+lies in a cell's slots, and only those are looked up, for that chunk alone.
+Sums and differences of matrices are sums and differences of their data,
+and the Newton solver takes the interior-dof block through a cached map of
+the slots it keeps (``_interior_block``).  Matrices handed out share the
 pattern's read-only index arrays.
 
 The Newton step and the line-search residual need (det D^2 u_h, v) and
@@ -58,35 +57,36 @@ the basis against the lattice's Lagrange basis psi (``_newton_tables``):
 the determinant vector is (det H / |det J|) M^T and a cell's cofactor block
 is M [cof H : H_j] / |det J| at the nodes.  The other forms that are
 polynomials on the affine cells are integrated with a rule of exactly
-their degree, exact with the fewest points: B and the Hessian Gram matrix
-(2 (k - 2)), and P and C on interior faces (2 (k - 1)).  Forms of data
+their degree, exact with the fewest points: B (2 (k - 2)), and P and C on
+interior faces (2 (k - 1), ``_interior_face_tables``).  Forms of data
 given as functions (f, psi, coefficient fields) are not polynomials and
 keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
 cell-point maximum of the discrete Sobolev probe, whose value depends on
 the points.  The basis is tabulated on reference points only: cell tables
 are built on first use and cached on the space per exactness, and a face
-rule once per placement of a face in its cell (``_face_tables``).  Outside
-the Newton pass every physical Hessian goes through one map per cell
-(``_hessian_map``): a coefficient field Phi is pulled back by it and met
-with the reference Hessian tables, D^2 u_h in the error norms is formed
-from those tables and pushed forward by it as one d x d matrix per point,
-and so are the basis Hessians of the Gram matrix; lap v is
-D^2_ref v : J^-1 J^-T.
+rule once per placement of a face in its cell (``_face_tables``).  The
+signed normal derivatives whose sum over a face's two sides is the gradient
+jump come from one helper (``_normal_derivatives``), which the face pass and
+the mesh-norm pieces of ``analysis`` share.  Outside the Newton pass every
+physical Hessian goes through one map per cell (``_hessian_map``): a
+coefficient field Phi is pulled back by it and met with the reference
+Hessian tables, and D^2 v in the error norms and the mesh-norm pieces is
+formed from those tables and pushed forward by it as one d x d matrix per
+point; lap v is D^2_ref v : J^-1 J^-T.
 
 A space caches the pattern (int32 index arrays and the cell-slot map), the
 interior map once a Newton step needs it, the cell tables, the Newton
 pass's lattice Hessian table, moment matrix and cofactor table (built on
-its first call), the data of B, P and C (and of the Gram matrix once a norm needs it), the
-boundary-face tables (the data vector reads them on every rung), the load
-vector (f, v) of the last f (``_source_vector``: rungs that share one f
-evaluate it once), and the current rung's A_h(0) and data vector.
-Interior faces keep no per-face arrays: P and C are formed one chunk of
-faces at a time, and each chunk's face patches and looked-up slots are
-dropped after use.  Every cell integral runs through one loop over blocks
-of cells (``_cell_chunks``) and per-block data are summed in block order.
-The residual alone (the line-search evaluation) forms the determinant
-vector from that loop and assembles no matrix; the Newton step forms the
-residual and the Jacobian in one pass.
+its first call), the data of B, P and C, the boundary-face tables (the
+data vector reads them on every rung), the load vector (f, v) of the last
+f (``_source_vector``: rungs that share one f evaluate it once), and the
+current rung's A_h(0) and data vector.  Interior faces keep no per-face
+arrays: P and C are formed one chunk of faces at a time, and each chunk's
+face patches and looked-up slots are dropped after use.  Every cell
+integral runs through one loop over blocks of cells (``_cell_chunks``), in
+block order.  The residual alone (the line-search evaluation) forms the
+determinant vector from that loop and assembles no matrix; the Newton step
+forms the residual and the Jacobian in one pass.
 """
 
 from __future__ import annotations
@@ -423,12 +423,10 @@ def _interior_block(space, A):
     return sp.csr_matrix((A.data[kept], indices, indptr), shape=(n, n))
 
 
-def _scatter_data(space, slots, local):
-    """Accumulate (m, a, b) local blocks into a data vector on the pattern;
+def _scatter_data(data, slots, local):
+    """Add (m, a, b) local blocks into a data vector on the pattern in place;
     ``slots`` holds the blocks' positions in it, (m, a, b) or (m, a * b)."""
-    return np.bincount(
-        slots.ravel(), weights=local.ravel(), minlength=len(_pattern(space).indices)
-    )
+    np.add.at(data, slots.ravel(), local.ravel())
 
 
 def _scatter_vector(space, cells, local):
@@ -442,36 +440,23 @@ def _scatter_vector(space, cells, local):
 def _bilap(space):
     """Data of (lap v, lap w) over all cells, cached (epsilon-independent)."""
     rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
-    slots = _pattern(space).cell_slots
-
-    def block(cells, wq):
+    pattern = _pattern(space)
+    data = np.zeros(len(pattern.indices))
+    for cells, wq in _cell_blocks(space, rule):
         # lap v = D^2_ref v : J^-1 J^-T
         ji = space.jac_inv[cells]
         metric = ji @ np.swapaxes(ji, 1, 2)
         lap = np.einsum("qbkl,ckl->cqb", hess_ref, metric)
         local = np.einsum("cq,cqa,cqb->cab", wq, lap, lap)
-        return _scatter_data(space, slots[cells], local)
+        _scatter_data(data, pattern.cell_slots[cells], local)
+    return data
 
-    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
 
-
-@_cached
-def _hess_gram(space):
-    """Data of the Gram matrix (D^2 v, D^2 w) of the broken Hessian inner
-    product, cached per space (built when a norm needs it)."""
-    rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
-    nq, nb, d = hess_ref.shape[:3]
-    # (nb nq, d d): the basis functions' flattened reference Hessians
-    table = hess_ref.swapaxes(0, 1).reshape(nb * nq, d * d)
-    slots = _pattern(space).cell_slots
-
-    def block(cells, wq):
-        # (m, nb, nq d d) physical Hessians, met pairwise under the weights
-        hp = (table @ _hessian_map(space, cells).swapaxes(1, 2)).reshape(len(cells), nb, -1)
-        local = (np.repeat(wq, d * d, axis=1)[:, None, :] * hp) @ hp.swapaxes(1, 2)
-        return _scatter_data(space, slots[cells], local)
-
-    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
+def _face_chunks(space):
+    """Yield the slice of each chunk of interior faces."""
+    F = len(space.mesh.iface_cells)
+    for start in range(0, F, _FACE_CHUNK):
+        yield slice(start, min(start + _FACE_CHUNK, F))
 
 
 def _face_points(space, rule, vertex_ids, measures):
@@ -502,6 +487,29 @@ def _face_tables(space, rule, cells, vertex_ids):
     _, grad, hess = space.ref.tabulate(ref.reshape(-1, d))
     shape = (len(placements), len(rule.weights), space.ref.node_count, d)
     return grad.reshape(shape), hess.reshape(shape + (d,)), index.reshape(cells.shape)
+
+
+def _interior_face_tables(space):
+    """The interior-face rule exact to 2 (k - 1), the degree of
+    (jump grad v, jump grad w), and ``_face_tables`` on it for both sides of
+    every interior face."""
+    mesh = space.mesh
+    rule = face_quadrature(space.dim, 2 * (space.degree - 1))
+    return (rule,) + _face_tables(space, rule, mesh.iface_cells, mesh.iface_vertex_ids)
+
+
+def _normal_derivatives(space, grad, placement, faces, side):
+    """Signed normal derivatives (F, nq, nb) of the basis on side ``side`` of
+    the interior faces ``faces``, from the ``grad`` and ``placement`` of
+    ``_interior_face_tables``: grad v . n = grad_ref v . J^-1 n, with n the
+    face normal, times +1 on side 0 and -1 on side 1.  The jump of grad v
+    across a face is side 0's value plus side 1's."""
+    mesh = space.mesh
+    p_count, nq, nb, d = grad.shape
+    ji = space.jac_inv[mesh.iface_cells[faces, side]]
+    conormal = (1.0, -1.0)[side] * ji @ mesh.iface_normals[faces][:, :, None]
+    gp = grad.reshape(p_count, nq * nb, d)[placement[faces, side]]
+    return (gp @ conormal).reshape(len(ji), nq, nb)
 
 
 def _face_patch(space, find, cells):
@@ -541,18 +549,14 @@ def _face_penalty_consistency(space):
     dofs are added into side 0's, so each shared coupling is scattered once.
     Each chunk looks up its off-face slots and drops them after use."""
     mesh, d = space.mesh, space.dim
-    # (jump grad v, jump grad w) has degree 2 (k - 1), ({lap v}, jump grad w) less
-    rule = face_quadrature(d, 2 * (space.degree - 1))
-    grad, hess, placement = _face_tables(
-        space, rule, mesh.iface_cells, mesh.iface_vertex_ids
-    )
+    # ({lap v}, jump grad w) has a lower degree than (jump grad v, jump grad w)
+    rule, grad, hess, placement = _interior_face_tables(space)
     p_count, nq, nb = grad.shape[:3]
-    grad, hess = grad.reshape(p_count, nq * nb, d), hess.reshape(p_count, nq * nb, d * d)
+    hess = hess.reshape(p_count, nq * nb, d * d)
     pattern = _pattern(space)
     find = _slot_finder(pattern.indptr, pattern.indices)
     P, C = np.zeros(len(pattern.indices)), np.zeros(len(pattern.indices))
-    for start in range(0, len(mesh.iface_cells), _FACE_CHUNK):
-        sl = slice(start, start + _FACE_CHUNK)
+    for sl in _face_chunks(space):
         cells = mesh.iface_cells[sl]
         _, wq = _face_points(
             space, rule, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl]
@@ -561,14 +565,12 @@ def _face_penalty_consistency(space):
         F = len(cells)
         jump = np.zeros((F, nq, slots.shape[1]))
         avg = np.zeros_like(jump)
-        for side, sign in ((0, 1.0), (1, -1.0)):
-            # grad v . n = grad_ref v . J^-1 n and lap v = D^2_ref v : J^-1 J^-T
+        for side in (0, 1):
+            # lap v = D^2_ref v : J^-1 J^-T
             ji = space.jac_inv[cells[:, side]]
-            conormal = sign * ji @ mesh.iface_normals[sl][:, :, None]
             metric = (ji @ ji.swapaxes(1, 2)).reshape(F, d * d, 1)
-            p = placement[sl, side]
-            j = (grad[p] @ conormal).reshape(F, nq, nb)
-            a = 0.5 * (hess[p] @ metric).reshape(F, nq, nb)
+            j = _normal_derivatives(space, grad, placement, sl, side)
+            a = 0.5 * (hess[placement[sl, side]] @ metric).reshape(F, nq, nb)
             if side == 0:
                 jump[:, :, :nb], avg[:, :, :nb] = j, a
             else:  # a face's columns col1 are distinct: += adds each once
@@ -577,9 +579,9 @@ def _face_penalty_consistency(space):
                 avg[faces, :, col1] += a.swapaxes(1, 2)
         wj = wq / mesh.iface_diameters[sl][:, None]
         jt = jump.swapaxes(1, 2)
-        P += _scatter_data(space, slots, jt @ (wj[:, :, None] * jump))
+        _scatter_data(P, slots, jt @ (wj[:, :, None] * jump))
         local = jt @ (wq[:, :, None] * avg)
-        C += _scatter_data(space, slots, local + local.swapaxes(1, 2))
+        _scatter_data(C, slots, local + local.swapaxes(1, 2))
     return P, C
 
 
@@ -630,18 +632,17 @@ def _loworder(space, field):
     nq, nb, d = hess_ref.shape[:3]
     # (nq, d d, nb): the basis's flattened reference Hessians at each point
     hess_t = hess_ref.reshape(nq, nb, d * d).swapaxes(1, 2)
-    slots = _pattern(space).cell_slots
-
-    def block(cells, wq):
+    pattern = _pattern(space)
+    data = np.zeros(len(pattern.indices))
+    for cells, wq in _cell_blocks(space, rule):
         phys = _phys_points(space, cells, rule.points).reshape(-1, d)
         phi = field(phys).reshape(len(cells), nq, d * d)
         pulled = phi @ _hessian_map(space, cells)
         # one product per quadrature point
         contracted = (pulled.swapaxes(0, 1) @ hess_t).swapaxes(0, 1)
         local = (wq[:, :, None] * val).swapaxes(1, 2) @ contracted
-        return _scatter_data(space, slots[cells], local)
-
-    return sum(block(cells, wq) for cells, wq in _cell_blocks(space, rule))
+        _scatter_data(data, pattern.cell_slots[cells], local)
+    return data
 
 
 @_cached
@@ -690,11 +691,11 @@ def _nonlinear_cell_terms(space, coeffs):
     """One pass for the Newton step: the (det(D^2 u_h), v_i) vector and the
     data of the cofactor low-order matrix (cof(D^2 u_h) : D^2 v, w)."""
     _, _, cof_table = _newton_tables(space)
-    slots = _pattern(space).cell_slots
-    det_vec = low_cof = 0
+    pattern = _pattern(space)
+    det_vec, low_cof = 0, np.zeros(len(pattern.indices))
     for cells, local, cof in _iterate_hessians(space, coeffs):
         det_vec = det_vec + _scatter_vector(space, cells, local)
-        low_cof = low_cof + _scatter_data(space, slots[cells], cof @ cof_table)
+        _scatter_data(low_cof, pattern.cell_slots[cells], cof @ cof_table)
     return det_vec, low_cof
 
 

@@ -31,7 +31,6 @@ from maviscid.assembly import (
     _face_penalty_consistency,
     _face_points,
     _face_tables,
-    _hess_gram,
     _hessian_map,
     _interior_block,
     _load_vector,
@@ -43,7 +42,7 @@ from maviscid.assembly import (
     _phys_points,
     _slot_finder,
 )
-from maviscid.analysis import mesh_norm
+from maviscid.analysis import _norm_pieces, mesh_norm
 from maviscid.cases import builtin_case
 from maviscid.elements import (
     FeSpace,
@@ -244,6 +243,13 @@ def coo_reference(u, f, data, params):
     r = det_vec - A0 @ u.coeffs + _data_vector(space, f, data, params)
     r[space.boundary_dofs] = 0.0
     return dict(r=r, J=J, A0=A0, B=B, P=P, C=C, G=G)
+
+
+def coo_gram(u):
+    """The Hessian Gram matrix of ``coo_reference``, which also forms r and J
+    and so takes a state and data; G depends on the space alone."""
+    data = BoundaryData(g=lambda p: np.zeros(len(p)))
+    return coo_reference(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.5))["G"]
 
 
 def field_2d(points):
@@ -740,10 +746,10 @@ def test_pattern_assembly_matches_coo_reference(dim, degree):
     ref = coo_reference(u, f, data, params)
     r, J = assemble_residual_and_jacobian(u, f, data, params)
     P, C = _face_penalty_consistency(space)
-    got = dict(r=r, J=J, A0=_operator(space, params), B=_bilap(space), P=P, C=C,
-               G=_hess_gram(space))
-    for name, want in ref.items():
-        a = got[name].toarray() if sp.issparse(got[name]) else got[name]
+    got = dict(r=r, J=J, A0=_operator(space, params), B=_bilap(space), P=P, C=C)
+    for name, a in got.items():
+        want = ref[name]
+        a = a.toarray() if sp.issparse(a) else a
         if a.ndim == 1 and want.ndim == 2:
             a = _on_pattern(space, a).toarray()
         want = want.toarray() if sp.issparse(want) else want
@@ -794,7 +800,8 @@ def test_phys_points_match_the_einsum_form(dim):
 def test_sized_rules_match_the_high_rule(dim, degree, monkeypatch):
     # the polynomial forms run on rules of exactly their integrand degree;
     # forcing every rule to the space's high cell and face rules must give
-    # the same arrays up to rounding
+    # the same arrays up to rounding.  The Hessian Gram matrix is the COO
+    # reference's, and the norm pieces are those of a random block
     n = 4 if dim == 2 else 2
 
     def forms():
@@ -805,7 +812,8 @@ def test_sized_rules_match_the_high_rule(dim, degree, monkeypatch):
         P, C = _face_penalty_consistency(space)
         _, low_cof = _nonlinear_cell_terms(space, u.coeffs)
         det_vec = _det_vector(space, u.coeffs)
-        return space, [_bilap(space), P, C, _hess_gram(space), det_vec, low_cof]
+        pieces = np.array(_norm_pieces(space, rng.uniform(-1.0, 1.0, (space.ndofs, 3))))
+        return space, [_bilap(space), P, C, coo_gram(u), det_vec, low_cof, pieces]
 
     space, sized = forms()
     monkeypatch.setattr("maviscid.assembly.cell_quadrature", lambda d, e: space.cell_rule)
