@@ -29,6 +29,7 @@ from maviscid.analysis import (
     RateRow,
     _coercivity_values,
     _miranda_talenti_constants,
+    _norm_pieces,
     _row_cells,
     _samples,
     _sobolev_constants,
@@ -431,9 +432,10 @@ def cmd_verify(cfg):
     for n in levels:
         space = FeSpace(build_structured_mesh(spec.dim, n), degree)
         V = _samples(space, PROBE_SAMPLES, cfg.seed)
+        pieces = _norm_pieces(space, V)
         for name, series, consts in (
-            ("miranda_talenti", mt, _miranda_talenti_constants(space, V)),
-            ("sobolev", sb, _sobolev_constants(space, V)),
+            ("miranda_talenti", mt, _miranda_talenti_constants(space, V, pieces)),
+            ("sobolev", sb, _sobolev_constants(space, V, pieces)),
         ):
             i = int(np.argmax(consts))
             c, s = consts[i], cfg.seed + i

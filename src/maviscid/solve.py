@@ -2,16 +2,18 @@
 
 The nonlinear scheme is solved by Newton's method with residual-norm
 backtracking (factor 1/2).  A Newton step solves by one GMRES cycle
-preconditioned with the last SuperLU factorization of an interior Jacobian,
-and factors its own Jacobian only when there is none yet or that solve fails
-the same residual check as a direct one.  The Jacobian changes only through
-its cofactor term from step to step and through epsilon from rung to rung,
-so one factorization usually serves a whole continuation ladder.  The
-Jacobian's pattern is symmetric and its values nearly so, so 2D Jacobians
-are factored in SuperLU's symmetric mode (minimum degree on A^T + A,
-diagonal pivot threshold 0.1), which cuts their fill by a third to a half;
-3D Jacobians keep the default COLAMD ordering with partial pivoting, which
-fills less at 3D sizes (see ``sparse_solve``).
+right-preconditioned with the last SuperLU factorization of an interior
+Jacobian, which applies that factorization once per iteration and stops as
+soon as its residual estimate passes the backward-error check of a direct
+solve with a tenfold margin.  The step factors its own Jacobian only when
+there is no factorization yet or the GMRES answer fails that check.  The
+Jacobian changes only through its cofactor term from step to step and
+through epsilon from rung to rung, so one factorization usually serves a
+whole continuation ladder.  The Jacobian's pattern is symmetric and its
+values nearly so, so 2D Jacobians are factored in SuperLU's symmetric mode
+(minimum degree on A^T + A, diagonal pivot threshold 0.1), which cuts their
+fill by a third to a half; 3D Jacobians keep the default COLAMD ordering
+with partial pivoting, which fills less at 3D sizes (see ``sparse_solve``).
 
 Robust starts at small epsilon come from a continuation ladder: solve at a
 large epsilon first, halve until the target.  The first solve is seeded with
@@ -34,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from maviscid.assembly import (
     PenaltyParams,
@@ -138,10 +141,12 @@ _SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
 # a solve is accepted when its backward error (see _backward_error) is below
 # this, whether it came from a fresh factorization or from GMRES
 _RESIDUAL_TOL = 1e-10
-# length of the one GMRES cycle a held factorization gets, and its relative
-# tolerance on the 2-norm residual
+# length of the one GMRES cycle a held factorization gets
 _GMRES_ITERS = 20
-_GMRES_RTOL = 1e-12
+# the cycle stops when its residual estimate is below this fraction of the
+# bound the backward-error check puts on the true residual, which leaves
+# room for the roundoff between the two
+_GMRES_MARGIN = 0.1
 
 
 def sparse_solve(A, b, *, symmetric=False, factor=None):
@@ -159,14 +164,17 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     on 2D k=2 and k=3 spaces of n=32 and 64, but 37-63% slower with 27-35%
     more fill on 3D spaces of n=10, 12 at k=2 and n=6 at k=3, so
     ``newton_solve`` uses it in 2D only.  ``A`` is anything
-    ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry raises ValueError.
+    ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry of ``A`` or
+    ``b`` raises ValueError before anything is solved or factored.
 
     ``factor`` lets a sequence of solves with nearby matrices share one
     factorization.  It is a list, empty or holding the SuperLU factorization
     of an earlier matrix.  If it holds one of this matrix's shape, the
-    system is first solved by one GMRES cycle of at most ``_GMRES_ITERS``
-    iterations preconditioned with that factorization, and x is accepted
-    when it is finite and passes the backward-error check above.  Otherwise
+    system is first solved by one right-preconditioned GMRES cycle of at
+    most ``_GMRES_ITERS`` iterations, each applying that factorization once
+    (see ``_preconditioned_gmres``).  The cycle stops as soon as its
+    residual estimate is a tenth of what the backward-error check allows,
+    and x is accepted when it is finite and passes that check.  Otherwise
     the held factorization is dropped before this matrix is factored as
     without ``factor``, so at most one factorization is alive, and the new
     one is left in the list for the next solve.  With ``factor`` the result
@@ -178,10 +186,14 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     n = csr.shape[0]
     if csr.shape[0] != csr.shape[1] or b.shape != (n,):
         raise ValueError("need a square matrix and a matching vector")
+    if not np.isfinite(b).all():
+        raise ValueError("non-finite right-hand side entries")
+    # ||A||_inf, shared by the GMRES stop and the backward-error check
+    norm_a = float(np.asarray(abs(csr).sum(axis=1)).max(initial=0.0))
     iters = 0
     if factor and factor[0].shape == csr.shape:
-        x, iters = _preconditioned_gmres(csr, b, factor[0])
-        if _backward_error(csr, x, b) < _RESIDUAL_TOL:
+        x, iters = _preconditioned_gmres(csr, b, factor[0], norm_a)
+        if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
             return x, False, iters
     if factor is not None:
         factor.clear()
@@ -195,7 +207,7 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
         raise SingularMatrixError(
             f"singular factorization (suspect row {row}): {exc}", row=row
         ) from exc
-    err = _backward_error(csr, x, b)
+    err = _backward_error(csr, x, b, norm_a)
     if not err < _RESIDUAL_TOL:
         row = int(np.argmax(np.abs(csr @ x - b))) if np.isfinite(err) else _suspect_row(csr)
         raise SingularMatrixError(
@@ -206,26 +218,76 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     return x if factor is None else (x, True, iters)
 
 
-def _preconditioned_gmres(csr, b, lu):
-    """One GMRES cycle preconditioned with ``lu``: x and its iteration count.
+def _preconditioned_gmres(csr, b, lu, norm_a):
+    """One GMRES cycle (Saad & Schultz 1986) right-preconditioned with
+    ``lu``, from x = 0: x and its iteration count.
 
-    The preconditioner, and with it a reference to ``lu``, dies on return."""
-    residuals = []
-    precond = spla.LinearOperator(csr.shape, lu.solve, dtype=float)
-    x, _ = spla.gmres(csr, b, rtol=_GMRES_RTOL, restart=_GMRES_ITERS,
-                      maxiter=1, M=precond, callback=residuals.append,
-                      callback_type="pr_norm")
-    return x, len(residuals)
+    Iteration j applies ``lu`` once, z_j = lu^-1 v_j, and the matrix once,
+    and keeps z_j, so x_j = Z_j y_j needs no further solve (Saad 1993).
+    A z_j is orthogonalized against the basis by two block Gram-Schmidt
+    passes and the Hessenberg column reduced by Givens rotations, whose
+    running product estimates ||b - A x_j||_2 >= ||b - A x_j||_inf.  The
+    cycle stops once that estimate is below ``_GMRES_MARGIN`` of
+    ``_RESIDUAL_TOL`` (||A||_inf ||x_j||_inf + ||b||_inf), after
+    ``_GMRES_ITERS`` iterations, or at a breakdown: a new Hessenberg entry
+    below eps ||A z_j|| spans no new direction.  A diagonal of R that small
+    is roundoff of a zero one, and its direction is dropped, not divided by.
+    """
+    n = len(b)
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros(n), 0
+    m = min(_GMRES_ITERS, n)
+    eps = np.finfo(float).eps
+    bound = _GMRES_MARGIN * _RESIDUAL_TOL
+    b_inf = np.abs(b).max()
+    V = np.empty((m + 1, n))  # orthonormal basis v_j
+    Z = np.empty((m, n))  # preconditioned directions z_j = lu^-1 v_j
+    R = np.zeros((m, m))  # the Hessenberg matrix after the rotations
+    rotations = np.zeros((m, 2))
+    g = np.zeros(m + 1)  # beta e_1 after the rotations
+    V[0] = b / beta
+    g[0] = beta
+    for j in range(m):
+        Z[j] = lu.solve(V[j])
+        w = csr @ Z[j]
+        w_norm = np.linalg.norm(w)
+        h = np.zeros(j + 2)
+        for _ in range(2):
+            proj = V[: j + 1] @ w
+            w -= proj @ V[: j + 1]
+            h[: j + 1] += proj
+        h[j + 1] = np.linalg.norm(w)
+        breakdown = h[j + 1] <= eps * w_norm
+        if breakdown:
+            h[j + 1] = 0.0
+        else:
+            V[j + 1] = w / h[j + 1]
+        for k, (c, s) in enumerate(rotations[:j]):
+            h[k], h[k + 1] = c * h[k] + s * h[k + 1], c * h[k + 1] - s * h[k]
+        r = math.hypot(h[j], h[j + 1])
+        c, s = (h[j] / r, h[j + 1] / r) if r else (1.0, 0.0)
+        rotations[j] = c, s
+        R[: j + 1, j] = h[: j + 1]
+        R[j, j] = r
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        # only a breakdown column can have a diagonal this small
+        kept = j + 1 if r > eps * w_norm else j
+        y = solve_triangular(R[:kept, :kept], g[:kept])
+        x = y @ Z[:kept]
+        if breakdown or abs(g[j + 1]) < bound * (norm_a * np.abs(x).max() + b_inf):
+            break
+    return x, j + 1
 
 
-def _backward_error(csr, x, b):
-    """||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf), with a zero
-    denominator read as 1; NaN when x is not finite."""
+def _backward_error(csr, x, b, norm_a):
+    """||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) given ||A||_inf,
+    with a zero denominator read as 1; NaN when x is not finite."""
     if not csr.shape[0]:
         return 0.0
     if not np.isfinite(x).all():
         return math.nan
-    denom = np.abs(csr).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    denom = norm_a * np.abs(x).max() + np.abs(b).max()
     return np.abs(csr @ x - b).max() / (denom or 1.0)
 
 

@@ -293,12 +293,26 @@ def test_norm_pieces_of_a_global_quadratic(dim, n):
     assert abs(lap - dim) <= 1e-13
     assert jump <= 1e-12 * hess
     # a jump-free column scores 0 and is held to ||D^2 v|| <= ||lap v||
-    # directly: the saddle x_0 x_{d-1} (Hessian norm sqrt 2, Laplacian 0) is
-    # reported, not divided by its roundoff jump
-    assert _miranda_talenti_constants(space, v.coeffs[:, None])[0] == 0.0
-    saddle = interpolate(space, lambda p: p[:, 0] * p[:, -1])
+    # directly
+    _assert_jump_free_scoring(space, v)
+
+
+def _assert_jump_free_scoring(space, v):
+    """v scores 0, and the saddle x_0 x_{d-1} (Hessian norm sqrt 2,
+    Laplacian 0) is reported, not divided by its roundoff jump."""
+    V = v.coeffs[:, None]
+    assert _miranda_talenti_constants(space, V, _norm_pieces(space, V))[0] == 0.0
+    saddle = interpolate(space, lambda p: p[:, 0] * p[:, -1]).coeffs[:, None]
     with pytest.raises(AssertionError, match="jump-free"):
-        _miranda_talenti_constants(space, saddle.coeffs[:, None])
+        _miranda_talenti_constants(space, saddle, _norm_pieces(space, saddle))
+
+
+def test_jump_free_test_scales_with_the_mesh():
+    # the roundoff jump of a global quadratic grows like eps / h^2: at 2D
+    # n=128 the saddle's is 3e-12 of its ||D^2 v||, above a fixed 1e-12
+    space = FeSpace(build_structured_mesh(2, 128), 2)
+    _assert_jump_free_scoring(
+        space, interpolate(space, lambda p: 0.5 * (p**2).sum(axis=1)))
 
 
 def test_probes_and_mesh_norm_assemble_no_matrix(monkeypatch):

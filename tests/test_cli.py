@@ -15,7 +15,7 @@ from maviscid.analysis import (
     verify_miranda_talenti,
 )
 from maviscid.cases import builtin_case, case_with_overrides, serialize_case
-from maviscid import cli
+from maviscid import analysis, cli
 from maviscid.cli import _write_grid_2d, main
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
@@ -388,13 +388,23 @@ def test_grid_sampler_reproduces_interpolated_boundary_data(tmp_path):
 # ------------------------------------------------------------------- verify
 
 
-def test_verify_bounded_levels(capsys):
+def test_verify_bounded_levels(capsys, monkeypatch):
+    # both constants of a level are scored from one evaluation of the pieces
+    calls, pieces = [], analysis._norm_pieces
+
+    def spy(space, coeffs):
+        calls.append(space.ndofs)
+        return pieces(space, coeffs)
+
+    monkeypatch.setattr(analysis, "_norm_pieces", spy)
+    monkeypatch.setattr(cli, "_norm_pieces", spy)
     code = run(
         "verify", "--case", "III", "--h-list", "1/4", "1/8",
         "--eps-list", "0.1", "--sigma", "20",
     )
     out = capsys.readouterr().out
     assert code == 0
+    assert calls == [81, 289]
     assert "miranda_talenti C =" in out
     assert "sobolev C =" in out
     assert "coercivity min v'Av" in out

@@ -120,6 +120,22 @@ def test_sparse_solve_rejects_nonfinite_before_factorizing(monkeypatch):
         sparse_solve(A, np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("held", [False, True], ids=["no_factor", "held_factor"])
+def test_sparse_solve_rejects_nonfinite_rhs_before_solving(splu_calls, bad, held):
+    # a NaN or inf in b is bad input, not a singular matrix, and a held
+    # factor is neither applied nor dropped
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    lu = _CountingLU(spla.splu(sp.csc_matrix(A)))
+    splu_calls.clear()
+    factor = [lu] if held else None
+    with pytest.raises(ValueError, match="non-finite"):
+        sparse_solve(A, np.array([bad, 1.0]), factor=factor)
+    assert splu_calls == [] and lu.calls == 0
+    if held:
+        assert factor == [lu]
+
+
 def test_sparse_solve_symmetric_mode_matches_default_ordering():
     # the interior Newton Jacobian of case II at its convex seed
     spec = builtin_case("II")
@@ -206,9 +222,21 @@ def _backward_error(A, x, b):
         np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
 
 
+class _CountingLU:
+    """A SuperLU factorization behind an object that counts its
+    applications and takes weak references."""
+
+    def __init__(self, lu):
+        self.lu, self.shape, self.calls = lu, lu.shape, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
 def test_sparse_solve_with_its_own_factor_does_not_refactor(monkeypatch):
     A, b = _interior_jacobian()
-    held = [spla.splu(A.tocsc())]
+    held = [_CountingLU(spla.splu(A.tocsc()))]
     before = held[0]
 
     def no_factor(*args, **kwargs):
@@ -217,8 +245,29 @@ def test_sparse_solve_with_its_own_factor_does_not_refactor(monkeypatch):
     monkeypatch.setattr("scipy.sparse.linalg.splu", no_factor)
     x, factored, gmres_iters = sparse_solve(A, b, factor=held)
     assert held == [before]
-    assert not factored and 1 <= gmres_iters <= _GMRES_ITERS
+    # the exact factor: one iteration, one application
+    assert not factored and gmres_iters == before.calls == 1
     assert _backward_error(A, x, b) < 1e-12
+
+
+def test_gmres_cycle_applies_the_factor_once_per_iteration(splu_calls):
+    A, b = _interior_jacobian()
+    # the factor of A + d e_i e_j^T: A M^-1 is a rank-one change of the
+    # identity, so GMRES is exact after 2 iterations
+    i, j = 3, 40
+    near = A.tolil()
+    near[i, j] += 0.5 * abs(A).max()
+    held = [_CountingLU(spla.splu(near.tocsc()))]
+    lu = held[0]
+    splu_calls.clear()
+    x, factored, gmres_iters = sparse_solve(A, b, factor=held)
+    assert not factored and splu_calls == [] and held == [lu]
+    assert 1 <= gmres_iters <= 2 and lu.calls == gmres_iters
+    assert _backward_error(A, x, b) < 1e-10
+    # a zero right-hand side needs no iteration and no factor application
+    x, factored, gmres_iters = sparse_solve(A, np.zeros_like(b), factor=held)
+    assert not factored and gmres_iters == 0 and lu.calls == 2
+    assert not x.any()
 
 
 @pytest.mark.parametrize("held_matrix", ["unrelated", "other_shape"])
@@ -227,14 +276,14 @@ def test_sparse_solve_replaces_an_unfit_held_factor(splu_calls, held_matrix):
     n = A.shape[0]
     rng = np.random.default_rng(0)
     size = n if held_matrix == "unrelated" else n - 1
-    old = spla.splu(sp.diags(rng.uniform(1.0, 2.0, size)).tocsc())
+    old = _CountingLU(spla.splu(sp.diags(rng.uniform(1.0, 2.0, size)).tocsc()))
     held = [old]
     splu_calls.clear()
     x, factored, gmres_iters = sparse_solve(A, b, symmetric=True, factor=held)
     assert _backward_error(A, x, b) < 1e-10
     assert len(splu_calls) == 1 and len(held) == 1 and held[0] is not old
     # a held factor of the wrong shape is not tried
-    assert factored and gmres_iters == (
+    assert factored and gmres_iters == old.calls == (
         _GMRES_ITERS if held_matrix == "unrelated" else 0)
     assert np.abs(held[0].solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
@@ -261,18 +310,8 @@ def test_newton_reuses_one_factorization(splu_calls):
     assert report.factorizations == len(splu_calls) < report.iterations
 
 
-def _nan_gmres(A, b, **kwargs):
+def _nan_gmres(csr, b, lu, norm_a):
     return np.full(len(b), np.nan), 1
-
-
-class _WeakLU:
-    """A SuperLU factorization behind an object that takes weak references."""
-
-    def __init__(self, lu):
-        self.lu, self.shape = lu, lu.shape
-
-    def solve(self, b):
-        return self.lu.solve(b)
 
 
 def test_at_most_one_factorization_is_alive(monkeypatch):
@@ -282,12 +321,12 @@ def test_at_most_one_factorization_is_alive(monkeypatch):
 
     def spy(*args, **kwargs):
         alive.append(sum(ref() is not None for ref in refs))
-        lu = _WeakLU(splu(*args, **kwargs))
+        lu = _CountingLU(splu(*args, **kwargs))
         refs.append(weakref.ref(lu))
         return lu
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
-    monkeypatch.setattr("scipy.sparse.linalg.gmres", _nan_gmres)
+    monkeypatch.setattr("maviscid.solve._preconditioned_gmres", _nan_gmres)
     _, report = _case_solve("III", 2, 4)
     assert len(alive) == report.factorizations >= 3
     assert alive == [0] * len(alive)
@@ -297,7 +336,7 @@ def test_at_most_one_factorization_is_alive(monkeypatch):
 def test_reuse_matches_factoring_every_step(monkeypatch, case, dim, n):
     u, report = _case_solve(case, dim, n)
     # a GMRES answer that never passes the check forces a factor per step
-    monkeypatch.setattr("scipy.sparse.linalg.gmres", _nan_gmres)
+    monkeypatch.setattr("maviscid.solve._preconditioned_gmres", _nan_gmres)
     u_lu, report_lu = _case_solve(case, dim, n)
     assert report_lu.factorizations == report_lu.iterations
     assert report.factorizations < report.iterations
