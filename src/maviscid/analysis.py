@@ -11,7 +11,9 @@ score sample i drawn from ``default_rng(seed + i)`` as ``maviscid verify``
 does, and order tables with log-ratio slopes between consecutive rows.
 The norm pieces are sums of weighted squares of point values, formed
 cell block by cell block and face chunk by face chunk: no matrix is
-assembled and nothing is cached for them.
+assembled, and the only tables they read are the reference basis tables
+of the cell rule and of the interior-face rule, cached per space and
+shared with the assembly passes.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import numpy as np
 
 from maviscid.assembly import (
     _cell_blocks,
+    _cell_chunks,
     _cell_tables,
     _face_chunks,
-    _face_points,
+    _face_weights,
     _hessian_map,
     _interior_face_tables,
     _normal_derivatives,
@@ -146,7 +149,9 @@ def _norm_pieces(space, coeffs):
     Each piece is a sum of weighted squares of point values: D^2 v at the
     points of a cell rule exact to 2 (k - 2), pushed forward from the
     reference Hessians, and jump grad v . n at those of the interior-face
-    rule, weighted by h_F^-1."""
+    rule, weighted by h_F^-1.  The interior-face tables are cached per
+    space and shared with the face pass (``_interior_face_tables``); the
+    face rule enters through its weights alone (``_face_weights``)."""
     V = coeffs.reshape(len(coeffs), -1)
     d, samples = space.dim, V.shape[1]
     rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
@@ -156,8 +161,9 @@ def _norm_pieces(space, coeffs):
     hess2, lap2, jump2 = np.zeros((3, samples))
     for cells, wq in _cell_blocks(space, rule):
         m = len(cells)
+        local = np.take(V, space.cell_dofs[cells], axis=0)
         # (m, samples nq, d d) reference Hessians, pushed forward per cell
-        href = (V[space.cell_dofs[cells]].swapaxes(1, 2) @ table).reshape(m, -1, d * d)
+        href = (local.swapaxes(1, 2) @ table).reshape(m, -1, d * d)
         hp = (href @ _hessian_map(space, cells).swapaxes(1, 2)).reshape(m, samples, nq, -1)
         lap = hp[..., :: d + 1].sum(axis=3)
         hess2 += np.einsum("cq,csqk->s", wq, hp**2)
@@ -166,13 +172,11 @@ def _norm_pieces(space, coeffs):
     rule, grad, _, placement = _interior_face_tables(space)
     for faces in _face_chunks(space):
         cells = mesh.iface_cells[faces]
-        _, wq = _face_points(
-            space, rule, mesh.iface_vertex_ids[faces], mesh.iface_measures[faces]
-        )
+        wq = _face_weights(space, rule, mesh.iface_measures[faces])
         # (F, nq, samples): side 0's normal derivative plus side 1's
         jump = sum(
             _normal_derivatives(space, grad, placement, faces, side)
-            @ V[space.cell_dofs[cells[:, side]]]
+            @ np.take(V, space.cell_dofs[cells[:, side]], axis=0)
             for side in (0, 1)
         )
         wj = wq / mesh.iface_diameters[faces][:, None]
@@ -184,6 +188,8 @@ def _norm_pieces(space, coeffs):
 def mesh_norm(v_h):
     """Mesh-dependent norm on discrete functions vanishing at boundary dofs."""
     space = v_h.space
+    if not np.all(np.isfinite(v_h.coeffs)):
+        raise ValueError("mesh_norm requires finite coefficients")
     bvals = v_h.coeffs[space.boundary_dofs]
     scale = max(1.0, float(np.abs(v_h.coeffs).max()) if len(v_h.coeffs) else 1.0)
     if len(bvals) and np.abs(bvals).max() > 1e-13 * scale:
@@ -230,16 +236,18 @@ def verify_miranda_talenti(space, samples, seed=0):
 
 def _linf_estimate(space, coeffs):
     """Max of |v| over dof nodes and cell quadrature points, for a vector or
-    each column of an (ndofs, samples) block."""
+    each column of an (ndofs, samples) block.  A block's point values are
+    formed sample-major, (samples, m, nq), so each sample's maximum is a
+    reduction over contiguous trailing axes."""
     best = np.abs(coeffs).max(axis=0, initial=0.0)
-    rule, val, _, _ = _cell_tables(space)
-    for cells, _ in _cell_blocks(space, rule):
-        local = coeffs[space.cell_dofs[cells]]
-        # values at the points, (m, nq, samples) or (m, nq) for one vector
-        vh = val @ local if coeffs.ndim == 2 else local @ val.T
-        # max |vh| as max(max, -min), and vh dropped before the next block
-        # is formed: one block-sized array is live at a time
-        best = np.maximum(best, np.maximum(vh.max(axis=(0, 1)), -vh.min(axis=(0, 1))))
+    val = _cell_tables(space)[1]
+    for cells in _cell_chunks(space):
+        local = np.take(coeffs, space.cell_dofs[cells], axis=0)
+        # values at the points, (samples, m, nq) or (m, nq) for one vector
+        vh = (local.transpose(2, 0, 1) if coeffs.ndim == 2 else local) @ val.T
+        # max |vh| as max(max, -min) over the trailing axes, and vh dropped
+        # before the next block is formed: one block-sized array is live at a time
+        best = np.maximum(best, np.maximum(vh.max(axis=(-2, -1)), -vh.min(axis=(-2, -1))))
         del vh
     return best
 

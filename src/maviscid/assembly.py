@@ -78,11 +78,15 @@ A space caches the pattern (int32 index arrays and the cell-slot map), the
 interior map once a Newton step needs it, the cell tables, the Newton
 pass's lattice Hessian table, moment matrix and cofactor table (built on
 its first call), the data of B, P and C, the boundary-face tables (the
-data vector reads them on every rung), the load vector (f, v) of the last
-f (``_source_vector``: rungs that share one f evaluate it once), and the
-current rung's A_h(0) and data vector.  Interior faces keep no per-face
-arrays: P and C are formed one chunk of faces at a time, and each chunk's
-face patches and looked-up slots are dropped after use.  Every cell
+data vector reads them on every rung), the interior-face tables and their
+per-face placement index (``_interior_face_tables``: one int32 per face
+side, built once and shared by the face pass and the mesh-norm pieces),
+the load vector (f, v) of the last f (``_source_vector``: rungs that share
+one f evaluate it once), and the current rung's A_h(0) and data vector.
+Beyond that index, interior faces keep no per-face arrays: P and C are
+formed one chunk of faces at a time, each chunk's face patches and
+looked-up slots are dropped after use, and its rule weights come from the
+face measures alone (``_face_weights``), with no physical points.  Every cell
 integral runs through one loop over blocks of cells (``_cell_chunks``), in
 block order.  The residual alone (the line-search evaluation) forms the
 determinant vector from that loop and assembles no matrix; the Newton step
@@ -459,19 +463,16 @@ def _face_chunks(space):
         yield slice(start, min(start + _FACE_CHUNK, F))
 
 
-def _face_points(space, rule, vertex_ids, measures):
-    """Physical points (F, nq, d) and weights (F, nq) of a face rule on faces."""
-    d = space.dim
-    fc = space.mesh.vertices[vertex_ids]  # (F, d, d)
-    phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
-    scale = math.factorial(d - 1) * measures  # map ref face -> face
-    return phys, rule.weights[None, :] * scale[:, None]
+def _face_weights(space, rule, measures):
+    """Weights (F, nq) of a face rule on faces of the given measures."""
+    scale = math.factorial(space.dim - 1) * measures  # map ref face -> face
+    return rule.weights[None, :] * scale[:, None]
 
 
 def _face_tables(space, rule, cells, vertex_ids):
     """Reference basis gradients (p, nq, nb, d) and Hessians (p, nq, nb, d, d)
     at a face rule's points for each placement p of a face in a cell, and the
-    placement index (F, s) of the sides ``cells`` (F, s) of faces
+    int32 placement index (F, s) of the sides ``cells`` (F, s) of faces
     ``vertex_ids`` (F, d).  A placement is where the face's sorted vertices
     sit among its cell's vertices; a simplex has (d + 1)! of them.
     """
@@ -486,13 +487,16 @@ def _face_tables(space, rule, cells, vertex_ids):
     ref = np.einsum("qm,pmi->pqi", bary, corners[placements])
     _, grad, hess = space.ref.tabulate(ref.reshape(-1, d))
     shape = (len(placements), len(rule.weights), space.ref.node_count, d)
-    return grad.reshape(shape), hess.reshape(shape + (d,)), index.reshape(cells.shape)
+    placement = index.astype(np.int32).reshape(cells.shape)
+    return grad.reshape(shape), hess.reshape(shape + (d,)), placement
 
 
+@_cached
 def _interior_face_tables(space):
     """The interior-face rule exact to 2 (k - 1), the degree of
     (jump grad v, jump grad w), and ``_face_tables`` on it for both sides of
-    every interior face."""
+    every interior face, cached: the face pass and the mesh-norm pieces
+    share one build."""
     mesh = space.mesh
     rule = face_quadrature(space.dim, 2 * (space.degree - 1))
     return (rule,) + _face_tables(space, rule, mesh.iface_cells, mesh.iface_vertex_ids)
@@ -558,9 +562,7 @@ def _face_penalty_consistency(space):
     P, C = np.zeros(len(pattern.indices)), np.zeros(len(pattern.indices))
     for sl in _face_chunks(space):
         cells = mesh.iface_cells[sl]
-        _, wq = _face_points(
-            space, rule, mesh.iface_vertex_ids[sl], mesh.iface_measures[sl]
-        )
+        wq = _face_weights(space, rule, mesh.iface_measures[sl])
         col1, slots = _face_patch(space, find, cells)
         F = len(cells)
         jump = np.zeros((F, nq, slots.shape[1]))
@@ -588,14 +590,12 @@ def _face_penalty_consistency(space):
 @_cached
 def _boundary_tables(space):
     """Outward normal-gradient tabulation on boundary faces, cached."""
-    mesh = space.mesh
+    mesh, rule = space.mesh, space.face_rule
     cells = mesh.bface_cells
-    phys, wq = _face_points(
-        space, space.face_rule, mesh.bface_vertex_ids, mesh.bface_measures
-    )
-    grad, _, placement = _face_tables(
-        space, space.face_rule, cells[:, None], mesh.bface_vertex_ids
-    )
+    fc = mesh.vertices[mesh.bface_vertex_ids]  # (F, d, d)
+    phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
+    wq = _face_weights(space, rule, mesh.bface_measures)
+    grad, _, placement = _face_tables(space, rule, cells[:, None], mesh.bface_vertex_ids)
     conormal = np.einsum("cji,ci->cj", space.jac_inv[cells], mesh.bface_normals)
     gradn = np.einsum("cqbj,cj->cqb", grad[placement[:, 0]], conormal)
     return space.cell_dofs[cells].astype(np.int32), phys, gradn, wq

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import maviscid.analysis as analysis
+import maviscid.assembly as assembly
 from maviscid.analysis import (
     ErrorNorms,
     RateRow,
@@ -172,6 +173,18 @@ def test_mesh_norm_rejects_boundary_values():
         mesh_norm(v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["boundary", "interior"])
+def test_mesh_norm_rejects_nonfinite_coefficients(bad, where):
+    # a NaN boundary dof passes a tolerance test and an inf one overflows
+    # the Hessians: both are rejected before either
+    space = FeSpace(build_structured_mesh(2, 4), 2)
+    v = space.function()
+    v.coeffs[getattr(space, f"{where}_dofs")[0]] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mesh_norm(v)
+
+
 def test_mesh_norm_single_bump_matches_brute_force():
     space = FeSpace(build_structured_mesh(2, 2), 2)
     v = space.function()
@@ -330,6 +343,43 @@ def test_probes_and_mesh_norm_assemble_no_matrix(monkeypatch):
     v = space.function()
     v.coeffs[space.interior_dofs] = 1.0
     assert mesh_norm(v) > 0.0
+
+
+def test_interior_face_tables_are_built_once_per_space(monkeypatch):
+    # the face pass, the mesh norm and both probes share one tabulation of
+    # the interior-face rule
+    builds = []
+    face_tables = assembly._face_tables
+
+    def spy(space, rule, cells, vertex_ids):
+        builds.append(cells.shape[1])
+        return face_tables(space, rule, cells, vertex_ids)
+
+    monkeypatch.setattr("maviscid.assembly._face_tables", spy)
+    space = FeSpace(build_structured_mesh(2, 4), 2)
+    _face_penalty_consistency(space)
+    v = space.function()
+    v.coeffs[space.interior_dofs] = 1.0
+    assert mesh_norm(v) > 0.0
+    assert verify_miranda_talenti(space, 3) >= 0.0
+    assert verify_discrete_sobolev(space, 3) > 0.0
+    assert builds.count(2) == 1
+
+
+@pytest.mark.parametrize(
+    "dim,degree,n,mt,sobolev",
+    [
+        (2, 3, 4, 0.3000899451343516, 0.0026620552093865003),
+        (3, 2, 3, 0.7487070291605189, 0.010544935260900555),
+    ],
+)
+def test_probe_constants_are_pinned(dim, degree, n, mt, sobolev):
+    # 8 samples from seed 29; a change in how the pieces or the maximum are
+    # evaluated may move these by roundoff only
+    space = FeSpace(build_structured_mesh(dim, n), degree)
+    assert verify_miranda_talenti(space, 8, seed=29) == pytest.approx(mt, rel=1e-14, abs=0.0)
+    assert verify_discrete_sobolev(space, 8, seed=29) == pytest.approx(
+        sobolev, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.0])

@@ -29,10 +29,11 @@ from maviscid.assembly import (
     _data_vector,
     _det_vector,
     _face_penalty_consistency,
-    _face_points,
     _face_tables,
+    _face_weights,
     _hessian_map,
     _interior_block,
+    _interior_face_tables,
     _load_vector,
     _newton_tables,
     _nonlinear_cell_terms,
@@ -211,7 +212,7 @@ def coo_reference(u, f, data, params):
     B, G = cell_sum(2 * (k - 2), bilap), cell_sum(2 * (k - 2), gram)
     rule = face_quadrature(space.dim, 2 * (k - 1))
     grad, hess, placement = _face_tables(space, rule, mesh.iface_cells, mesh.iface_vertex_ids)
-    _, wq = _face_points(space, rule, mesh.iface_vertex_ids, mesh.iface_measures)
+    wq = _face_weights(space, rule, mesh.iface_measures)
     jump, avg = [], []
     for side, sign in ((0, 1.0), (1, -1.0)):
         ji = space.jac_inv[mesh.iface_cells[:, side]]
@@ -530,14 +531,19 @@ def cached_arrays(space):
 
 
 def test_space_keeps_no_per_face_arrays():
-    # P and C are formed chunk by chunk: after a Newton step the space caches
-    # no array with one row per interior face
+    # P and C are formed chunk by chunk: after a Newton step the only array
+    # with one row per interior face that the space caches is the interior-face
+    # tables' placement index, one small integer per face side; no face
+    # patch, slot or point array is kept
     space, u, _, data = _perturbed_state(3, 2, seed=3)
     assemble_residual_and_jacobian(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.2))
     num_faces = len(space.mesh.iface_cells)
     found = cached_arrays(space)
     assert found
-    assert not [a.shape for a in found if a.ndim and a.shape[0] == num_faces]
+    per_face = [a for a in found if a.ndim and a.shape[0] == num_faces]
+    placement = _interior_face_tables(space)[3]
+    assert len(per_face) == 1 and per_face[0] is placement
+    assert placement.shape == (num_faces, 2) and placement.dtype.kind == "i"
 
 
 def test_solved_space_caches_one_int32_pattern():
@@ -881,14 +887,13 @@ def test_newton_and_face_rules_are_sized(monkeypatch):
     # instead of 9
     space, _, _, _ = _perturbed_state(3, 2, seed=3)
     counts = []
-    face_points = _face_points
 
     def spy(*args):
-        phys, wq = face_points(*args)
+        wq = _face_weights(*args)
         counts.append(wq.shape[1])
-        return phys, wq
+        return wq
 
-    monkeypatch.setattr("maviscid.assembly._face_points", spy)
+    monkeypatch.setattr("maviscid.assembly._face_weights", spy)
     _face_penalty_consistency(space)
     assert counts and set(counts) == {4}
 
@@ -914,6 +919,26 @@ def test_face_terms_tabulate_once_per_placement(dim, n, monkeypatch):
         counts.clear()
         build(space)
         assert 0 < sum(counts) <= math.factorial(dim + 1) * len(rule.weights)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_weights_are_per_point_products_summing_to_face_measures(dim):
+    # each weight is w_q ((d - 1)! |F|), the reference face rule scaled to
+    # the face, bit for bit as a per-point product of Python floats; over
+    # the interior and the boundary faces they sum to sum_F |F|
+    space = FeSpace(shuffled_mesh(dim, 3), 2)
+    mesh = space.mesh
+    rule = _interior_face_tables(space)[0]
+    wq = _face_weights(space, rule, mesh.iface_measures)
+    want = [
+        [float(w) * (math.factorial(dim - 1) * float(m)) for w in rule.weights]
+        for m in mesh.iface_measures
+    ]
+    assert np.array_equal(wq, np.array(want))
+    bw = _boundary_tables(space)[3]
+    total = mesh.iface_measures.sum() + mesh.bface_measures.sum()
+    assert abs(wq.sum() + bw.sum() - total) <= 1e-14 * total
+    assert np.allclose(wq.sum(axis=1), mesh.iface_measures, rtol=1e-14, atol=0.0)
 
 
 def test_jacobian_is_negative_operator_at_identity_hessian():
