@@ -205,9 +205,13 @@ def _progress(msg):
 
 
 def _counts(report):
-    """Newton steps, rungs, factorizations and GMRES iterations of one solve,
-    worded the same in every summary line."""
-    return (f"{report.iterations} Newton steps over {len(report.rungs)} rungs, "
+    """Newton steps, rungs (and how many ran on the n/2 mesh of nested
+    iteration), factorizations and GMRES iterations of one solve, worded the
+    same in every summary line."""
+    coarse = sum(rep.ndofs != report.ndofs for _, rep in report.rungs)
+    fallback = ", then the plain ladder" if report.fell_back else ""
+    return (f"{report.iterations} Newton steps over {len(report.rungs)} rungs "
+            f"({coarse} on the n/2 mesh{fallback}), "
             f"{report.factorizations} factorizations, "
             f"{report.gmres_iterations} GMRES iterations")
 

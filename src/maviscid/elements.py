@@ -144,31 +144,41 @@ class ReferenceElement:
                     vals[:, j] *= pts[:, i] ** e
         return vals
 
+    def _powers(self, pts):
+        """Per-axis power tables of reference points up to the degree."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return [np.vander(pts[:, i], self.degree + 1, increasing=True)
+                for i in range(self.dim)]
+
+    def _monomial_derivative(self, pows, axes=()):
+        """d/dx_axes of every monomial at the points of ``pows``: (N, nb)."""
+        exps = self.exponents.copy()
+        coef = np.ones(self.node_count)  # falling factorial of the exponents
+        for a in axes:
+            coef *= exps[:, a]
+            exps[:, a] -= 1
+        # a power lowered below zero has a zero coefficient; take() keeps
+        # the table C-ordered, which fixes the rounding of mono @ C.T
+        term = np.broadcast_to(coef, (len(pows[0]), self.node_count))
+        for i in range(self.dim):
+            term = term * pows[i].take(np.maximum(exps[:, i], 0), axis=1)
+        return term
+
+    def values(self, pts):
+        """Basis values at reference points, (N, nb): the first array of
+        ``tabulate``, bit for bit, without its derivatives."""
+        return self._monomial_derivative(self._powers(pts)) @ self.coeffs.T
+
     def tabulate(self, pts):
         """Basis values/gradients/Hessians at reference points.
 
         Returns arrays of shape (N, nb), (N, nb, dim), (N, nb, dim, dim).
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pows = self._powers(pts)
         d = self.dim
-        # per-axis power tables up to the element degree
-        pows = [
-            np.vander(pts[:, i], self.degree + 1, increasing=True) for i in range(d)
-        ]
 
         def derivative(*axes):
-            """d/dx_axes of every monomial: (N, nb)."""
-            exps = self.exponents.copy()
-            coef = np.ones(self.node_count)  # falling factorial of the exponents
-            for a in axes:
-                coef *= exps[:, a]
-                exps[:, a] -= 1
-            # a power lowered below zero has a zero coefficient; take() keeps
-            # the table C-ordered, which fixes the rounding of mono @ C.T
-            term = np.broadcast_to(coef, (len(pts), self.node_count))
-            for i in range(d):
-                term = term * pows[i].take(np.maximum(exps[:, i], 0), axis=1)
-            return term
+            return self._monomial_derivative(pows, axes)
 
         mono = derivative()
         dmono = np.stack([derivative(a) for a in range(d)], axis=-1)
@@ -270,7 +280,7 @@ class FeFunction:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.space.mesh.locate(pts)
         ref = self.space.reference_coords(cells, pts)
-        val, _, _ = self.space.ref.tabulate(ref)
+        val = self.space.ref.values(ref)
         return np.einsum("nb,nb->n", val, self.coeffs[self.space.cell_dofs[cells]])
 
 

@@ -8,12 +8,13 @@ soon as its residual estimate passes the backward-error check of a direct
 solve with a tenfold margin.  The step factors its own Jacobian only when
 there is no factorization yet or the GMRES answer fails that check.  The
 Jacobian changes only through its cofactor term from step to step and
-through epsilon from rung to rung, so one factorization usually serves a
-whole continuation ladder.  The Jacobian's pattern is symmetric and its
-values nearly so, so 2D Jacobians are factored in SuperLU's symmetric mode
-(minimum degree on A^T + A, diagonal pivot threshold 0.1), which cuts their
-fill by a third to a half; 3D Jacobians keep the default COLAMD ordering
-with partial pivoting, which fills less at 3D sizes (see ``sparse_solve``).
+through epsilon from rung to rung, so one factorization usually serves all
+the rungs a continuation ladder runs on one mesh.  The Jacobian's pattern
+is symmetric and its values nearly so, so 2D Jacobians are factored in
+SuperLU's symmetric mode (minimum degree on A^T + A, diagonal pivot
+threshold 0.1), which cuts their fill by a third to a half; 3D Jacobians
+keep the default COLAMD ordering with partial pivoting, which fills less at
+3D sizes (see ``sparse_solve``).
 
 Robust starts at small epsilon come from a continuation ladder: solve at a
 large epsilon first, halve until the target.  The first solve is seeded with
@@ -23,6 +24,17 @@ in log epsilon; boundary dofs are always pinned to the Dirichlet data.
 Rungs before the target only have to land inside the next rung's Newton
 basin, so they stop at a residual of ``_RUNG_TOL``; the target rung stops at
 the configured ``abs_tol``.
+
+On a Kuhn mesh of ``build_structured_mesh`` with an even number n >= 4 of
+cells per axis, the ladder is climbed by nested iteration (Deuflhard 2004; Brandt
+1977): every rung but the target runs on the n/2 Kuhn mesh.  Those meshes
+nest, as every n/2 cube splits into 2^d n cubes whose Kuhn simplices tile
+the coarse ones, so the coarse space is a subspace of the fine one and
+interpolating the predicted start onto the requested space moves it
+exactly.  Only the target rung then runs on the requested mesh.  If any
+rung of that plan fails, the plain ladder runs on the requested mesh.  Odd
+n, n=2 (whose n=1 mesh is one cube), meshes not built by the generator and
+one-rung ladders take the plain ladder directly.
 """
 
 from __future__ import annotations
@@ -46,7 +58,8 @@ from maviscid.assembly import (
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
 )
-from maviscid.elements import interpolate
+from maviscid.elements import FeSpace, interpolate
+from maviscid.mesh import build_structured_mesh
 
 __all__ = [
     "NewtonConfig",
@@ -122,7 +135,10 @@ class SolveReport:
     """Iteration counts and residual history of one solve (or a ladder);
     ``factorizations`` counts the LU factorizations of the Newton steps and
     ``gmres_iterations`` the iterations of their preconditioned GMRES
-    cycles, failed cycles included."""
+    cycles, failed cycles included.  ``ndofs`` is the size of the space the
+    solve ran on (a ladder's: the requested space), and ``fell_back`` says
+    that a ladder's nested plan failed and the plain ladder ran instead
+    (see ``continuation_solve``)."""
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
@@ -131,6 +147,8 @@ class SolveReport:
     rungs: list = field(default_factory=list)
     factorizations: int = 0
     gmres_iterations: int = 0
+    ndofs: int = 0
+    fell_back: bool = False
 
 
 # SuperLU's symmetric mode: minimum degree on A^T + A, and a diagonal pivot
@@ -325,7 +343,7 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
     space = initial.space
     ii = space.interior_dofs
     u = initial.copy()
-    report = SolveReport()
+    report = SolveReport(ndofs=space.ndofs)
     if factor is None:
         factor = []
     t0 = time.perf_counter()
@@ -413,10 +431,28 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
     log(eps_k / eps_{k-1}), through the last two rungs' solutions.  Each
     start has its boundary dofs re-pinned.  Every rung but the last stops at
     the residual max(config.abs_tol, ``_RUNG_TOL``), enough to land in the
-    next rung's Newton basin; the last stops at ``config.abs_tol``.  All
-    rungs share one factorization holder (see ``newton_solve``): ``factor``
-    if given, so that the last factorization can serve later solves, and
-    otherwise one that dies with this call.
+    next rung's Newton basin; the last stops at ``config.abs_tol``.
+
+    On a Kuhn mesh of ``build_structured_mesh`` with an even n >= 4, a
+    ladder of two or more rungs is climbed by nested iteration: every rung but the
+    target runs on the same degree's space on the n/2 Kuhn mesh, which the
+    n mesh refines, so the target rung's start moves to ``space`` exactly by
+    ``interpolate(space, start.evaluate)``; it is re-pinned and the target
+    rung alone runs on ``space``.  The coarse space, its solutions and its
+    factorization are released before that rung assembles.  If a coarse
+    rung or the target rung raises NewtonError, the plain ladder runs on
+    ``space`` from its convex seed and ``report.fell_back`` is set.  Any
+    other mesh (n=2 included), and a one-rung ladder, always takes the
+    plain ladder.
+
+    ``report.rungs`` lists every rung attempted, in order: coarse ones,
+    failed ones and a fallback's included, each with the ``ndofs`` of its
+    space.  The plain ladder's rungs share one factorization holder (see
+    ``newton_solve``): ``factor`` if given, so that the last factorization
+    can serve later solves, and otherwise one that dies with this call.
+    The coarse rungs share a holder of their own, and ``factor`` is emptied
+    before them and before a fallback, so at most one factorization is alive
+    and a fallback repeats the plain ladder exactly.
     """
     config = config or NewtonConfig()
     if config.continuation_schedule is not None:
@@ -426,47 +462,99 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
     else:
         ladder = default_ladder(eps_target)
     rung_config = replace(config, abs_tol=max(config.abs_tol, _RUNG_TOL))
-    total = SolveReport()
+    total = SolveReport(ndofs=space.ndofs)
     if factor is None:
         factor = []
+
+    def data(eps):
+        return data_factory(eps) if data_factory is not None else (f, g_data)
+
+    def run(k, start, f_eps, g_eps, holder):
+        """Newton on rung k from ``start``, recorded in ``total``."""
+        eps = ladder[k]
+        try:
+            solution, rep = newton_solve(
+                f_eps, g_eps, PenaltyParams(sigma, eps, weight_mode),
+                config if k == len(ladder) - 1 else rung_config, start,
+                factor=holder)
+        except NewtonError as exc:
+            _add_rung(total, eps, exc.report)
+            raise NewtonError(
+                f"continuation failed at eps = {eps:g}: {exc}",
+                exc.reason,
+                total,
+                epsilon=eps,
+            ) from exc
+        _add_rung(total, eps, rep)
+        return solution
+
+    def climb(on, rungs, holder):
+        """Rungs 0 .. rungs-1 on the space ``on``: the last two solutions."""
+        u = prev = None
+        for k in range(rungs):
+            f_eps, g_eps = data(ladder[k])
+            start = _rung_start(on, ladder, k, u, prev, g_eps.g)
+            prev, u = u, run(k, start, f_eps, g_eps, holder)
+        return u, prev
+
+    def nested_start(n, g):
+        """The target rung's start on ``space``, from the ladder climbed on
+        the n Kuhn mesh; nothing of that mesh outlives this call."""
+        coarse = FeSpace(build_structured_mesh(space.dim, n), space.degree)
+        u, prev = climb(coarse, len(ladder) - 1, [])
+        start = _rung_start(coarse, ladder, len(ladder) - 1, u, prev, g)
+        fine = interpolate(space, start.evaluate)
+        fine.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)[0]
+        return fine
+
     t0 = time.perf_counter()
-    u = prev = None
     try:
-        for k, eps in enumerate(ladder):
-            params = PenaltyParams(sigma, eps, weight_mode)
-            if data_factory is not None:
-                f_eps, g_eps = data_factory(eps)
-            else:
-                f_eps, g_eps = f, g_data
-            if u is None:
-                start = convex_seed(space, g_eps.g)
-            else:
-                start = u.copy()
-                if prev is not None:
-                    theta = (math.log(eps / ladder[k - 1])
-                             / math.log(ladder[k - 1] / ladder[k - 2]))
-                    start.coeffs += theta * (u.coeffs - prev.coeffs)
-                bvals, _ = apply_dirichlet(space, g_eps.g)
-                start.coeffs[space.boundary_dofs] = bvals
-            last = k == len(ladder) - 1
+        n = _coarse_divisions(space, ladder)
+        if n is not None:
+            factor.clear()
+            f_eps, g_eps = data(ladder[-1])
             try:
-                solution, rep = newton_solve(
-                    f_eps, g_eps, params, config if last else rung_config,
-                    start, factor=factor)
-            except NewtonError as exc:
-                _add_rung(total, eps, exc.report)
-                raise NewtonError(
-                    f"continuation failed at eps = {eps:g}: {exc}",
-                    exc.reason,
-                    total,
-                    epsilon=eps,
-                ) from exc
-            _add_rung(total, eps, rep)
-            prev, u = u, solution
+                start = nested_start(n, g_eps.g)
+                u = run(len(ladder) - 1, start, f_eps, g_eps, factor)
+            except NewtonError:
+                total.fell_back = True
+                factor.clear()
+            else:
+                total.converged = True
+                return u, total
+        u, _ = climb(space, len(ladder), factor)
         total.converged = True
         return u, total
     finally:
         total.wall_time = time.perf_counter() - t0
+
+
+def _coarse_divisions(space, ladder):
+    """Divisions per axis of the Kuhn mesh that nested iteration climbs the
+    ladder on (half of ``space``'s even n), or None for the plain ladder.
+    The n=2 mesh keeps the plain ladder: a ladder climbed on the one-cube
+    n=1 mesh (one interior dof at k=2) can steer the target rung to a
+    spurious non-convex root (case VI in 3D, k=2)."""
+    structure = space.mesh.structure
+    if (len(ladder) < 2 or structure is None or structure[0] != "kuhn"
+            or structure[1] % 2 or structure[1] < 4):
+        return None
+    return structure[1] // 2
+
+
+def _rung_start(space, ladder, k, u, prev, g):
+    """Start of rung k on ``space`` from the last two solutions ``u`` and
+    ``prev`` (None before they exist): the convex seed, the last solution,
+    or the secant predictor in log epsilon, boundary dofs pinned to g."""
+    if u is None:
+        return convex_seed(space, g)
+    start = u.copy()
+    if prev is not None:
+        theta = (math.log(ladder[k] / ladder[k - 1])
+                 / math.log(ladder[k - 1] / ladder[k - 2]))
+        start.coeffs += theta * (u.coeffs - prev.coeffs)
+    start.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)[0]
+    return start
 
 
 def _add_rung(total, eps, rep):

@@ -189,19 +189,35 @@ def test_config_file_with_flag_override(tmp_path):
     assert not (tmp_path / "caseII_k3.csv").exists()
 
 
-def test_failed_row_stops_the_h_study(tmp_path, capsys):
-    # plain weights at sigma = 1 under-penalize: row 1/8 fails at eps = 0.125
+def _h_study_stops_at(tmp_path, capsys, h_list, failed, rows):
+    """A case II k=2 h-study that plain weights at sigma = 1 under-penalize:
+    row ``failed`` fails, the rows before it are written and the rows after
+    it never run."""
     code = run(
         "convergence", "--case", "II", "--degree", "2",
-        "--h-list", "1/4", "1/8", "1/16", "--eps-list", "0.01",
+        "--h-list", *h_list, "--eps-list", "0.01",
         "--sigma", "1", "--weight-mode", "plain", "--format", "csv",
         "--out", str(tmp_path),
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "h=0.125" in err
-    assert "h=0.0625" not in err
-    assert [row["h"] for row in read_csv(tmp_path / "caseII_k2.csv")] == ["0.25"]
+    hs = [f"h={1 / int(h[2:]):g}" for h in h_list]
+    assert f"solver failed for case II k=2 at {hs[failed]}:" in err
+    assert hs[failed + 1] not in err
+    assert [row["h"] for row in read_csv(tmp_path / "caseII_k2.csv")] == rows
+
+
+def test_failed_row_stops_the_h_study(tmp_path, capsys):
+    # even n, nested iteration: row 1/4 converges on its fallback, row 1/8 on
+    # its n=4 ladder, and row 1/16 fails on both
+    _h_study_stops_at(tmp_path, capsys, ("1/4", "1/8", "1/16", "1/32"), 2,
+                      ["0.25", "0.125"])
+
+
+def test_failed_row_stops_the_h_study_plain_ladder(tmp_path, capsys):
+    # odd n, the plain ladder: row 1/7 fails at eps = 0.015625
+    _h_study_stops_at(tmp_path, capsys, ("1/3", "1/5", "1/7", "1/9"), 2,
+                      ["0.333333", "0.2"])
 
 
 def test_unwritable_out_dir_exits_2(tmp_path, capsys):
@@ -304,6 +320,26 @@ def parse_blocked_csv(path):
     if cur:
         blocks.append(np.asarray(cur))
     return blocks
+
+
+@pytest.mark.parametrize("h, coarse", [("1/6", 4), ("1/5", 0)])
+def test_solve_says_how_many_rungs_ran_on_the_half_mesh(tmp_path, capsys, h,
+                                                         coarse):
+    # eps 0.05 is the fifth rung of the default ladder: on an even n the
+    # four before it run on the n/2 mesh
+    code = run("solve", "--case", "III", "--h-list", h, "--eps-list", "0.05",
+               "--out", str(tmp_path))
+    assert code == 0
+    assert f"over 5 rungs ({coarse} on the n/2 mesh)," in capsys.readouterr().out
+
+
+def test_counts_name_a_fallback():
+    # case II, plain weight at sigma = 1, n=4: the n=2 ladder fails and the
+    # plain ladder converges
+    spec = case_with_overrides("II", {"sigma": "1", "weight_mode": "plain"})
+    _, report = cli._solve_on_mesh(spec, 2, 0.25, spec.eps_list[0])
+    assert "over 13 rungs (6 on the n/2 mesh, then the plain ladder)," in (
+        cli._counts(report))
 
 
 def test_solve_2d_artifacts(tmp_path, capsys):

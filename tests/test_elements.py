@@ -139,6 +139,43 @@ def test_reference_derivatives_match_finite_differences(dim, degree):
         assert np.max(np.abs(fd_hess - hess[:, :, :, a])) < 1e-5
 
 
+@pytest.mark.parametrize("dim,degree", [(2, 0), (2, 1), (2, 2), (2, 3),
+                                        (3, 0), (3, 2), (3, 3)])
+def test_values_are_tabulates_values_bit_for_bit(dim, degree):
+    ref = ReferenceElement(dim, degree)
+    pts = np.random.default_rng(3).dirichlet(np.ones(dim + 1), size=37)[:, :dim]
+    val, _, _ = ref.tabulate(pts)
+    assert np.array_equal(ref.values(pts), val)
+    assert np.array_equal(ref.values(pts[0]), ref.tabulate(pts[0])[0])
+
+
+def test_evaluate_uses_basis_values_only(monkeypatch):
+    space = FeSpace(build_structured_mesh(3, 2), 2)
+    u = space.function(np.random.default_rng(4).uniform(-1, 1, space.ndofs))
+    pts = np.random.default_rng(5).uniform(0, 1, size=(50, 3))
+    cells = space.mesh.locate(pts)
+    val, _, _ = space.ref.tabulate(space.reference_coords(cells, pts))
+    want = np.einsum("nb,nb->n", val, u.coeffs[space.cell_dofs[cells]])
+
+    def no_tabulate(self, pts):
+        raise AssertionError("evaluate built derivatives")
+
+    monkeypatch.setattr(ReferenceElement, "tabulate", no_tabulate)
+    assert np.array_equal(u.evaluate(pts), want)
+
+
+@pytest.mark.parametrize("dim,degree,n", [(2, 2, 4), (2, 3, 4), (3, 2, 2), (3, 3, 2)])
+def test_kuhn_refinement_transfer_is_exact(dim, degree, n):
+    # the 2n Kuhn mesh refines the n one, so interpolating a coarse function
+    # on the fine space reproduces it everywhere, not only at the fine dofs
+    coarse = FeSpace(build_structured_mesh(dim, n), degree)
+    fine = FeSpace(build_structured_mesh(dim, 2 * n), degree)
+    u = coarse.function(np.random.default_rng(6).uniform(-1, 1, coarse.ndofs))
+    v = interpolate(fine, u.evaluate)
+    pts = np.random.default_rng(7).uniform(0, 1, size=(500, dim))
+    assert np.abs(v.evaluate(pts) - u.evaluate(pts)).max() <= 1e-13
+
+
 def test_eval_examples():
     mesh = build_structured_mesh(2, 2)
     p2 = FeSpace(mesh, 2)

@@ -1,7 +1,9 @@
 """Solver tests: direct sparse solves, Newton iteration, continuation."""
 
+import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from maviscid.assembly import (
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
 )
-from maviscid.cases import builtin_case
+from maviscid.cases import builtin_case, case_with_overrides
+from maviscid.cli import _solve_on_mesh
 from maviscid.elements import FeSpace, interpolate
-from maviscid.mesh import build_structured_mesh
+from maviscid.mesh import SimplicialMesh, build_structured_mesh
 from maviscid.solve import (
     _GMRES_ITERS,
     _RUNG_TOL,
@@ -460,13 +463,11 @@ def counting_data(spec, counts):
     return data
 
 
-@pytest.mark.parametrize("case_id,per_rung", [("VI", False), ("IV", False), ("II", True)])
-def test_ladder_evaluates_f_once_per_distinct_f(case_id, per_rung):
-    # the load vector (f, v) is cached per f: a ladder whose rungs share one f
-    # evaluates it on one space's worth of cell-rule points, and one whose f
-    # depends on eps (case II) on every rung
+def _f_evaluations(case_id, n):
+    """Points of every f evaluation in a three-rung ladder of a built-in
+    case, k=2, on the n Kuhn mesh, and the ladder's report."""
     spec = builtin_case(case_id)
-    space = FeSpace(build_structured_mesh(spec.dim, 2), 2)
+    space = FeSpace(build_structured_mesh(spec.dim, n), 2)
     counts = []
     schedule = (0.5, 0.25, 0.125)
     _, report = continuation_solve(
@@ -474,9 +475,38 @@ def test_ladder_evaluates_f_once_per_distinct_f(case_id, per_rung):
         NewtonConfig(abs_tol=1e-8, continuation_schedule=schedule),
         weight_mode=spec.weight_mode, data_factory=counting_data(spec, counts),
     )
-    assert len(report.rungs) == len(schedule)
-    evaluations = len(schedule) if per_rung else 1
-    assert sum(counts) == evaluations * space.mesh.num_cells * len(space.cell_rule.weights)
+    assert [e for e, _ in report.rungs] == list(schedule)
+    return counts, report
+
+
+def _cell_points(dim, n):
+    """Cell-rule points of the k=2 space on the n Kuhn mesh."""
+    space = FeSpace(build_structured_mesh(dim, n), 2)
+    return space.mesh.num_cells * len(space.cell_rule.weights)
+
+
+@pytest.mark.parametrize("case_id,per_rung", [("VI", False), ("IV", False), ("II", True)])
+def test_ladder_evaluates_f_once_per_distinct_f(case_id, per_rung):
+    # the load vector (f, v) is cached per f and space: on the n=4 mesh the
+    # ladder's first two rungs run on the n=2 mesh and the target rung on
+    # n=4, so f is evaluated on each space once per distinct f of its rungs:
+    # once if the rungs share one f, and on every rung if f depends on eps
+    # (case II)
+    dim = builtin_case(case_id).dim
+    counts, report = _f_evaluations(case_id, 4)
+    assert [r.ndofs for _, r in report.rungs][:-1] == [
+        FeSpace(build_structured_mesh(dim, 2), 2).ndofs] * 2
+    coarse = [_cell_points(dim, 2)] * (2 if per_rung else 1)
+    assert counts == coarse + [_cell_points(dim, 4)]
+
+
+@pytest.mark.parametrize("case_id,per_rung", [("VI", False), ("IV", False), ("II", True)])
+def test_plain_ladder_evaluates_f_once_per_distinct_f(case_id, per_rung):
+    # on the odd n=3 mesh every rung runs on the one space
+    counts, report = _f_evaluations(case_id, 3)
+    assert all(r.ndofs == report.ndofs for _, r in report.rungs)
+    evaluations = len(report.rungs) if per_rung else 1
+    assert counts == [_cell_points(builtin_case(case_id).dim, 3)] * evaluations
 
 
 def test_newton_monotone_history():
@@ -563,6 +593,11 @@ def test_continuation_data_factory():
     assert [e for e, _ in report.rungs] == [0.5, 0.25, 0.125]
     gap = np.abs(u.coeffs - interpolate(space, u_exact).coeffs).max()
     assert gap < 0.05
+    # the target rung ran on n=6 from a start moved off n=3 and re-pinned
+    assert [r.ndofs for _, r in report.rungs] == [49, 49, space.ndofs]
+    g = factory(0.125)[1].g
+    assert np.array_equal(u.coeffs[space.boundary_dofs],
+                          apply_dirichlet(space, g)[0])
 
 
 def test_continuation_annotates_failures():
@@ -578,13 +613,26 @@ def test_continuation_annotates_failures():
 
 
 def test_continuation_factors_once_per_ladder():
-    # case III, 2D n=8, on the default ladder: the first rung's first
-    # Jacobian is factored and preconditions every later step of the ladder
+    # case III, 2D n=8, on the default ladder: the first seven rungs run on
+    # the n=4 mesh, whose first Jacobian is factored and preconditions every
+    # later step there, and the target rung on n=8 factors once more; one
+    # factorization per mesh visited
     _, report = _case_solve("III", 2, 8)
     assert report.factorizations == sum(r.factorizations for _, r in report.rungs)
     assert report.gmres_iterations == sum(
         r.gmres_iterations for _, r in report.rungs)
-    assert report.factorizations == 1 < len(report.rungs)
+    meshes = len({r.ndofs for _, r in report.rungs})
+    assert report.factorizations == meshes == 2 < len(report.rungs)
+    assert [r.factorizations for _, r in report.rungs] == [1] + [0] * 6 + [1]
+    assert report.gmres_iterations > 0
+
+
+def test_plain_ladder_factors_once():
+    # odd n=7: the whole ladder runs on one mesh and factors once
+    _, report = _case_solve("III", 2, 7)
+    assert report.factorizations == sum(r.factorizations for _, r in report.rungs)
+    assert {r.ndofs for _, r in report.rungs} == {report.ndofs}
+    assert [r.factorizations for _, r in report.rungs] == [1] + [0] * 7
     assert report.gmres_iterations > 0
 
 
@@ -596,28 +644,37 @@ def test_continuation_rung_tolerances():
     assert ends[-1] <= 1e-8 < max(ends[:-1])
 
 
-def _ladder_by_hand(case, dim, n, schedule, abs_tol, loose):
-    """A ladder of plain ``newton_solve`` calls on a built-in case, k=2.
+def _ladder_by_hand(case, dim, n, schedule, abs_tol, loose, nested=False,
+                    mesh=None):
+    """A ladder of plain ``newton_solve`` calls on a built-in case, k=2, on
+    the n Kuhn mesh or on ``mesh``.
 
     ``loose`` runs it as ``continuation_solve`` does: earlier rungs to
     _RUNG_TOL, the secant predictor from the third rung on, and one
     factorization holder; otherwise every rung runs to abs_tol from the
-    previous solution, each with its own holder."""
+    previous solution, each with its own holder.  ``nested`` runs every
+    rung but the last on the n/2 Kuhn mesh and moves the last rung's start
+    to the n mesh by interpolation, with a holder of its own."""
     spec = builtin_case(case)
-    space = FeSpace(build_structured_mesh(dim, n), 2)
+    space = FeSpace(mesh or build_structured_mesh(dim, n), 2)
+    on = FeSpace(build_structured_mesh(dim, n // 2), 2) if nested else space
     holder = [] if loose else None
     solutions, iterations = [], []
     for k, eps in enumerate(schedule):
         f, data = spec.data(eps)
         if k == 0:
-            start = convex_seed(space, data.g)
+            start = convex_seed(on, data.g)
         else:
             start = solutions[-1].copy()
             if loose and k >= 2:
                 theta = math.log(eps / schedule[k - 1]) / math.log(
                     schedule[k - 1] / schedule[k - 2])
                 start.coeffs += theta * (solutions[-1].coeffs - solutions[-2].coeffs)
+            start.coeffs[on.boundary_dofs] = apply_dirichlet(on, data.g)[0]
+        if on is not space and k == len(schedule) - 1:
+            start = interpolate(space, start.evaluate)
             start.coeffs[space.boundary_dofs] = apply_dirichlet(space, data.g)[0]
+            holder = [] if loose else None
         tol = max(abs_tol, _RUNG_TOL) if loose and k < len(schedule) - 1 else abs_tol
         u, rep = newton_solve(f, data, PenaltyParams(spec.sigma, eps, spec.weight_mode),
                               NewtonConfig(abs_tol=tol), start, factor=holder)
@@ -646,23 +703,248 @@ def test_continuation_counts_repeat():
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize(
+SCHEDULES = pytest.mark.parametrize(
     "schedule", [(0.5,), (0.5, 0.25), (0.5, 0.3, 0.1)],
     ids=["one_rung", "two_rungs", "non_halving"])
-def test_continuation_schedules(schedule):
+
+
+def _schedule_matches_by_hand(schedule, n, nested):
     # one and two rungs run no predictor; three non-halving rungs take the
     # secant step with theta = log(1/3) / log(3/5)
     spec = builtin_case("III")
-    space = FeSpace(build_structured_mesh(2, 6), 2)
+    space = FeSpace(build_structured_mesh(2, n), 2)
     u, report = continuation_solve(
         space, None, None, spec.sigma, schedule[-1],
         NewtonConfig(abs_tol=1e-8, continuation_schedule=schedule),
         weight_mode=spec.weight_mode, data_factory=spec.data,
     )
     assert report.converged and [e for e, _ in report.rungs] == list(schedule)
-    u_hand, iterations = _ladder_by_hand("III", 2, 6, schedule, 1e-8, loose=True)
+    u_hand, iterations = _ladder_by_hand("III", 2, n, schedule, 1e-8,
+                                         loose=True, nested=nested)
     assert [r.iterations for _, r in report.rungs] == iterations
     assert np.array_equal(u.coeffs, u_hand.coeffs)
+    return report
+
+
+@SCHEDULES
+def test_continuation_schedules(schedule):
+    # on the even n=6 mesh a ladder of two or more rungs takes the nested
+    # plan: its rungs before the target run on n=3
+    report = _schedule_matches_by_hand(schedule, 6, nested=len(schedule) > 1)
+    sizes = [r.ndofs for _, r in report.rungs]
+    assert sizes == [49] * (len(schedule) - 1) + [169]
+
+
+@SCHEDULES
+def test_continuation_schedules_plain_ladder(schedule):
+    # on the odd n=5 mesh every ladder runs there
+    report = _schedule_matches_by_hand(schedule, 5, nested=False)
+    assert [r.ndofs for _, r in report.rungs] == [121] * len(schedule)
+
+
+def _without_structure(mesh):
+    """The same cells as an unstructured mesh, which takes the plain ladder."""
+    return SimplicialMesh(mesh.dim, mesh.vertices, mesh.cells)
+
+
+def test_unstructured_mesh_takes_the_plain_ladder():
+    spec = builtin_case("III")
+    mesh = _without_structure(build_structured_mesh(2, 6))
+    schedule = (0.5, 0.3, 0.1)
+    u, report = continuation_solve(
+        FeSpace(mesh, 2), None, None, spec.sigma, schedule[-1],
+        NewtonConfig(abs_tol=1e-8, continuation_schedule=schedule),
+        weight_mode=spec.weight_mode, data_factory=spec.data,
+    )
+    assert {r.ndofs for _, r in report.rungs} == {report.ndofs}
+    u_hand, iterations = _ladder_by_hand("III", 2, 6, schedule, 1e-8,
+                                         loose=True, mesh=mesh)
+    assert [r.iterations for _, r in report.rungs] == iterations
+    assert np.array_equal(u.coeffs, u_hand.coeffs)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """The solver's calls into assembly and LU in order, as the bench traces
+    them: ("resjac", residual norm), ("residual", residual norm), ("lu",)."""
+    import maviscid.solve as solve_module
+
+    calls = []
+    for name, kind in (("assemble_residual_and_jacobian", "resjac"),
+                       ("assemble_nonlinear_residual", "residual"),
+                       ("sparse_solve", "lu")):
+        def counted(*args, _fn=getattr(solve_module, name), _kind=kind, **kwargs):
+            if _kind == "lu":
+                calls.append((_kind,))
+                return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            r = out[0] if _kind == "resjac" else out
+            calls.append((_kind, float(np.abs(r).max())))
+            return out
+
+        monkeypatch.setattr(solve_module, name, counted)
+    return calls
+
+
+def _call_counts(calls):
+    """Jacobian assemblies, line-search residuals, LU calls and halvings: a
+    line-search residual that does not beat the last assembled one."""
+    counts = Counter(c[0] for c in calls)
+    halvings, current = 0, None
+    for c in calls:
+        if c[0] == "resjac":
+            current = c[1]
+        elif c[0] == "residual" and not c[1] < current:
+            halvings += 1
+    return counts["resjac"], counts["residual"], counts["lu"], halvings
+
+
+def test_nested_ladder_keeps_the_trace_identities(solver_calls):
+    _, report = _case_solve("III", 2, 8)
+    coarse = FeSpace(build_structured_mesh(2, 4), 2).ndofs
+    assert not report.fell_back
+    assert [r.ndofs for _, r in report.rungs] == [coarse] * 7 + [report.ndofs]
+    resjac, residual, lu, halvings = _call_counts(solver_calls)
+    assert resjac == report.iterations + len(report.rungs)
+    assert residual == report.iterations + halvings
+    assert lu == report.iterations
+
+
+def _under_penalized(n):
+    """Case II, k=2, plain weight at sigma = 1 on the n Kuhn mesh."""
+    spec = case_with_overrides("II", {"sigma": "1", "weight_mode": "plain"})
+    return continuation_solve(
+        FeSpace(build_structured_mesh(2, n), 2), None, None, spec.sigma,
+        spec.eps_list[0], NewtonConfig(abs_tol=1e-8),
+        weight_mode=spec.weight_mode, data_factory=spec.data,
+    )
+
+
+@pytest.mark.parametrize("n, coarse, fine, failed", [
+    # the ladder climbed on n=2 fails at eps = 0.015625
+    (4, 25, 81, 0.015625),
+    # the n=3 ladder converges and the target rung on n=6 fails
+    (6, 49, 169, 0.01),
+], ids=["coarse_rung_fails", "target_rung_fails"])
+def test_fallback_runs_the_plain_ladder(solver_calls, n, coarse, fine, failed):
+    # after a failed rung the plain ladder runs on n from its convex seed
+    # and converges
+    u, report = _under_penalized(n)
+    assert report.converged and report.fell_back
+    ladder = default_ladder(0.01)
+    nested = ladder[:ladder.index(failed) + 1]
+    assert [e for e, _ in report.rungs] == nested + ladder
+    # only rungs before the target run on n/2
+    on_coarse = min(len(nested), len(ladder) - 1)
+    assert [r.ndofs for _, r in report.rungs] == [coarse] * on_coarse + [fine] * (
+        len(report.rungs) - on_coarse)
+    assert [e for e, r in report.rungs if not r.converged] == [failed]
+    resjac, residual, lu, halvings = _call_counts(solver_calls)
+    assert resjac == report.iterations + len(report.rungs)
+    assert residual == report.iterations + halvings
+    # the failed rung's last step was solved but found no descent, so LU
+    # calls exceed the counted steps by the one failed rung; counting that
+    # step as an iteration would break the residual identity instead, as
+    # every trial of its line search is a halving
+    assert lu == report.iterations + 1
+    # the fallback is the plain ladder, bit for bit
+    spec = case_with_overrides("II", {"sigma": "1", "weight_mode": "plain"})
+    u_plain, plain = continuation_solve(
+        FeSpace(_without_structure(build_structured_mesh(2, n)), 2), None,
+        None, spec.sigma, spec.eps_list[0], NewtonConfig(abs_tol=1e-8),
+        weight_mode=spec.weight_mode, data_factory=spec.data,
+    )
+    assert not plain.fell_back
+
+    def counts(rungs):
+        return [(r.iterations, r.factorizations, r.gmres_iterations)
+                for _, r in rungs]
+
+    assert counts(report.rungs[len(nested):]) == counts(plain.rungs)
+    assert np.array_equal(u.coeffs, u_plain.coeffs)
+
+
+def test_failed_fallback_reports_every_rung():
+    # on n=16 the n=8 ladder fails at eps = 0.125 and the plain ladder at
+    # the target rung
+    with pytest.raises(NewtonError) as err:
+        _under_penalized(16)
+    report = err.value.report
+    assert report.fell_back and not report.converged
+    assert err.value.epsilon == 0.01
+    assert [e for e, r in report.rungs if not r.converged] == [0.125, 0.01]
+    assert len(report.rungs) == 3 + len(default_ladder(0.01))
+    assert report.iterations == sum(r.iterations for _, r in report.rungs)
+
+
+def test_n2_mesh_takes_the_plain_ladder():
+    # the n=2 Kuhn mesh is not nested onto n=1: case VI's ladder on 3D n=2
+    # stops at the damping floor of its target rung, as the plain ladder
+    # does, instead of reaching a spurious positive root from the one-dof
+    # n=1 climb
+    spec = builtin_case("VI")
+    with pytest.raises(NewtonError) as err:
+        _solve_on_mesh(spec, 2, 0.5, spec.eps_list[0])
+    with pytest.raises(NewtonError) as plain:
+        continuation_solve(
+            FeSpace(_without_structure(build_structured_mesh(3, 2)), 2), None,
+            None, spec.sigma, spec.eps_list[0], NewtonConfig(abs_tol=1e-8),
+            weight_mode=spec.weight_mode, data_factory=spec.data,
+        )
+    report = err.value.report
+    assert err.value.reason == plain.value.reason == "damping_floor"
+    assert err.value.epsilon == 0.005 and not report.fell_back
+    assert {r.ndofs for _, r in report.rungs} == {report.ndofs}
+    assert [(e, r.iterations, r.factorizations, r.gmres_iterations)
+            for e, r in report.rungs] == [
+        (e, r.iterations, r.factorizations, r.gmres_iterations)
+        for e, r in plain.value.report.rungs]
+    assert report.residual_history == plain.value.report.residual_history
+
+
+def test_coarse_mesh_is_released_before_the_fine_rung_factors(monkeypatch):
+    # at every factorization no other one is alive, and by the fine rung's
+    # the coarse space is gone; with the collector off, only reference
+    # counts can free it
+    import maviscid.solve as solve_module
+
+    seen, factors, spaces = [], [], []
+    splu, fe_space = spla.splu, solve_module.FeSpace
+
+    def spy_splu(*args, **kwargs):
+        seen.append((args[0].shape[0], sum(r() is not None for r in factors),
+                     [r() is not None for r in spaces]))
+        lu = _CountingLU(splu(*args, **kwargs))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    def spy_space(*args, **kwargs):
+        space = fe_space(*args, **kwargs)
+        spaces.append(weakref.ref(space))
+        return space
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy_splu)
+    monkeypatch.setattr(solve_module, "FeSpace", spy_space)
+    spec = builtin_case("III")
+    fine = FeSpace(build_structured_mesh(2, 8), 2)
+    coarse = FeSpace(build_structured_mesh(2, 4), 2)
+    n_fine, n_coarse = len(fine.interior_dofs), len(coarse.interior_dofs)
+    # a factorization of the fine shape held from an earlier solve
+    held = [spla.splu(sp.identity(n_fine, format="csc"))]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, report = continuation_solve(
+            fine, None, None, spec.sigma, spec.eps_list[0],
+            NewtonConfig(abs_tol=1e-8), weight_mode=spec.weight_mode,
+            data_factory=spec.data, factor=held,
+        )
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == [(n_fine, 0, []), (n_coarse, 0, [True]), (n_fine, 0, [False])]
+    assert report.factorizations == 2
+    assert len(held) == 1 and held[0].shape == (n_fine, n_fine)
 
 
 def test_continuation_viscosity_profile():
