@@ -10,81 +10,19 @@ solver with epsilon-continuation, error/rate reporting, six built-in
 experiments, and a command-line runner.
 """
 
-from maviscid.mesh import (
-    SimplicialMesh,
-    build_structured_mesh,
-    dump_off,
-)
-from maviscid.elements import (
-    QuadratureRule,
-    ReferenceElement,
-    FeSpace,
-    FeFunction,
-    cell_quadrature,
-    face_quadrature,
-    eval_fe,
-    interpolate,
-)
-from maviscid.assembly import (
-    CoefficientField,
-    PenaltyParams,
-    BoundaryData,
-    det_and_cofactor,
-    assemble_Ah_sigma,
-    assemble_linearized_rhs,
-    assemble_nonlinear_residual,
-    assemble_jacobian,
-    assemble_residual_and_jacobian,
-    apply_dirichlet,
-    dump_matrix_market,
-)
-from maviscid.solve import (
-    SingularMatrixError,
-    NewtonError,
-    NewtonConfig,
-    SolveReport,
-    sparse_solve,
-    newton_solve,
-    default_ladder,
-    convex_seed,
-    continuation_solve,
-)
-from maviscid.analysis import (
-    ScalarField,
-    ErrorNorms,
-    RateRow,
-    error_norms,
-    mesh_norm,
-    verify_miranda_talenti,
-    verify_discrete_sobolev,
-    rate_table,
-    format_rate_table,
-)
-from maviscid.cases import (
-    ExperimentSpec,
-    builtin_case,
-    check_case_consistency,
-    serialize_case,
-)
+from maviscid import analysis, assembly, cases, elements, mesh, solve
+from maviscid.mesh import *  # noqa: F401,F403
+from maviscid.elements import *  # noqa: F401,F403
+from maviscid.assembly import *  # noqa: F401,F403
+from maviscid.solve import *  # noqa: F401,F403
+from maviscid.analysis import *  # noqa: F401,F403
+from maviscid.cases import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# the public API is each module's ``__all__``
 __all__ = [
-    "SimplicialMesh", "build_structured_mesh", "dump_off",
-    "QuadratureRule", "ReferenceElement", "FeSpace", "FeFunction",
-    "cell_quadrature", "face_quadrature", "eval_fe", "interpolate",
-    "CoefficientField", "PenaltyParams", "BoundaryData",
-    "det_and_cofactor", "assemble_Ah_sigma", "assemble_linearized_rhs",
-    "assemble_nonlinear_residual", "assemble_jacobian",
-    "assemble_residual_and_jacobian", "apply_dirichlet",
-    "dump_matrix_market",
-    "SingularMatrixError", "NewtonError", "NewtonConfig", "SolveReport",
-    "sparse_solve", "newton_solve", "default_ladder", "convex_seed",
-    "continuation_solve",
-    "ScalarField", "ErrorNorms", "RateRow", "error_norms", "mesh_norm",
-    "verify_miranda_talenti", "verify_discrete_sobolev", "rate_table",
-    "format_rate_table",
-    "ExperimentSpec", "builtin_case", "check_case_consistency",
-    "serialize_case",
-    "__version__",
-]
+    name
+    for module in (mesh, elements, assembly, solve, analysis, cases)
+    for name in module.__all__
+] + ["__version__"]

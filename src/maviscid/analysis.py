@@ -173,9 +173,11 @@ def _norm_pieces(space, coeffs):
     for faces in _face_chunks(space):
         cells = mesh.iface_cells[faces]
         wq = _face_weights(space, rule, mesh.iface_measures[faces])
+        normals = mesh.iface_normals[faces]
         # (F, nq, samples): side 0's normal derivative plus side 1's
         jump = sum(
-            _normal_derivatives(space, grad, placement, faces, side)
+            _normal_derivatives(space, grad, placement[faces, side], cells[:, side],
+                                (normals, -normals)[side])
             @ np.take(V, space.cell_dofs[cells[:, side]], axis=0)
             for side in (0, 1)
         )

@@ -64,11 +64,13 @@ keep the space's high ``FeSpace.cell_rule`` and ``face_rule``, as does the
 cell-point maximum of the discrete Sobolev probe, whose value depends on
 the points.  The basis is tabulated on reference points only: cell tables
 are built on first use and cached on the space per exactness, and a face
-rule once per placement of a face in its cell (``_face_tables``).  The
-signed normal derivatives whose sum over a face's two sides is the gradient
-jump come from one helper (``_normal_derivatives``), which the face pass and
-the mesh-norm pieces of ``analysis`` share.  Outside the Newton pass every
-physical Hessian goes through one map per cell (``_hessian_map``): a
+rule once per placement of a face in its cell (``_face_tables``).  One
+helper gives the normal derivatives of the basis on every face
+(``_normal_derivatives``): the face pass and the mesh-norm pieces of
+``analysis`` add its values on an interior face's two sides, taken along
+opposite normals, into the gradient jump, and the boundary tables hold its
+values along the outward normal.  Outside the Newton pass every physical
+Hessian goes through one map per cell (``_hessian_map``): a
 coefficient field Phi is pulled back by it and met with the reference
 Hessian tables, and D^2 v in the error norms and the mesh-norm pieces is
 formed from those tables and pushed forward by it as one d x d matrix per
@@ -77,10 +79,12 @@ point; lap v is D^2_ref v : J^-1 J^-T.
 A space caches the pattern (int32 index arrays and the cell-slot map), the
 interior map once a Newton step needs it, the cell tables, the Newton
 pass's lattice Hessian table, moment matrix and cofactor table (built on
-its first call), the data of B, P and C, the boundary-face tables (the
-data vector reads them on every rung), the interior-face tables and their
-per-face placement index (``_interior_face_tables``: one int32 per face
-side, built once and shared by the face pass and the mesh-norm pieces),
+its first call), the data of B, P and C, the boundary-face tables
+(``_boundary_tables``: points, normal derivatives and weights of
+``FeSpace.face_rule``; the data vector reads them on every rung), the
+interior-face tables and their per-face placement index
+(``_interior_face_tables``: one int32 per face side, built once and shared
+by the face pass and the mesh-norm pieces),
 the load vector (f, v) of the last f (``_source_vector``: rungs that share
 one f evaluate it once), and the current rung's A_h(0) and data vector.
 Beyond that index, interior faces keep no per-face arrays: P and C are
@@ -116,6 +120,7 @@ __all__ = [
     "assemble_linearized_rhs",
     "assemble_nonlinear_residual",
     "assemble_jacobian",
+    "assemble_residual_and_jacobian",
     "apply_dirichlet",
     "dump_matrix_market",
 ]
@@ -168,11 +173,6 @@ class CoefficientField:
     @classmethod
     def zero(cls, dim):
         return cls.constant(np.zeros((dim, dim)))
-
-    @classmethod
-    def from_function(cls, dim, fn):
-        """Wrap ``fn(points) -> (N, d, d)``."""
-        return cls(dim, fn)
 
     def __call__(self, points):
         vals = np.asarray(self._fn(points), dtype=float)
@@ -389,8 +389,8 @@ def _pattern(space):
     del union
     find = _slot_finder(indptr, indices)
     cell_slots = np.concatenate([
-        find(dofs, dofs).reshape(len(dofs), -1)
-        for dofs in np.split(space.cell_dofs, range(_CELL_CHUNK, M, _CELL_CHUNK))
+        find(space.cell_dofs[cells], space.cell_dofs[cells]).reshape(len(cells), -1)
+        for cells in _cell_chunks(space)
     ])
     return _Pattern(*_read_only(indptr, indices, cell_slots))
 
@@ -502,18 +502,18 @@ def _interior_face_tables(space):
     return (rule,) + _face_tables(space, rule, mesh.iface_cells, mesh.iface_vertex_ids)
 
 
-def _normal_derivatives(space, grad, placement, faces, side):
-    """Signed normal derivatives (F, nq, nb) of the basis on side ``side`` of
-    the interior faces ``faces``, from the ``grad`` and ``placement`` of
-    ``_interior_face_tables``: grad v . n = grad_ref v . J^-1 n, with n the
-    face normal, times +1 on side 0 and -1 on side 1.  The jump of grad v
-    across a face is side 0's value plus side 1's."""
-    mesh = space.mesh
+def _normal_derivatives(space, grad, placement, cells, normals):
+    """Normal derivatives (F, nq, nb) of the basis on ``cells`` (F,) along
+    ``normals`` (F, d) at a face rule's points, from the ``grad`` of
+    ``_face_tables`` and each face's placement (F,) in its cell:
+    grad v . n = grad_ref v . J^-1 n.  On an interior face, side 0 takes the
+    face normal and side 1 its negative, and the jump of grad v across the
+    face is the sum of the two sides' values; on a boundary face the normal
+    points outward."""
     p_count, nq, nb, d = grad.shape
-    ji = space.jac_inv[mesh.iface_cells[faces, side]]
-    conormal = (1.0, -1.0)[side] * ji @ mesh.iface_normals[faces][:, :, None]
-    gp = grad.reshape(p_count, nq * nb, d)[placement[faces, side]]
-    return (gp @ conormal).reshape(len(ji), nq, nb)
+    conormal = space.jac_inv[cells] @ normals[:, :, None]
+    gp = grad.reshape(p_count, nq * nb, d)[placement]
+    return (gp @ conormal).reshape(len(cells), nq, nb)
 
 
 def _face_patch(space, find, cells):
@@ -564,14 +564,15 @@ def _face_penalty_consistency(space):
         cells = mesh.iface_cells[sl]
         wq = _face_weights(space, rule, mesh.iface_measures[sl])
         col1, slots = _face_patch(space, find, cells)
-        F = len(cells)
+        F, normals = len(cells), mesh.iface_normals[sl]
         jump = np.zeros((F, nq, slots.shape[1]))
         avg = np.zeros_like(jump)
         for side in (0, 1):
             # lap v = D^2_ref v : J^-1 J^-T
             ji = space.jac_inv[cells[:, side]]
             metric = (ji @ ji.swapaxes(1, 2)).reshape(F, d * d, 1)
-            j = _normal_derivatives(space, grad, placement, sl, side)
+            j = _normal_derivatives(space, grad, placement[sl, side], cells[:, side],
+                                    (normals, -normals)[side])
             a = 0.5 * (hess[placement[sl, side]] @ metric).reshape(F, nq, nb)
             if side == 0:
                 jump[:, :, :nb], avg[:, :, :nb] = j, a
@@ -589,16 +590,16 @@ def _face_penalty_consistency(space):
 
 @_cached
 def _boundary_tables(space):
-    """Outward normal-gradient tabulation on boundary faces, cached."""
+    """Physical points (F, nq, d), outward normal derivatives (F, nq, nb) of
+    the basis and weights (F, nq) of ``space.face_rule`` on the boundary
+    faces, cached."""
     mesh, rule = space.mesh, space.face_rule
     cells = mesh.bface_cells
     fc = mesh.vertices[mesh.bface_vertex_ids]  # (F, d, d)
     phys = fc[:, None, 0, :] + np.einsum("qm,fmi->fqi", rule.points, fc[:, 1:] - fc[:, :1])
-    wq = _face_weights(space, rule, mesh.bface_measures)
     grad, _, placement = _face_tables(space, rule, cells[:, None], mesh.bface_vertex_ids)
-    conormal = np.einsum("cji,ci->cj", space.jac_inv[cells], mesh.bface_normals)
-    gradn = np.einsum("cqbj,cj->cqb", grad[placement[:, 0]], conormal)
-    return space.cell_dofs[cells].astype(np.int32), phys, gradn, wq
+    gradn = _normal_derivatives(space, grad, placement[:, 0], cells, mesh.bface_normals)
+    return phys, gradn, _face_weights(space, rule, mesh.bface_measures)
 
 
 # ----------------------------------------------------------- vector pieces
@@ -618,10 +619,10 @@ def _load_vector(space, f):
 
 def _boundary_flux_vector(space, psi):
     """Entries int_boundary psi (grad w_i . n) (no zeroing)."""
-    bdofs, phys, gradn, wq = _boundary_tables(space)
+    phys, gradn, wq = _boundary_tables(space)
     pv = np.asarray(psi(phys.reshape(-1, space.dim)), dtype=float).reshape(phys.shape[:2])
     local = np.einsum("cq,cq,cqb->cb", wq, pv, gradn)
-    return np.bincount(bdofs.ravel(), weights=local.ravel(), minlength=space.ndofs)
+    return _scatter_vector(space, space.mesh.bface_cells, local)
 
 
 def _loworder(space, field):

@@ -2,13 +2,15 @@
 
 Reference bases are built from the monomial basis through the inverted node
 Vandermonde matrix, so values, gradients, and Hessians are all evaluated from
-one coefficient table.  Quadrature rules are collapsed (Duffy) Gauss-Jacobi
-tensor rules, one construction for segments, triangles and tetrahedra:
-positive weights, points strictly inside the simplex, arbitrary requested
-exactness up to the supported caps.  Global spaces number shared
-degrees of freedom by mesh topology: a node is keyed by the global ids of the
-vertices it combines and its integer barycentric weights, so nodes on shared
-vertices, edges and faces get one dof without comparing coordinates.
+one coefficient table; the Vandermonde matrix and the derivatives met with it
+come from one monomial table (``ReferenceElement._monomial_derivative``).
+Quadrature rules are collapsed (Duffy) Gauss-Jacobi tensor rules, one
+construction for segments, triangles and tetrahedra: positive weights, points
+strictly inside the simplex, arbitrary requested exactness up to the
+supported caps.  Global spaces number shared degrees of freedom by mesh
+topology: a node is keyed by the global ids of the vertices it combines and
+its integer barycentric weights, so nodes on shared vertices, edges and faces
+get one dof without comparing coordinates.
 """
 
 from __future__ import annotations
@@ -133,16 +135,8 @@ class ReferenceElement:
             self.node_coords = np.full((1, dim), 1.0 / (dim + 1))
         self.exponents = np.array(multis, dtype=np.int64)
         self.node_count = len(multis)
-        vander = self._monomials(self.node_coords)
+        vander = self._monomial_derivative(self._powers(self.node_coords))
         self.coeffs = np.linalg.inv(vander).T  # coeffs[b] = basis b in monomials
-
-    def _monomials(self, pts):
-        vals = np.ones((len(pts), self.node_count))
-        for j, exp in enumerate(self.exponents):
-            for i, e in enumerate(exp):
-                if e:
-                    vals[:, j] *= pts[:, i] ** e
-        return vals
 
     def _powers(self, pts):
         """Per-axis power tables of reference points up to the degree."""

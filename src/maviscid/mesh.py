@@ -66,13 +66,13 @@ class SimplicialMesh:
     cells : array_like, shape (M, dim+1)
         Vertex indices per cell.  Cells with negative signed volume are
         reoriented (last two vertices swapped) on construction.
-    structure : tuple, optional
-        Generator tag ``("kuhn", n)`` of ``build_structured_mesh``: it selects
-        direct point location (cell d! * cube + rank of the local coordinate
-        order) and skips the hanging-vertex scan (generator meshes are
-        conforming by construction).  Meshes without it are located by a
-        linear scan and scanned for hanging vertices.  ``locate`` rejects
-        points outside the mesh on both paths.
+
+    ``structure`` is ``("kuhn", n)`` on the meshes of ``build_structured_mesh``
+    and None on every other: it selects direct point location (cell d! * cube
+    + rank of the local coordinate order) and skips the hanging-vertex scan
+    (generator meshes are conforming by construction); other meshes are
+    located by a linear scan and scanned for hanging vertices.  ``locate``
+    rejects points outside the mesh on both paths.
 
     Faces are stored as arrays, numbered in order of first occurrence over
     (cell, local face); local face i omits local vertex i.  Interior face f
@@ -86,7 +86,9 @@ class SimplicialMesh:
     Immutable after construction; safe to share read-only across threads.
     """
 
-    def __init__(self, dim, vertices, cells, structure=None):
+    structure = None
+
+    def __init__(self, dim, vertices, cells):
         if dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         self.dim = int(dim)
@@ -113,7 +115,6 @@ class SimplicialMesh:
         diffs = pts[:, :, None, :] - pts[:, None, :, :]
         self.cell_diameters = np.sqrt((diffs**2).sum(-1)).max(axis=(1, 2))
         self.h = float(self.cell_diameters.max())
-        self.structure = structure
 
         self._build_faces()
 
@@ -186,8 +187,6 @@ class SimplicialMesh:
         longest edge.
         """
         fc = self.vertices[vertex_ids]  # (F, dim, dim)
-        if len(fc) == 0:
-            return np.zeros((0, self.dim)), np.zeros(0), np.zeros(0)
         e = fc[:, 1:] - fc[:, :1]
         if self.dim == 2:
             cr = np.stack([e[:, 0, 1], -e[:, 0, 0]], axis=1)
@@ -340,7 +339,10 @@ def build_structured_mesh(dim, n):
     ])
     origins = strides @ np.indices((n,) * dim).reshape(dim, -1)[::-1]
     cells = (origins[:, None, None] + walks).reshape(-1, dim + 1)
-    return SimplicialMesh(dim, verts, cells, structure=("kuhn", n))
+    mesh = SimplicialMesh.__new__(SimplicialMesh)
+    mesh.structure = ("kuhn", n)  # set first: __init__'s hanging scan skips it
+    mesh.__init__(dim, verts, cells)
+    return mesh
 
 
 def dump_off(mesh):

@@ -68,6 +68,8 @@ __all__ = [
     "NewtonError",
     "sparse_solve",
     "newton_solve",
+    "default_ladder",
+    "convex_seed",
     "continuation_solve",
 ]
 

@@ -339,7 +339,7 @@ def test_boundary_data_psi_default():
 
 
 def test_coefficient_field_checks():
-    bad = CoefficientField.from_function(
+    bad = CoefficientField(
         2, lambda p: np.tile([[1.0, 2.0], [0.0, 1.0]], (len(p), 1, 1))
     )
     with pytest.raises(ValueError):
@@ -365,7 +365,7 @@ def test_operator_matches_brute_force(dim, degree):
     space = FeSpace(mesh, degree)
     params = PenaltyParams(1.7, 0.3, "reduced")
     fn = field_2d if dim == 2 else field_3d
-    field = CoefficientField.from_function(dim, fn)
+    field = CoefficientField(dim, fn)
     A = assemble_Ah_sigma(space, field, params).toarray()
     A_ref = brute_operator(space, fn, params)
     scale = np.max(np.abs(A_ref))
@@ -616,6 +616,18 @@ def test_load_partition_of_unity():
         space = FeSpace(build_structured_mesh(dim, n), 2)
         load = _load_vector(space, lambda p: np.ones(len(p)))
         assert load.sum() == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_boundary_normal_derivatives_of_a_linear_function(dim, degree):
+    # v = a . x + b has grad v . n = a . n_F at every boundary rule point
+    space = FeSpace(shuffled_mesh(dim, 2), degree)
+    mesh = space.mesh
+    a = np.array([0.7, -1.3, 0.4])[:dim]
+    v = interpolate(space, lambda p: p @ a + 0.25)
+    _, gradn, _ = _boundary_tables(space)
+    got = np.einsum("fqb,fb->fq", gradn, v.coeffs[space.cell_dofs[mesh.bface_cells]])
+    assert np.max(np.abs(got - (mesh.bface_normals @ a)[:, None])) <= 1e-13
 
 
 def test_boundary_flux_divergence_theorem():
@@ -935,7 +947,7 @@ def test_face_weights_are_per_point_products_summing_to_face_measures(dim):
         for m in mesh.iface_measures
     ]
     assert np.array_equal(wq, np.array(want))
-    bw = _boundary_tables(space)[3]
+    bw = _boundary_tables(space)[2]
     total = mesh.iface_measures.sum() + mesh.bface_measures.sum()
     assert abs(wq.sum() + bw.sum() - total) <= 1e-14 * total
     assert np.allclose(wq.sum(axis=1), mesh.iface_measures, rtol=1e-14, atol=0.0)
@@ -972,7 +984,7 @@ def test_plus_minus_label_invariance():
     mesh = build_structured_mesh(2, 3)
     space = FeSpace(mesh, 2)
     params = PenaltyParams(1.3, 0.3)
-    field = CoefficientField.from_function(2, field_2d)
+    field = CoefficientField(2, field_2d)
     A1 = assemble_Ah_sigma(space, field, params).toarray()
 
     flipped = copy.copy(mesh)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import SimplicialMesh, build_structured_mesh, dump_off
 
 
@@ -236,6 +237,47 @@ def test_orientation_canonicalized():
     verts = [(0, 0), (1, 0), (0, 1)]
     mesh = SimplicialMesh(2, verts, [(0, 2, 1)])  # clockwise input
     assert mesh.cell_volumes[0] > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_cell_mesh_has_empty_interior_face_arrays(dim):
+    mesh = SimplicialMesh(dim, np.vstack([np.zeros(dim), np.eye(dim)]), [range(dim + 1)])
+    assert len(mesh.bface_cells) == dim + 1
+    for name, shape in (("iface_normals", (0, dim)), ("iface_diameters", (0,)),
+                        ("iface_measures", (0,))):
+        a = getattr(mesh, name)
+        assert a.shape == shape and a.dtype == np.float64
+
+
+def test_only_the_generator_tags_a_mesh(monkeypatch):
+    # the Kuhn cells in another order are no generator mesh: tagging them
+    # would send points to the cells of the generator's numbering.  The
+    # generator's tag is set before the faces are built, so that its meshes
+    # skip the hanging-vertex scan
+    seen = []
+    check = SimplicialMesh._check_no_hanging_vertices
+
+    def spy(self):
+        seen.append(self.structure)
+        check(self)
+
+    monkeypatch.setattr(SimplicialMesh, "_check_no_hanging_vertices", spy)
+    mesh = build_structured_mesh(2, 4)
+    perm = np.random.default_rng(2).permutation(mesh.num_cells)
+    with pytest.raises(TypeError):
+        SimplicialMesh(2, mesh.vertices, mesh.cells[perm], structure=("kuhn", 4))
+    shuffled = SimplicialMesh(2, mesh.vertices, mesh.cells[perm])
+    assert seen == [("kuhn", 4), None]
+    assert mesh.structure == ("kuhn", 4) and shuffled.structure is None
+    pts = np.array([[0.3, 0.6], [0.81, 0.12]])
+    assert np.array_equal(perm[shuffled.locate(pts)], mesh.locate(pts))
+
+    def g(p):
+        return np.exp(3.0 * p[:, 0]) * np.sin(4.0 * p[:, 1])
+
+    want = interpolate(FeSpace(mesh, 2), g).evaluate(pts)
+    got = interpolate(FeSpace(shuffled, 2), g).evaluate(pts)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_locate_structured():
