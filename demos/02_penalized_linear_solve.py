@@ -55,9 +55,9 @@ for n in (4, 8, 16, 32):
     A = assemble_Ah_sigma(space, CoefficientField.zero(2), PARAMS)
     rhs = assemble_linearized_rhs(space, phi, psi, PARAMS)
 
-    bvals, interior = apply_dirichlet(space, u_star.value)
+    interior = space.interior_dofs
     coeffs = np.zeros(space.ndofs)
-    coeffs[space.boundary_dofs] = bvals
+    coeffs[space.boundary_dofs] = apply_dirichlet(space, u_star.value)
     rhs_i = rhs[interior] - (A @ coeffs)[interior]
     coeffs[interior] = sparse_solve(A[np.ix_(interior, interior)], rhs_i)
 

@@ -142,9 +142,9 @@ def _samples(space, samples, seed):
     return V
 
 
-def _norm_pieces(space, coeffs):
-    """(broken Hessian norm, broken Laplacian norm, jump seminorm) of a
-    coefficient vector, or of each column of an (ndofs, samples) block.
+def _norm_pieces(space, V):
+    """(broken Hessian norm, broken Laplacian norm, jump seminorm) of each
+    column of an (ndofs, samples) block V, as three (samples,) arrays.
 
     Each piece is a sum of weighted squares of point values: D^2 v at the
     points of a cell rule exact to 2 (k - 2), pushed forward from the
@@ -152,7 +152,6 @@ def _norm_pieces(space, coeffs):
     rule, weighted by h_F^-1.  The interior-face tables are cached per
     space and shared with the face pass (``_interior_face_tables``); the
     face rule enters through its weights alone (``_face_weights``)."""
-    V = coeffs.reshape(len(coeffs), -1)
     d, samples = space.dim, V.shape[1]
     rule, _, _, hess_ref = _cell_tables(space, 2 * (space.degree - 2))
     nq, nb = hess_ref.shape[:2]
@@ -183,8 +182,7 @@ def _norm_pieces(space, coeffs):
         )
         wj = wq / mesh.iface_diameters[faces][:, None]
         jump2 += np.einsum("fq,fqs->s", wj, jump**2)
-    # [()] turns a vector's 0-d result into a scalar and leaves arrays as they are
-    return tuple(np.sqrt(x).reshape(coeffs.shape[1:])[()] for x in (hess2, lap2, jump2))
+    return np.sqrt(hess2), np.sqrt(lap2), np.sqrt(jump2)
 
 
 def mesh_norm(v_h):
@@ -196,8 +194,8 @@ def mesh_norm(v_h):
     scale = max(1.0, float(np.abs(v_h.coeffs).max()) if len(v_h.coeffs) else 1.0)
     if len(bvals) and np.abs(bvals).max() > 1e-13 * scale:
         raise ValueError("mesh_norm requires zero boundary dofs")
-    hess, _, jump = _norm_pieces(space, v_h.coeffs)
-    return float(np.sqrt(hess**2 + jump**2))
+    hess, _, jump = _norm_pieces(space, v_h.coeffs[:, None])
+    return float(np.sqrt(hess[0] ** 2 + jump[0] ** 2))
 
 
 # A jump seminorm below this many units of eps max|v| (sum_F |F| h_F^-3)^(1/2)
@@ -236,17 +234,16 @@ def verify_miranda_talenti(space, samples, seed=0):
     return float(_miranda_talenti_constants(space, V, _norm_pieces(space, V)).max())
 
 
-def _linf_estimate(space, coeffs):
-    """Max of |v| over dof nodes and cell quadrature points, for a vector or
-    each column of an (ndofs, samples) block.  A block's point values are
-    formed sample-major, (samples, m, nq), so each sample's maximum is a
-    reduction over contiguous trailing axes."""
-    best = np.abs(coeffs).max(axis=0, initial=0.0)
+def _linf_estimate(space, V):
+    """Max of |v| over dof nodes and cell quadrature points for each column
+    v of an (ndofs, samples) block V.  The point values are formed
+    sample-major, (samples, m, nq), so each sample's maximum is a reduction
+    over contiguous trailing axes."""
+    best = np.abs(V).max(axis=0, initial=0.0)
     val = _cell_tables(space)[1]
     for cells in _cell_chunks(space):
-        local = np.take(coeffs, space.cell_dofs[cells], axis=0)
-        # values at the points, (samples, m, nq) or (m, nq) for one vector
-        vh = (local.transpose(2, 0, 1) if coeffs.ndim == 2 else local) @ val.T
+        local = np.take(V, space.cell_dofs[cells], axis=0)
+        vh = local.transpose(2, 0, 1) @ val.T
         # max |vh| as max(max, -min) over the trailing axes, and vh dropped
         # before the next block is formed: one block-sized array is live at a time
         best = np.maximum(best, np.maximum(vh.max(axis=(-2, -1)), -vh.min(axis=(-2, -1))))

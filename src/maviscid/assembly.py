@@ -753,7 +753,7 @@ def assemble_linearized_rhs(space, phi, psi, params):
 
 def _check_dirichlet(u_h, g_data):
     space = u_h.space
-    bvals, _ = apply_dirichlet(space, g_data.g)
+    bvals = apply_dirichlet(space, g_data.g)
     gap = np.max(np.abs(u_h.coeffs[space.boundary_dofs] - bvals)) if len(bvals) else 0.0
     if gap > 1e-10:
         raise ValueError(f"u_h violates Dirichlet dofs by {gap:.2e}")
@@ -806,9 +806,10 @@ def assemble_residual_and_jacobian(u_h, f, g_data, params):
 
 
 def apply_dirichlet(space, g):
-    """Boundary dof values of g and the interior dof index set."""
+    """Values of g at the boundary dofs, in ``space.boundary_dofs`` order; a
+    g that returns a scalar gives that value at every boundary dof."""
     coords = space.dof_coords[space.boundary_dofs]
     vals = np.asarray(g(coords), dtype=float)
     if vals.ndim == 0:
         vals = np.full(len(space.boundary_dofs), float(vals))
-    return vals, space.interior_dofs
+    return vals

@@ -231,16 +231,18 @@ def serialize_case(spec):
 
 
 def parse_config_text(text):
-    """Parse ``key = value`` lines; '#' starts a comment."""
-    out = {}
+    """Parse ``key = value`` lines, each key once; '#' starts a comment."""
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = value, lineno
     return out
 
 

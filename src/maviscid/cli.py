@@ -5,8 +5,9 @@ Three subcommands:
 * ``convergence`` — one rate table per polynomial degree, either over the
   mesh sizes (fixed epsilon) or over the epsilon ladder (fixed mesh),
   written as CSV and/or markdown.
-* ``solve`` — one solve at the target parameters, dumping dof values plus a
-  plot-ready grid (2D) or axis-aligned slice files (3D).
+* ``solve`` — one solve at the target parameters, dumping dof values plus
+  the solution on a 101 x 101 grid of the unit square (2D) or of each of
+  six axis-aligned planes (3D), one evaluation per plane.
 * ``verify`` — Monte-Carlo probes of the discrete Miranda-Talenti and
   Sobolev inequalities and of coercivity of the linearized form, with
   per-level constants and a nonzero exit when a bound degrades or fails.
@@ -39,8 +40,6 @@ from maviscid.analysis import (
 )
 from maviscid.assembly import PenaltyParams, apply_dirichlet
 from maviscid.cases import (
-    CASE_IDS,
-    builtin_case,
     case_with_overrides,
     check_case_consistency,
     parse_config_text,
@@ -131,7 +130,10 @@ def resolve_config(args):
         path = Path(raw)
         if not path.is_file():
             raise UsageError(f"config file not found: {raw}")
-        file_cfg = parse_config_text(path.read_text())
+        try:
+            file_cfg = parse_config_text(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            raise UsageError(f"config file {raw}: {exc}") from exc
         if "case" not in file_cfg:
             raise UsageError(f"config file {raw} is missing 'case = ...'")
         unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
@@ -294,7 +296,7 @@ def _run_eps_study(spec, degree):
                     factor=factor,
                 )
             else:
-                u.coeffs[space.boundary_dofs] = apply_dirichlet(space, bdata.g)[0]
+                u.coeffs[space.boundary_dofs] = apply_dirichlet(space, bdata.g)
                 u, rep = newton_solve(f, bdata, params, config, u, factor=factor)
         except NewtonError as exc:
             return rows, (eps, exc)
@@ -347,47 +349,23 @@ def _write_dof_values(u, path):
     )
 
 
-def _write_gridded(path, header, scan_values, line_values, sampler):
-    """Blocked CSV (blank line between scans) that gnuplot can splot."""
+def _write_plane(u, path, axis=None, c=None):
+    """u on a GRID_SAMPLES x GRID_SAMPLES grid of the unit square (2D) or of
+    the plane x_axis = c of the unit cube (3D), evaluated in one call and
+    written as a blocked CSV that gnuplot can splot: one block per value of
+    the first written coordinate, each followed by a blank line."""
+    ticks = np.linspace(0.0, 1.0, GRID_SAMPLES)
+    # the written coordinates: the first is constant along each block
+    grid = np.stack(np.meshgrid(ticks, ticks, indexing="ij"), axis=-1).reshape(-1, 2)
+    names, pts = "xyz"[: u.space.dim], grid
+    if axis is not None:
+        names, pts = names[:axis] + names[axis + 1:], np.insert(grid, axis, c, axis=1)
+    rows = np.column_stack([grid, u.evaluate(pts)])
     with open(path, "w") as fh:
-        fh.write(f"# {header}\n")
-        for a in scan_values:
-            pts = np.column_stack(
-                [np.full(len(line_values), a), line_values]
-            )
-            np.savetxt(
-                fh, np.column_stack([pts, sampler(pts)]),
-                fmt=("%.6f", "%.6f", "%.12e"), delimiter=",",
-            )
+        fh.write(f"# {','.join(names)},u\n")
+        for block in np.split(rows, GRID_SAMPLES):
+            np.savetxt(fh, block, fmt=("%.6f", "%.6f", "%.12e"), delimiter=",")
             fh.write("\n")
-
-
-def _write_grid_2d(u, path):
-    ticks = np.linspace(0.0, 1.0, GRID_SAMPLES)
-    _write_gridded(
-        path, "x,y,u", ticks, ticks,
-        lambda pts: u.evaluate(pts),
-    )
-
-
-def _write_slices_3d(u, outdir):
-    ticks = np.linspace(0.0, 1.0, GRID_SAMPLES)
-    paths = []
-    for axis, name, cols in ((0, "x", "y,z,u"), (1, "y", "x,z,u")):
-        others = [i for i in range(3) if i != axis]
-        for c in SLICE_OFFSETS:
-            path = outdir / f"slice_{name}_{c:g}.csv"
-
-            def sampler(pts, axis=axis, others=others, c=c):
-                full = np.empty((len(pts), 3))
-                full[:, axis] = c
-                full[:, others[0]] = pts[:, 0]
-                full[:, others[1]] = pts[:, 1]
-                return u.evaluate(full)
-
-            _write_gridded(path, cols, ticks, ticks, sampler)
-            paths.append(path)
-    return paths
 
 
 def cmd_solve(cfg):
@@ -407,20 +385,18 @@ def cmd_solve(cfg):
         _progress(f"solver failed for case {spec.id}: {exc}")
         return 1
     _write_dof_values(u, cfg.out / "solution_dofs.txt")
-    artifacts = [cfg.out / "solution_dofs.txt"]
-    if spec.dim == 2:
-        _write_grid_2d(u, cfg.out / "solution_grid.csv")
-        artifacts.append(cfg.out / "solution_grid.csv")
-    else:
-        artifacts.extend(_write_slices_3d(u, cfg.out))
+    planes = [("solution_grid.csv", None, None)] if spec.dim == 2 else [
+        (f"slice_{'xy'[axis]}_{c:g}.csv", axis, c) for axis in (0, 1) for c in SLICE_OFFSETS]
+    for name, axis, c in planes:
+        _write_plane(u, cfg.out / name, axis, c)
     final = report.residual_history[-1] if report.residual_history else 0.0
     print(f"case {spec.id}: converged at eps={eps_target:g} in {_counts(report)}")
     print(f"final residual {final:.3e}, min dof value {u.coeffs.min():.6e}")
     if spec.exact_solution is not None:
         e = error_norms(spec.exact_solution, u)
         print(f"errors: l2 {e.l2:.3e}, h1 {e.h1:.3e}, h2_broken {e.h2_broken:.3e}")
-    for p in artifacts:
-        print(f"wrote {p}")
+    for name in ["solution_dofs.txt"] + [name for name, _, _ in planes]:
+        print(f"wrote {cfg.out / name}")
     return 0
 
 

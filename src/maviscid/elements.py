@@ -16,7 +16,7 @@ get one dof without comparing coordinates.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre

@@ -415,8 +415,7 @@ def convex_seed(space, g):
     """Interpolant of |x - c|^2 / 2, c = (0.5, ..., 0.5), with boundary dofs
     pinned to g."""
     seed = interpolate(space, lambda p: 0.5 * ((p - 0.5) ** 2).sum(axis=1))
-    bvals, _ = apply_dirichlet(space, g)
-    seed.coeffs[space.boundary_dofs] = bvals
+    seed.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)
     return seed
 
 
@@ -506,7 +505,7 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
         u, prev = climb(coarse, len(ladder) - 1, [])
         start = _rung_start(coarse, ladder, len(ladder) - 1, u, prev, g)
         fine = interpolate(space, start.evaluate)
-        fine.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)[0]
+        fine.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)
         return fine
 
     t0 = time.perf_counter()
@@ -555,7 +554,7 @@ def _rung_start(space, ladder, k, u, prev, g):
         theta = (math.log(ladder[k] / ladder[k - 1])
                  / math.log(ladder[k - 1] / ladder[k - 2]))
         start.coeffs += theta * (u.coeffs - prev.coeffs)
-    start.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)[0]
+    start.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)
     return start
 
 

@@ -23,7 +23,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from maviscid.analysis import (
     _coercivity_values,

@@ -7,7 +7,6 @@ import pytest
 
 from maviscid.cases import (
     CASE_IDS,
-    ExperimentSpec,
     _boundary_points,
     builtin_case,
     case_with_overrides,
@@ -166,6 +165,12 @@ def test_parse_config_comments_and_errors():
     assert cfg == {"case": "III", "sigma": "12.5"}
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("sigma 12.5")
+
+
+def test_parse_config_rejects_a_repeated_key():
+    # the later line must not silently win over the earlier one
+    with pytest.raises(ValueError, match="line 4: key 'sigma' repeats line 2"):
+        parse_config_text("case = III\nsigma = 20\n# stiffer\nsigma = 1\n")
 
 
 def test_overrides_accept_fractions_and_commas():

@@ -14,9 +14,9 @@ from maviscid.analysis import (
     verify_discrete_sobolev,
     verify_miranda_talenti,
 )
-from maviscid.cases import builtin_case, case_with_overrides, serialize_case
+from maviscid.cases import case_with_overrides, serialize_case
 from maviscid import analysis, cli
-from maviscid.cli import _write_grid_2d, main
+from maviscid.cli import _write_plane, main
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
 
@@ -288,13 +288,17 @@ class _ConfigLine(str):
     ("verify", "--case", "II", "--h-list", "1/4", "--eps-list", "0/0"),
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("sigam = 5")),
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("dim = 3")),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("h_list 1/4")),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("sigma = 20\nsigma = 1")),
+    # a lone surrogate escape stands for the byte 0xe9, which is not UTF-8
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("sigma = 20\udce9")),
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     # rejected before any solve: no traceback and nothing written
     for i, arg in enumerate(argv):
         if isinstance(arg, _ConfigLine):
             cfg = tmp_path / "case.cfg"
-            cfg.write_text(f"case = III\n{arg}\n")
+            cfg.write_bytes(f"case = III\n{arg}\n".encode("utf-8", "surrogateescape"))
             argv = argv[:i] + (str(cfg),) + argv[i + 1:]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
@@ -380,6 +384,8 @@ def test_solve_3d_slices(tmp_path):
     for name in names:
         blocks = parse_blocked_csv(tmp_path / name)
         assert len(blocks) == 101 and len(blocks[0]) == 101
+        header = (tmp_path / name).read_text().split("\n", 1)[0]
+        assert header == ("# y,z,u" if name.startswith("slice_x") else "# x,z,u")
     mid = parse_blocked_csv(tmp_path / "slice_x_0.5.csv")
     assert mid[50][50, 2] < -1e-4  # negative at the domain center
     assert np.abs(mid[0][:, 2]).max() < 1e-9  # boundary face y = 0
@@ -409,16 +415,19 @@ def test_solve_byte_identical_repeat(tmp_path):
 
 def test_grid_sampler_reproduces_interpolated_boundary_data(tmp_path):
     # sampling machinery alone: the interpolant of an affine g lies in the
-    # space exactly, so grid samples on the boundary reproduce g
-    space = FeSpace(build_structured_mesh(2, 4), 2)
-    g = lambda p: 2.0 * p[:, 0] + 3.0 * p[:, 1]
-    u = interpolate(space, g)
-    path = tmp_path / "grid.csv"
-    _write_grid_2d(u, path)
-    blocks = parse_blocked_csv(path)
-    first, last = blocks[0], blocks[-1]
-    assert np.abs(first[:, 2] - 3.0 * first[:, 1]).max() < 1e-12
-    assert np.abs(last[:, 2] - (2.0 + 3.0 * last[:, 1])).max() < 1e-12
+    # space exactly, so every sample of the unit square (2D) or of the
+    # planes x = 0.25 and y = 0.75 (3D) reproduces g at its point
+    for dim, axis, c in ((2, None, None), (3, 0, 0.25), (3, 1, 0.75)):
+        space = FeSpace(build_structured_mesh(dim, 4), 2)
+        slope = np.array([2.0, 3.0, -5.0])[:dim]
+        u = interpolate(space, lambda p: 1.0 + p @ slope)
+        path = tmp_path / f"plane_{dim}_{axis}.csv"
+        _write_plane(u, path, axis, c)
+        blocks = parse_blocked_csv(path)
+        assert len(blocks) == 101 and {len(b) for b in blocks} == {101}
+        rows = np.concatenate(blocks)
+        pts = rows[:, :2] if axis is None else np.insert(rows[:, :2], axis, c, axis=1)
+        assert np.abs(rows[:, 2] - (1.0 + pts @ slope)).max() < 1e-12
 
 
 # ------------------------------------------------------------------- verify

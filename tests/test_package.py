@@ -1,8 +1,13 @@
-"""The package's public API: each module's ``__all__``, re-exported."""
+"""The package's public API: each module's ``__all__``, re-exported; and
+no source file imports a name it does not use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import maviscid
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ("mesh", "elements", "assembly", "solve", "analysis", "cases")
 
@@ -39,3 +44,33 @@ def test_package_all_is_the_modules_all():
             assert getattr(maviscid, name) is getattr(module, name)
     assert isinstance(maviscid.__version__, str)
     assert len(EXPORTED_BEFORE) == 45 and EXPORTED_BEFORE <= set(names)
+
+
+def _unused_imports(path):
+    """Names that a module imports and never reads, except star imports,
+    ``__future__`` features and names listed in its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported, read, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:  # ``import a.b`` binds ``a``
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported |= {c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted(f"{path.relative_to(ROOT)}:{line} {name}"
+                  for name, line in imported.items() if name not in read | exported)
+
+
+def test_no_unused_imports():
+    files = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    assert len(files) > 20
+    assert [u for p in files for u in _unused_imports(p)] == []

@@ -17,7 +17,6 @@ from maviscid.assembly import (
     PenaltyParams,
     apply_dirichlet,
     assemble_Ah_sigma,
-    assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
 )
 from maviscid.cases import builtin_case, case_with_overrides
@@ -597,7 +596,7 @@ def test_continuation_data_factory():
     assert [r.ndofs for _, r in report.rungs] == [49, 49, space.ndofs]
     g = factory(0.125)[1].g
     assert np.array_equal(u.coeffs[space.boundary_dofs],
-                          apply_dirichlet(space, g)[0])
+                          apply_dirichlet(space, g))
 
 
 def test_continuation_annotates_failures():
@@ -670,10 +669,10 @@ def _ladder_by_hand(case, dim, n, schedule, abs_tol, loose, nested=False,
                 theta = math.log(eps / schedule[k - 1]) / math.log(
                     schedule[k - 1] / schedule[k - 2])
                 start.coeffs += theta * (solutions[-1].coeffs - solutions[-2].coeffs)
-            start.coeffs[on.boundary_dofs] = apply_dirichlet(on, data.g)[0]
+            start.coeffs[on.boundary_dofs] = apply_dirichlet(on, data.g)
         if on is not space and k == len(schedule) - 1:
             start = interpolate(space, start.evaluate)
-            start.coeffs[space.boundary_dofs] = apply_dirichlet(space, data.g)[0]
+            start.coeffs[space.boundary_dofs] = apply_dirichlet(space, data.g)
             holder = [] if loose else None
         tol = max(abs_tol, _RUNG_TOL) if loose and k < len(schedule) - 1 else abs_tol
         u, rep = newton_solve(f, data, PenaltyParams(spec.sigma, eps, spec.weight_mode),
