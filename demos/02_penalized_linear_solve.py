@@ -16,6 +16,7 @@ import numpy as np
 
 from maviscid import (
     CoefficientField,
+    FeFunction,
     FeSpace,
     PenaltyParams,
     ScalarField,
@@ -29,6 +30,7 @@ from maviscid import (
 
 EPS = 0.1
 PARAMS = PenaltyParams(sigma=20.0, epsilon=EPS, weight_mode="plain")
+ZERO_FIELD = CoefficientField.constant(np.zeros((2, 2)))  # Phi = 0
 
 
 def hessian(p):
@@ -52,16 +54,16 @@ print("  n    dofs   l2 error    h2 error")
 prev = None
 for n in (4, 8, 16, 32):
     space = FeSpace(build_structured_mesh(2, n), 2)
-    A = assemble_Ah_sigma(space, CoefficientField.zero(2), PARAMS)
+    A = assemble_Ah_sigma(space, ZERO_FIELD, PARAMS)
     rhs = assemble_linearized_rhs(space, phi, psi, PARAMS)
 
     interior = space.interior_dofs
     coeffs = np.zeros(space.ndofs)
     coeffs[space.boundary_dofs] = apply_dirichlet(space, u_star.value)
     rhs_i = rhs[interior] - (A @ coeffs)[interior]
-    coeffs[interior] = sparse_solve(A[np.ix_(interior, interior)], rhs_i)
+    coeffs[interior], _, _ = sparse_solve(A[np.ix_(interior, interior)], rhs_i)
 
-    e = error_norms(u_star, space.function(coeffs))
+    e = error_norms(u_star, FeFunction(space, coeffs))
     marker = ""
     if prev is not None:
         marker = f"  (h2 ratio {prev / e.h2_broken:.2f}x)"

@@ -280,9 +280,10 @@ def _order(e_prev, e_cur, p_prev, p_cur):
 
 
 def rate_table(rows):
-    """Log-ratio convergence orders between consecutive refinement rows."""
-    if len(rows) < 2:
-        raise ValueError("need at least two rows")
+    """Log-ratio convergence orders between consecutive refinement rows
+    (one row or more); the first row's orders are None."""
+    if not rows:
+        raise ValueError("need at least one row")
     params = [float(p) for p, _ in rows]
     if any(b >= a for a, b in zip(params, params[1:])):
         raise ValueError("parameters must be strictly decreasing")

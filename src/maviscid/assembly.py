@@ -147,10 +147,11 @@ def dump_matrix_market(matrix, path):
 class CoefficientField:
     """Symmetric matrix-valued field evaluated at quadrature points.
 
-    ``fn(points)`` returns an (N, d, d) array at (N, d) physical points.
-    Every evaluation is checked for symmetry.  The cofactor of a discrete
-    Hessian is not a field: the Newton pass forms cof(D^2 w) : D^2 v itself,
-    so A_h(cof(D^2 w)) is ``-assemble_jacobian(w, params)``.
+    ``fn(points)`` returns an (N, d, d) array at (N, d) physical points, and
+    ``constant(np.eye(d))`` is the identity field.  Every evaluation is
+    checked for symmetry.  The cofactor of a discrete Hessian is not a
+    field: the Newton pass forms cof(D^2 w) : D^2 v itself, so
+    A_h(cof(D^2 w)) is ``-assemble_jacobian(w, params)``.
     """
 
     def __init__(self, dim, fn):
@@ -165,14 +166,6 @@ class CoefficientField:
             return np.broadcast_to(mat, (len(points),) + mat.shape)
 
         return cls(mat.shape[0], fn)
-
-    @classmethod
-    def identity(cls, dim):
-        return cls.constant(np.eye(dim))
-
-    @classmethod
-    def zero(cls, dim):
-        return cls.constant(np.zeros((dim, dim)))
 
     def __call__(self, points):
         vals = np.asarray(self._fn(points), dtype=float)

@@ -57,15 +57,14 @@ class ExperimentSpec:
 
     ``make_f(eps)`` and ``make_psi(eps)`` give the source and Laplacian-trace
     fields at a regularization level (psi may be None: the constant eps).
-    ``exact_kind`` is "regularized" when ``exact`` solves the regularized
-    problem at every eps, "viscosity_limit" when it solves the unregularized
-    one, and "none" without a reference solution.
+    ``exact_solution`` is None without a reference solution.  With
+    ``bilap``, the bilaplacian of ``exact_solution``, the reference solves
+    the regularized problem at every eps; without it, the unregularized one.
     """
 
     id: str
     dim: int
     exact_solution: Optional[ScalarField]
-    exact_kind: str
     make_f: Callable
     g: Callable
     make_psi: Optional[Callable]
@@ -156,14 +155,14 @@ def builtin_case(case_id):
     if family == "exponential":
         # one f for every eps: the solver reuses its load vector on each rung
         u, f = _exp_field(dim), _exp_det(dim)
-        kind, make_f = "viscosity_limit", lambda eps: f
+        make_f = lambda eps: f
     elif family == "quartic":
         exponents, make_f, make_psi = _QUARTICS[dim]
-        u, kind, bilap = _quartic(exponents), "regularized", lambda p: np.full(len(p), 24.0)
+        u, bilap = _quartic(exponents), lambda p: np.full(len(p), 24.0)
     else:
-        kind, make_f = "none", lambda eps: _one
+        make_f = lambda eps: _one
     spec = ExperimentSpec(
-        id=cid, dim=dim, exact_solution=u, exact_kind=kind, make_f=make_f,
+        id=cid, dim=dim, exact_solution=u, make_f=make_f,
         g=_zero if u is None else u.value, make_psi=make_psi, degrees=list(degrees),
         h_list=list(h_list), eps_list=list(eps_list), bilap=bilap,
     )
@@ -183,7 +182,7 @@ def _boundary_points(dim, count, rng):
 
 def check_case_consistency(spec, eps=0.37, points=20, seed=1234):
     """Max relative defect of the manufactured data against the exact
-    solution; the derivation rule depends on the case kind."""
+    solution, of the regularized problem if ``bilap`` is given."""
     if spec.exact_solution is None:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -193,16 +192,14 @@ def check_case_consistency(spec, eps=0.37, points=20, seed=1234):
     f, bdata = spec.data(eps)
     det, _ = det_and_cofactor(u.hessian(interior))
     target = det
-    if spec.exact_kind == "regularized":
-        if spec.bilap is None:
-            raise ValueError("regularized case needs the bilaplacian of u")
+    if spec.bilap is not None:
         target = target - eps * spec.bilap(interior)
     scale = max(1.0, float(np.abs(target).max()))
     gap = float(np.abs(f(interior) - target).max()) / scale
     g_gap = float(np.abs(bdata.g(boundary) - u.value(boundary)).max())
     gap = max(gap, g_gap / max(1.0, float(np.abs(u.value(boundary)).max())))
     psi_vals = bdata.psi_field(eps)(boundary)
-    if spec.exact_kind == "regularized":
+    if spec.bilap is not None:
         lap = np.einsum("nii->n", u.hessian(boundary))
         gap = max(
             gap,

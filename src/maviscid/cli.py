@@ -5,12 +5,13 @@ Three subcommands:
 * ``convergence`` — one rate table per polynomial degree, either over the
   mesh sizes (fixed epsilon) or over the epsilon ladder (fixed mesh),
   written as CSV and/or markdown.
-* ``solve`` — one solve at the target parameters, dumping dof values plus
-  the solution on a 101 x 101 grid of the unit square (2D) or of each of
-  six axis-aligned planes (3D), one evaluation per plane.
-* ``verify`` — Monte-Carlo probes of the discrete Miranda-Talenti and
-  Sobolev inequalities and of coercivity of the linearized form, with
-  per-level constants and a nonzero exit when a bound degrades or fails.
+* ``solve`` — one solve at one degree and mesh size, dumping dof values
+  plus the solution on a 101 x 101 grid of the unit square (2D) or of each
+  of six axis-aligned planes (3D), one evaluation per plane.
+* ``verify`` — at one degree, Monte-Carlo probes of the discrete
+  Miranda-Talenti and Sobolev inequalities and of coercivity of the
+  linearized form, with per-level constants and a nonzero exit when a
+  bound degrades or fails.
 
 Exit codes: 0 success, 1 solver or verification failure, 2 usage error.
 """
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from maviscid.analysis import (
-    RateRow,
     _coercivity_values,
     _miranda_talenti_constants,
     _norm_pieces,
@@ -190,6 +190,15 @@ def resolve_config(args):
     fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "both")
     if fmt not in ("csv", "md", "both"):
         raise UsageError(f"unknown format {fmt!r}")
+    # solve runs at one degree and mesh size, verify at one degree: no more
+    flags = {"degrees": "--degree", "h_list": "--h-list"}
+    for key in {"solve": flags, "verify": ["degrees"]}.get(args.command, ()):
+        values = getattr(spec, key)
+        if len(values) > 1:
+            given = " ".join(f"{v:g}" for v in values)
+            raise UsageError(
+                f"{args.command} takes one value of {key}, but case {spec.id} "
+                f"gives {given}; pass {flags[key]} with one value")
     return RunConfig(spec=spec, seed=seed, out=out, fmt=fmt)
 
 
@@ -228,11 +237,7 @@ def _csv_table(rows, axis):
 
 
 def _write_tables(cfg, degree, rows, axis):
-    if len(rows) >= 2:
-        tables = rate_table(rows)
-    else:
-        (param, e), = rows
-        tables = [RateRow(parameter=param, l2=e.l2, h1=e.h1, h2=e.h2_broken)]
+    tables = rate_table(rows)
     stem = cfg.out / f"case{cfg.spec.id}_k{degree}"
     md = format_rate_table(tables, parameter_name=axis)
     if cfg.fmt in ("csv", "both"):
@@ -241,7 +246,6 @@ def _write_tables(cfg, degree, rows, axis):
         (stem.with_suffix(".md")).write_text(md + "\n")
     print(f"case {cfg.spec.id}, degree {degree}:")
     print(md)
-    return tables
 
 
 def _solve_on_mesh(spec, degree, h, eps_target, schedule=None):
@@ -371,8 +375,7 @@ def _write_plane(u, path, axis=None, c=None):
 def cmd_solve(cfg):
     spec = cfg.spec
     _ensure_outdir(cfg)
-    degree = spec.degrees[0]
-    h = spec.h_list[0]
+    (degree,), (h,) = spec.degrees, spec.h_list
     eps_target = spec.eps_list[-1]
     schedule = tuple(spec.eps_list) if len(spec.eps_list) > 1 else None
     if spec.exact_solution is not None:
@@ -406,7 +409,7 @@ def cmd_solve(cfg):
 def cmd_verify(cfg):
     spec = cfg.spec
     levels = [int(round(1.0 / h)) for h in spec.h_list]
-    degree = spec.degrees[0]
+    (degree,) = spec.degrees
     mt, sb = [], []
     failures = []
     for n in levels:

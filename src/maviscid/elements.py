@@ -250,9 +250,6 @@ class FeSpace:
         rel = points - self.cell_origin[cells]
         return np.einsum("cij,cj->ci", self.jac_inv[cells], rel)
 
-    def function(self, coeffs=None):
-        return FeFunction(self, coeffs)
-
 
 class FeFunction:
     """Finite element function: a coefficient per global dof of its space."""

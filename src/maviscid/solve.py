@@ -40,7 +40,6 @@ one-rung ladders take the plain ladder directly.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -74,6 +73,7 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 20
+_MAX_ITERS = 50
 # residual at which a continuation rung before the target one stops
 _RUNG_TOL = 1e-4
 
@@ -104,7 +104,7 @@ class NewtonError(RuntimeError):
 @dataclass(frozen=True)
 class NewtonConfig:
     """Iteration controls; the damping backtracking factor is fixed at 1/2,
-    with at most ``_MAX_HALVINGS`` halvings per step.
+    with at most ``_MAX_HALVINGS`` halvings per step and ``_MAX_ITERS`` steps.
 
     ``abs_tol`` bounds the residual infinity norm of a ``newton_solve`` and
     of the target rung of a ``continuation_solve``; the ladder's earlier
@@ -112,16 +112,11 @@ class NewtonConfig:
     """
 
     abs_tol: float = 1e-10
-    max_iters: int = 50
     continuation_schedule: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if not 0 < self.abs_tol < math.inf:  # written so that NaN fails
             raise ValueError("abs_tol must be finite and positive")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
-            raise ValueError("max_iters must be an integer of at least 1")
         sched = self.continuation_schedule
         if sched is not None:
             sched = tuple(float(e) for e in sched)
@@ -195,11 +190,11 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     (see ``_preconditioned_gmres``).  The cycle stops as soon as its
     residual estimate is a tenth of what the backward-error check allows,
     and x is accepted when it is finite and passes that check.  Otherwise
-    the held factorization is dropped before this matrix is factored as
-    without ``factor``, so at most one factorization is alive, and the new
-    one is left in the list for the next solve.  With ``factor`` the result
-    is ``(x, factored, gmres_iterations)``: whether this call factored, and
-    how many GMRES iterations it ran.
+    the held factorization is dropped before this matrix is factored, so
+    at most one factorization is alive, and the new one is left in the list
+    for the next solve; without ``factor`` the list is the call's own.  The
+    result is ``(x, factored, gmres_iterations)``: whether this call
+    factored, and how many GMRES iterations it ran.
     """
     csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
@@ -210,17 +205,16 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
         raise ValueError("non-finite right-hand side entries")
     # ||A||_inf, shared by the GMRES stop and the backward-error check
     norm_a = float(np.asarray(abs(csr).sum(axis=1)).max(initial=0.0))
+    factor = [] if factor is None else factor
     iters = 0
     if factor and factor[0].shape == csr.shape:
         x, iters = _preconditioned_gmres(csr, b, factor[0], norm_a)
         if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
             return x, False, iters
-    if factor is not None:
-        factor.clear()
+    factor.clear()
     try:
         lu = spla.splu(csr.tocsc(), **(_SYMMETRIC_MODE if symmetric else {}))
-        if factor is not None:
-            factor.append(lu)
+        factor.append(lu)
         x = lu.solve(b)
     except RuntimeError as exc:
         row = _suspect_row(csr)
@@ -235,7 +229,7 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
             f"(worst row {row})",
             row=row,
         )
-    return x if factor is None else (x, True, iters)
+    return x, True, iters
 
 
 def _preconditioned_gmres(csr, b, lu, norm_a):
@@ -361,9 +355,9 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
             if rn <= config.abs_tol:
                 report.converged = True
                 return u, report
-            if report.iterations >= config.max_iters:
+            if report.iterations >= _MAX_ITERS:
                 raise NewtonError(
-                    f"no convergence in {config.max_iters} iterations "
+                    f"no convergence in {_MAX_ITERS} iterations "
                     f"(residual {rn:.3e})",
                     "max_iters",
                     report,

@@ -32,6 +32,7 @@ from maviscid.assembly import (
     _on_pattern,
 )
 from maviscid.elements import (
+    FeFunction,
     FeSpace,
     cell_quadrature,
     eval_fe,
@@ -117,7 +118,7 @@ def brute_mesh_norm(v_h):
 
 def test_error_norms_zero():
     space = FeSpace(build_structured_mesh(2, 2), 2)
-    errs = error_norms(zero_field(2), space.function())
+    errs = error_norms(zero_field(2), FeFunction(space))
     assert errs.l2 == errs.h1 == errs.h2_broken == 0.0
 
 
@@ -146,7 +147,7 @@ def test_error_norms_match_brute_force():
 def test_error_norms_requires_derivatives():
     space = FeSpace(build_structured_mesh(2, 2), 2)
     with pytest.raises(ValueError):
-        error_norms(ScalarField(lambda p: np.zeros(len(p))), space.function())
+        error_norms(ScalarField(lambda p: np.zeros(len(p))), FeFunction(space))
 
 
 def test_error_norms_validation():
@@ -159,10 +160,10 @@ def test_error_norms_validation():
 
 def test_mesh_norm_zero():
     space = FeSpace(build_structured_mesh(2, 2), 2)
-    assert mesh_norm(space.function()) == 0.0
+    assert mesh_norm(FeFunction(space)) == 0.0
     # one cell: no interior face, so the jump term is an empty matrix
     lone = FeSpace(SimplicialMesh(2, [[0, 0], [1, 0], [0, 1]], [(0, 1, 2)]), 2)
-    assert mesh_norm(lone.function()) == 0.0
+    assert mesh_norm(FeFunction(lone)) == 0.0
 
 
 def test_mesh_norm_rejects_boundary_values():
@@ -178,7 +179,7 @@ def test_mesh_norm_rejects_nonfinite_coefficients(bad, where):
     # a NaN boundary dof passes a tolerance test and an inf one overflows
     # the Hessians: both are rejected before either
     space = FeSpace(build_structured_mesh(2, 4), 2)
-    v = space.function()
+    v = FeFunction(space)
     v.coeffs[getattr(space, f"{where}_dofs")[0]] = bad
     with pytest.raises(ValueError, match="finite"):
         mesh_norm(v)
@@ -186,7 +187,7 @@ def test_mesh_norm_rejects_nonfinite_coefficients(bad, where):
 
 def test_mesh_norm_single_bump_matches_brute_force():
     space = FeSpace(build_structured_mesh(2, 2), 2)
-    v = space.function()
+    v = FeFunction(space)
     v.coeffs[space.interior_dofs[0]] = 1.0
     got = mesh_norm(v)
     ref = brute_mesh_norm(v)
@@ -283,7 +284,7 @@ def test_norm_pieces_match_the_assembled_forms_on_shuffled_meshes(dim, degree):
     # bilaplacian, P from the face pass, and the Hessian Gram matrix G from
     # COO assembly of physical-Hessian blocks
     space = FeSpace(shuffled_mesh(dim, 4 if dim == 2 else 2), degree)
-    G = coo_gram(space.function())
+    G = coo_gram(FeFunction(space))
     B = _on_pattern(space, _bilap(space))
     P = _on_pattern(space, _face_penalty_consistency(space)[0])
     V = np.random.default_rng(17).uniform(-1.0, 1.0, (space.ndofs, 5))
@@ -339,7 +340,7 @@ def test_probes_and_mesh_norm_assemble_no_matrix(monkeypatch):
     space = FeSpace(build_structured_mesh(3, 2), 2)
     assert verify_miranda_talenti(space, 3) >= 0.0
     assert verify_discrete_sobolev(space, 3) > 0.0
-    v = space.function()
+    v = FeFunction(space)
     v.coeffs[space.interior_dofs] = 1.0
     assert mesh_norm(v) > 0.0
 
@@ -357,7 +358,7 @@ def test_interior_face_tables_are_built_once_per_space(monkeypatch):
     monkeypatch.setattr("maviscid.assembly._face_tables", spy)
     space = FeSpace(build_structured_mesh(2, 4), 2)
     _face_penalty_consistency(space)
-    v = space.function()
+    v = FeFunction(space)
     v.coeffs[space.interior_dofs] = 1.0
     assert mesh_norm(v) > 0.0
     assert verify_miranda_talenti(space, 3) >= 0.0
@@ -404,7 +405,7 @@ def test_h1_dominated_by_mesh_norm():
         space = FeSpace(build_structured_mesh(2, n), 2)
         level = 0.0
         for _ in range(60):
-            v = space.function()
+            v = FeFunction(space)
             v.coeffs[space.interior_dofs] = rng.uniform(
                 -1.0, 1.0, len(space.interior_dofs)
             )
@@ -458,8 +459,12 @@ def test_rate_table_zero_errors_omitted():
 
 
 def test_rate_table_validation():
-    with pytest.raises(ValueError):
-        rate_table([(0.1, _errs(1, 1, 1))])
+    # one row is a table without orders; no rows is an error
+    (row,) = rate_table([(0.1, _errs(1, 2, 3))])
+    assert (row.parameter, row.l2, row.h1, row.h2) == (0.1, 1, 2, 3)
+    assert row.l2_order is None and row.h1_order is None and row.h2_order is None
+    with pytest.raises(ValueError, match="at least one row"):
+        rate_table([])
     with pytest.raises(ValueError):
         rate_table([(0.1, _errs(1, 1, 1)), (0.1, _errs(1, 1, 1))])
 
@@ -483,7 +488,7 @@ def test_triangle_inequality_for_error_norms():
     rng = np.random.default_rng(23)
     u_h = u_i.copy()
     u_h.coeffs += 0.01 * rng.standard_normal(space.ndofs)
-    diff = space.function(u_i.coeffs - u_h.coeffs)
+    diff = FeFunction(space, u_i.coeffs - u_h.coeffs)
     a = error_norms(u, u_h)
     b = error_norms(u, u_i)
     c = error_norms(zero_field(2), diff)

@@ -46,6 +46,7 @@ from maviscid.assembly import (
 from maviscid.analysis import _norm_pieces, mesh_norm
 from maviscid.cases import builtin_case
 from maviscid.elements import (
+    FeFunction,
     FeSpace,
     ReferenceElement,
     eval_fe,
@@ -61,7 +62,7 @@ from maviscid.solve import NewtonConfig, continuation_solve, convex_seed, newton
 
 def unit_functions(space):
     """One FeFunction per dof with that dof's coefficient 1, the rest 0."""
-    return [space.function(e) for e in np.eye(space.ndofs)]
+    return [FeFunction(space, e) for e in np.eye(space.ndofs)]
 
 
 def brute_operator(space, field_fn, params):
@@ -346,7 +347,7 @@ def test_coefficient_field_checks():
         bad(np.zeros((2, 2)))
     mesh = build_structured_mesh(2, 2)
     space = FeSpace(mesh, 2)
-    wrong_dim = CoefficientField.identity(3)
+    wrong_dim = CoefficientField.constant(np.eye(3))
     with pytest.raises(ValueError):
         assemble_Ah_sigma(space, wrong_dim, PenaltyParams(1.0, 0.5))
     nan_field = CoefficientField.constant(np.full((2, 2), np.nan))
@@ -471,7 +472,7 @@ def test_smooth_quadratic_energy_2d():
     space = FeSpace(mesh, 2)
     v = interpolate(space, lambda p: p[:, 0] ** 2 + p[:, 0] * p[:, 1] + p[:, 1] ** 2)
     params = PenaltyParams(1.0, 0.25, "full")
-    A = assemble_Ah_sigma(space, CoefficientField.zero(2), params)
+    A = assemble_Ah_sigma(space, CoefficientField.constant(np.zeros((2, 2))), params)
     assert v.coeffs @ (A @ v.coeffs) == pytest.approx(16.0 * 0.25, abs=1e-9)
 
 
@@ -483,7 +484,7 @@ def test_smooth_quadratic_energy_3d():
         lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 + p[:, 2] ** 2 + p[:, 0] * p[:, 1],
     )
     params = PenaltyParams(1.0, 0.5, "full")
-    A = assemble_Ah_sigma(space, CoefficientField.zero(3), params)
+    A = assemble_Ah_sigma(space, CoefficientField.constant(np.zeros((3, 3))), params)
     assert v.coeffs @ (A @ v.coeffs) == pytest.approx(36.0 * 0.5, abs=1e-8)
 
 
@@ -555,10 +556,11 @@ def test_solved_space_caches_one_int32_pattern():
         space, None, None, spec.sigma, 0.1, NewtonConfig(abs_tol=1e-8),
         weight_mode=spec.weight_mode, data_factory=spec.data,
     )
-    v = space.function()
+    v = FeFunction(space)
     v.coeffs[space.interior_dofs] = 1.0
     mesh_norm(v)
-    assemble_Ah_sigma(space, CoefficientField.identity(2), PenaltyParams(1.0, 0.1))
+    assemble_Ah_sigma(space, CoefficientField.constant(np.eye(2)),
+                      PenaltyParams(1.0, 0.1))
     found = cached_arrays(space)
     assert len([a for a in found if a.shape == (space.ndofs + 1,)]) == 1
     indices = [a for a in found if a.dtype.kind in "iu"]
@@ -593,7 +595,8 @@ def test_symmetry_without_coefficient():
     for dim, n in ((2, 4), (3, 2)):
         space = FeSpace(build_structured_mesh(dim, n), 2)
         A = assemble_Ah_sigma(
-            space, CoefficientField.zero(dim), PenaltyParams(1.5, 0.2)
+            space, CoefficientField.constant(np.zeros((dim, dim))),
+            PenaltyParams(1.5, 0.2)
         )
         gap = np.max(np.abs((A - A.T).toarray()))
         assert gap < 1e-13 * np.max(np.abs(A.toarray()))
@@ -602,7 +605,8 @@ def test_symmetry_without_coefficient():
 def test_interior_positivity_without_coefficient():
     space = FeSpace(build_structured_mesh(2, 4), 2)
     A = assemble_Ah_sigma(
-        space, CoefficientField.zero(2), PenaltyParams(1.0, 0.1, "full")
+        space, CoefficientField.constant(np.zeros((2, 2))),
+        PenaltyParams(1.0, 0.1, "full")
     )
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -673,7 +677,7 @@ def test_residual_dirichlet_precheck():
 
 def test_zero_data_zero_residual():
     space = FeSpace(build_structured_mesh(2, 2), 2)
-    u = space.function()
+    u = FeFunction(space)
     data = BoundaryData(g=lambda p: np.zeros(len(p)), psi=lambda p: np.zeros(len(p)))
     r = assemble_nonlinear_residual(
         u, lambda p: np.zeros(len(p)), data, PenaltyParams(1.0, 0.1)
@@ -747,7 +751,7 @@ def test_residual_follows_changed_data():
     ):
         assemble_residual_and_jacobian(u, f, data, params)
         r, J = assemble_residual_and_jacobian(u, f2, data2, params2)
-        fresh = FeSpace(build_structured_mesh(2, 4), 2).function(u.coeffs.copy())
+        fresh = FeFunction(FeSpace(build_structured_mesh(2, 4), 2), u.coeffs.copy())
         r_ref, J_ref = assemble_residual_and_jacobian(fresh, f2, data2, params2)
         assert np.array_equal(r, r_ref)
         assert np.array_equal(r, assemble_nonlinear_residual(u, f2, data2, params2))
@@ -961,7 +965,8 @@ def test_jacobian_is_negative_operator_at_identity_hessian():
         u = interpolate(space, lambda p: 0.5 * (p**2).sum(axis=1))
         params = PenaltyParams(2.0, 0.1, "reduced")
         J = assemble_jacobian(u, params).toarray()
-        A = assemble_Ah_sigma(space, CoefficientField.identity(dim), params).toarray()
+        identity = CoefficientField.constant(np.eye(dim))
+        A = assemble_Ah_sigma(space, identity, params).toarray()
         assert np.max(np.abs(J + A)) < 1e-11 * np.max(np.abs(A))
 
 
@@ -1010,7 +1015,7 @@ def test_apply_dirichlet():
 def test_matrix_market_round_trip(tmp_path):
     space = FeSpace(build_structured_mesh(2, 2), 2)
     A = assemble_Ah_sigma(
-        space, CoefficientField.identity(2), PenaltyParams(1.0, 0.5)
+        space, CoefficientField.constant(np.eye(2)), PenaltyParams(1.0, 0.5)
     )
     path = tmp_path / "op.mtx"
     dump_matrix_market(A, path)

@@ -105,7 +105,7 @@ def test_quartic_exact_solution_frozen_values(case_id, point, value, gradient, h
 def test_profile_cases_have_unit_source_and_zero_boundary():
     for cid, dim in (("III", 2), ("VI", 3)):
         spec = builtin_case(cid)
-        assert spec.exact_solution is None and spec.exact_kind == "none"
+        assert spec.exact_solution is None and spec.bilap is None
         f, bdata = spec.data(0.005)
         pts = np.random.default_rng(3).uniform(0, 1, size=(5, dim))
         assert np.all(f(pts) == 1.0)

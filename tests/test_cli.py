@@ -3,6 +3,8 @@
 import csv
 import math
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from maviscid.analysis import (
 )
 from maviscid.cases import case_with_overrides, serialize_case
 from maviscid import analysis, cli
-from maviscid.cli import _write_plane, main
+from maviscid.cli import _write_plane, build_parser, main, resolve_config
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
 
@@ -66,6 +68,37 @@ def test_missing_config_file_exits_2(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_second_value_is_rejected_not_dropped(capsys):
+    # the message names the command, the case, the values and the flag
+    assert run("verify", "--case", "II", "--h-list", "1/4") == 2
+    assert capsys.readouterr().err == (
+        "error: verify takes one value of degrees, but case II gives 2 3; "
+        "pass --degree with one value\n")
+    assert run("solve", "--case", "II", "--degree", "3", "2",
+               "--h-list", "1/4", "1/8") == 2
+    assert "takes one value of degrees, but case II gives 3 2;" in (
+        capsys.readouterr().err)
+    assert run("solve", "--case", "V") == 2
+    assert "takes one value of h_list, but case V gives 0.333333 0.166667 " in (
+        capsys.readouterr().err)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_resolve():
+    # every command of the README's "Command line" block parses and
+    # resolves; nothing is solved
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in lines if argv and argv[0] == "maviscid"]
+    assert len(commands) == 7
+    for argv in commands:
+        resolve_config(build_parser().parse_args(argv))
+
+
 # -------------------------------------------------------------- convergence
 
 
@@ -88,6 +121,23 @@ def test_small_h_study_writes_tables(tmp_path, capsys):
     assert "| h |" in md
     out = capsys.readouterr().out
     assert "case II, degree 2:" in out
+
+
+def test_one_row_study_writes_a_table_without_orders(tmp_path, capsys):
+    code = run(
+        "convergence", "--case", "II", "--degree", "2", "--h-list", "1/4",
+        "--eps-list", "0.05", "--out", str(tmp_path), "--format", "both",
+    )
+    assert code == 0
+    assert (tmp_path / "caseII_k2.csv").read_bytes() == (
+        b"h,l2,l2_order,h1,h1_order,h2_broken,h2_order\n"
+        b"0.25,1.38e-03,,2.35e-02,,7.05e-01,\n"
+    )
+    assert (tmp_path / "caseII_k2.md").read_bytes() == (
+        b"| h | L2 error | order | H1 error | order | H2 error | order |\n"
+        b"|---|---|---|---|---|---|---|\n"
+        b"| 0.25 | 1.38e-03 | - | 2.35e-02 | - | 7.05e-01 | - |\n"
+    )
 
 
 def test_rate_table_text_frozen():
@@ -292,6 +342,11 @@ class _ConfigLine(str):
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("sigma = 20\nsigma = 1")),
     # a lone surrogate escape stands for the byte 0xe9, which is not UTF-8
     ("solve", "--h-list", "1/4", "--case", _ConfigLine("sigma = 20\udce9")),
+    # solve takes one degree and one mesh size, verify one degree
+    ("solve", "--case", "III", "--h-list", "1/4", "1/8"),
+    ("solve", "--case", "II", "--h-list", "1/4"),
+    ("verify", "--case", "II", "--h-list", "1/4", "--eps-list", "0.1"),
+    ("solve", "--h-list", "1/4", "--case", _ConfigLine("degrees = 2 3")),
 ], ids=lambda argv: " ".join(argv[3:]))
 def test_bad_input_exits_2(argv, tmp_path, capsys):
     # rejected before any solve: no traceback and nothing written
@@ -396,7 +451,7 @@ def test_solve_3d_slices(tmp_path):
 
 def test_solve_reports_errors_for_manufactured_case(tmp_path, capsys):
     code = run(
-        "solve", "--case", "II", "--h-list", "1/6",
+        "solve", "--case", "II", "--degree", "2", "--h-list", "1/6",
         "--eps-list", "0.05", "--out", str(tmp_path),
     )
     assert code == 0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from maviscid.elements import (
+    FeFunction,
     FeSpace,
     ReferenceElement,
     cell_quadrature,
@@ -151,7 +152,7 @@ def test_values_are_tabulates_values_bit_for_bit(dim, degree):
 
 def test_evaluate_uses_basis_values_only(monkeypatch):
     space = FeSpace(build_structured_mesh(3, 2), 2)
-    u = space.function(np.random.default_rng(4).uniform(-1, 1, space.ndofs))
+    u = FeFunction(space, np.random.default_rng(4).uniform(-1, 1, space.ndofs))
     pts = np.random.default_rng(5).uniform(0, 1, size=(50, 3))
     cells = space.mesh.locate(pts)
     val, _, _ = space.ref.tabulate(space.reference_coords(cells, pts))
@@ -170,7 +171,7 @@ def test_kuhn_refinement_transfer_is_exact(dim, degree, n):
     # on the fine space reproduces it everywhere, not only at the fine dofs
     coarse = FeSpace(build_structured_mesh(dim, n), degree)
     fine = FeSpace(build_structured_mesh(dim, 2 * n), degree)
-    u = coarse.function(np.random.default_rng(6).uniform(-1, 1, coarse.ndofs))
+    u = FeFunction(coarse, np.random.default_rng(6).uniform(-1, 1, coarse.ndofs))
     v = interpolate(fine, u.evaluate)
     pts = np.random.default_rng(7).uniform(0, 1, size=(500, dim))
     assert np.abs(v.evaluate(pts) - u.evaluate(pts)).max() <= 1e-13
@@ -207,7 +208,7 @@ def test_eval_examples():
 
 def test_eval_cell_out_of_range():
     mesh = build_structured_mesh(2, 1)
-    f = FeSpace(mesh, 2).function()
+    f = FeFunction(FeSpace(mesh, 2))
     with pytest.raises(IndexError):
         eval_fe(f, 99, [0.1, 0.1])
 
@@ -267,7 +268,7 @@ def test_c0_continuity_across_faces(dim, degree, n):
     mesh = build_structured_mesh(dim, n)
     space = FeSpace(mesh, degree)
     rng = np.random.default_rng(17)
-    f = space.function(rng.uniform(-1, 1, space.ndofs))
+    f = FeFunction(space, rng.uniform(-1, 1, space.ndofs))
     frule = face_quadrature(dim, 4)
     saw_jump = False
     for cells, vids, normal in zip(

@@ -58,13 +58,16 @@ ORDERINGS = pytest.mark.parametrize(
 def test_sparse_solve_identity(symmetric):
     A = np.eye(4)
     b = np.array([3.0, -1.0, 0.5, 2.0])
-    assert np.allclose(sparse_solve(A, b, symmetric=symmetric), b, atol=1e-14)
+    # without a held factor: one factorization and no GMRES iteration
+    x, factored, gmres_iters = sparse_solve(A, b, symmetric=symmetric)
+    assert np.allclose(x, b, atol=1e-14)
+    assert factored and gmres_iters == 0
 
 
 @ORDERINGS
 def test_sparse_solve_2x2_hand_elimination(symmetric):
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x = sparse_solve(A, np.array([1.0, 1.0]), symmetric=symmetric)
+    x, _, _ = sparse_solve(A, np.array([1.0, 1.0]), symmetric=symmetric)
     assert np.allclose(x, [0.4, 0.2], atol=1e-14)
 
 
@@ -83,7 +86,7 @@ def test_sparse_solve_pivots_off_small_diagonals(A, symmetric):
     # the symmetric mode's 0.1 threshold must still reject these diagonals
     A = np.array(A)
     x_true = np.arange(1.0, len(A) + 1.0)
-    x = sparse_solve(A, A @ x_true, symmetric=symmetric)
+    x, _, _ = sparse_solve(A, A @ x_true, symmetric=symmetric)
     assert np.allclose(x, x_true, rtol=0.0, atol=1e-13)
 
 
@@ -91,11 +94,11 @@ def test_sparse_solve_recovers_interpolant():
     # manufactured right-hand side from the assembled operator itself
     space = FeSpace(build_structured_mesh(2, 4), 2)
     params = PenaltyParams(1.0, 0.5, "full")
-    A = assemble_Ah_sigma(space, CoefficientField.identity(2), params)
+    A = assemble_Ah_sigma(space, CoefficientField.constant(np.eye(2)), params)
     v = interpolate(space, lambda p: p[:, 0] ** 2 + p[:, 0] * p[:, 1] + p[:, 1] ** 2)
     ii, bb = space.interior_dofs, space.boundary_dofs
     rhs = (A @ v.coeffs)[ii] - A[np.ix_(ii, bb)] @ v.coeffs[bb]
-    x = sparse_solve(A[np.ix_(ii, ii)], rhs)
+    x, _, _ = sparse_solve(A[np.ix_(ii, ii)], rhs)
     assert np.max(np.abs(x - v.coeffs[ii])) < 1e-9
 
 
@@ -148,7 +151,7 @@ def test_sparse_solve_symmetric_mode_matches_default_ordering():
     r, J = assemble_residual_and_jacobian(convex_seed(space, data.g), f, data, params)
     ii = space.interior_dofs
     J, b = J[np.ix_(ii, ii)], -r[ii]
-    x = sparse_solve(J, b, symmetric=True)
+    x, _, _ = sparse_solve(J, b, symmetric=True)
     x_default = spla.splu(J.tocsc()).solve(b)
     assert np.abs(x - x_default).max() <= 1e-12 * np.abs(x_default).max()
 
@@ -357,11 +360,6 @@ def test_newton_config_validation():
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="abs_tol"):
             NewtonConfig(abs_tol=tol)
-    # NaN would never trip the max_iters stop; 2.5 and True are not counts
-    for bad in (0, math.nan, 2.5, True):
-        with pytest.raises(ValueError, match="max_iters"):
-            NewtonConfig(max_iters=bad)
-    assert NewtonConfig(max_iters=np.int64(3)).max_iters == 3
     for sched in ([0.5, 0.5], [0.5, -0.1], [0.1, math.nan], [math.inf, 0.1],
                   [math.nan]):
         with pytest.raises(ValueError):
@@ -519,28 +517,30 @@ def test_newton_monotone_history():
     assert np.all(np.isfinite(hist))
 
 
-def test_newton_failure_is_diagnosed():
+def test_newton_failure_is_diagnosed(monkeypatch):
     # a forced tiny iteration budget gives a structured error, not NaN
+    monkeypatch.setattr("maviscid.solve._MAX_ITERS", 1)
     space = FeSpace(build_structured_mesh(2, 4), 2)
     eps = 0.02
     _, f, data = quartic_data(eps)
     params = PenaltyParams(20.0, eps, "plain")
     with pytest.raises(NewtonError) as err:
-        newton_solve(f, data, params, NewtonConfig(max_iters=1), convex_seed(space, data.g))
+        newton_solve(f, data, params, NewtonConfig(), convex_seed(space, data.g))
     assert err.value.reason == "max_iters"
     assert np.all(np.isfinite(err.value.report.residual_history))
 
 
-def test_newton_negative_source_diagnostic():
+def test_newton_negative_source_diagnostic(monkeypatch):
     # f = -1 breaks the convexity assumption; expect a clean diagnostic or a
     # finite (spurious but well-defined) root, never NaN
+    monkeypatch.setattr("maviscid.solve._MAX_ITERS", 12)
     space = FeSpace(build_structured_mesh(2, 4), 2)
     data = BoundaryData(g=lambda p: np.zeros(len(p)))
     params = PenaltyParams(20.0, 0.005, "plain")
     try:
         u, report = newton_solve(
             lambda p: -np.ones(len(p)), data, params,
-            NewtonConfig(max_iters=12), convex_seed(space, data.g),
+            NewtonConfig(), convex_seed(space, data.g),
         )
         assert np.all(np.isfinite(u.coeffs))
         assert report.converged
@@ -599,13 +599,14 @@ def test_continuation_data_factory():
                           apply_dirichlet(space, g))
 
 
-def test_continuation_annotates_failures():
+def test_continuation_annotates_failures(monkeypatch):
+    monkeypatch.setattr("maviscid.solve._MAX_ITERS", 1)
     space = FeSpace(build_structured_mesh(2, 3), 2)
     data = BoundaryData(g=lambda p: np.zeros(len(p)))
     with pytest.raises(NewtonError) as err:
         continuation_solve(
             space, lambda p: np.ones(len(p)), data, 20.0, 0.25,
-            NewtonConfig(max_iters=1), weight_mode="plain",
+            weight_mode="plain",
         )
     assert err.value.epsilon == 0.5
     assert err.value.reason == "max_iters"
