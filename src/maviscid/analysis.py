@@ -9,21 +9,25 @@ on discrete functions vanishing at boundary dofs, Monte-Carlo probes of the
 discrete Miranda-Talenti and Sobolev inequalities and of coercivity, which
 score sample i drawn from ``default_rng(seed + i)`` as ``maviscid verify``
 does, and order tables with log-ratio slopes between consecutive rows.
-The norm pieces are sums of weighted squares of point values, formed
-cell block by cell block and face chunk by face chunk: no matrix is
-assembled, and the only tables they read are the reference basis tables
-of the cell rule and of the interior-face rule, cached per space and
-shared with the assembly passes.
+The sample block and its norm pieces are cached per space and
+(samples, seed): the two probes, and ``maviscid verify``, share one draw
+and one evaluation.  The norm pieces are sums of weighted squares of
+point values, formed cell block by cell block and face chunk by face
+chunk: no matrix is assembled, and the only tables they read are the
+reference basis tables of the cell rule and of the interior-face rule,
+cached per space and shared with the assembly passes.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from maviscid.assembly import (
+    _cached,
     _cell_blocks,
     _cell_chunks,
     _cell_tables,
@@ -133,8 +137,6 @@ def error_norms(u_exact, u_h):
 def _samples(space, samples, seed):
     """(ndofs, samples) block whose column i is uniform on (-1, 1) at the
     interior dofs, drawn from ``default_rng(seed + i)``, and zero elsewhere."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
     ii = space.interior_dofs
     V = np.zeros((space.ndofs, samples))
     for i in range(samples):
@@ -185,6 +187,27 @@ def _norm_pieces(space, V):
     return np.sqrt(hess2), np.sqrt(lap2), np.sqrt(jump2)
 
 
+def _probe_block(space, samples, seed):
+    """The read-only block V = ``_samples(space, samples, seed)`` and its
+    ``_norm_pieces``, cached per space and (samples, seed) and shared by
+    both probes.  ``samples`` must be an integer >= 1 and ``seed`` one >= 0
+    (not a bool): they are checked before the cache is read, so a call's
+    outcome cannot depend on the calls before it."""
+    for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return _sampled_pieces(space, int(samples), int(seed))
+
+
+@_cached
+def _sampled_pieces(space, samples, seed):
+    """``_probe_block`` on checked Python ints."""
+    V = _samples(space, samples, seed)
+    V.flags.writeable = False
+    return V, _norm_pieces(space, V)
+
+
 def mesh_norm(v_h):
     """Mesh-dependent norm on discrete functions vanishing at boundary dofs."""
     space = v_h.space
@@ -228,10 +251,12 @@ def verify_miranda_talenti(space, samples, seed=0):
     For random v in the zero-boundary subspace, the bound reads
     ||D^2 v|| <= ||lap v|| + C (sum_F h_F^{-1} ||jump grad v||^2)^{1/2};
     samples with vanishing jump seminorm are asserted directly.  Sample i
-    comes from ``default_rng(seed + i)``, as in ``maviscid verify``.
+    comes from ``default_rng(seed + i)``, as in ``maviscid verify``.  The
+    sample block and its norm pieces are cached per space and
+    (samples, seed) and shared with ``verify_discrete_sobolev``.
     """
-    V = _samples(space, samples, seed)
-    return float(_miranda_talenti_constants(space, V, _norm_pieces(space, V)).max())
+    V, pieces = _probe_block(space, samples, seed)
+    return float(_miranda_talenti_constants(space, V, pieces).max())
 
 
 def _linf_estimate(space, V):
@@ -261,9 +286,11 @@ def _sobolev_constants(space, V, pieces):
 
 def verify_discrete_sobolev(space, samples, seed=0):
     """Max observed constant in ||v||_inf <= C ||v||_h over random samples;
-    sample i comes from ``default_rng(seed + i)``, as in ``maviscid verify``."""
-    V = _samples(space, samples, seed)
-    return float(_sobolev_constants(space, V, _norm_pieces(space, V)).max())
+    sample i comes from ``default_rng(seed + i)``, as in ``maviscid verify``.
+    The sample block and its norm pieces are cached per space and
+    (samples, seed) and shared with ``verify_miranda_talenti``."""
+    V, pieces = _probe_block(space, samples, seed)
+    return float(_sobolev_constants(space, V, pieces).max())
 
 
 def _coercivity_values(w, params, V):

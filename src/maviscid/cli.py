@@ -30,9 +30,8 @@ import numpy as np
 from maviscid.analysis import (
     _coercivity_values,
     _miranda_talenti_constants,
-    _norm_pieces,
+    _probe_block,
     _row_cells,
-    _samples,
     _sobolev_constants,
     error_norms,
     format_rate_table,
@@ -414,8 +413,7 @@ def cmd_verify(cfg):
     failures = []
     for n in levels:
         space = FeSpace(build_structured_mesh(spec.dim, n), degree)
-        V = _samples(space, PROBE_SAMPLES, cfg.seed)
-        pieces = _norm_pieces(space, V)
+        V, pieces = _probe_block(space, PROBE_SAMPLES, cfg.seed)
         for name, series, consts in (
             ("miranda_talenti", mt, _miranda_talenti_constants(space, V, pieces)),
             ("sobolev", sb, _sobolev_constants(space, V, pieces)),

@@ -283,15 +283,18 @@ def test_acceptance_6_property_suite():
     t0 = time.perf_counter()
     growth_ok = True
     growth_msgs = []
+    probes = (
+        ("miranda_talenti", verify_miranda_talenti),
+        ("sobolev", verify_discrete_sobolev),
+    )
     for dim, levels in ((2, (4, 8, 16)), (3, (2, 4))):
-        for name, probe in (
-            ("miranda_talenti", verify_miranda_talenti),
-            ("sobolev", verify_discrete_sobolev),
-        ):
-            consts = []
-            for n in levels:
-                space = FeSpace(build_structured_mesh(dim, n), 2)
-                consts.append(probe(space, 150, seed=0))
+        # both probes run on one space per level and share its sample block
+        consts_by_probe = {name: [] for name, _ in probes}
+        for n in levels:
+            space = FeSpace(build_structured_mesh(dim, n), 2)
+            for name, probe in probes:
+                consts_by_probe[name].append(probe(space, 150, seed=0))
+        for name, consts in consts_by_probe.items():
             pair_ok = all(
                 c1 <= 1.5 * c0 + 1e-12 for c0, c1 in zip(consts, consts[1:])
             )

@@ -20,7 +20,9 @@ from maviscid.analysis import (
     _linf_estimate,
     _miranda_talenti_constants,
     _norm_pieces,
+    _probe_block,
     _samples,
+    _sobolev_constants,
 )
 from maviscid.assembly import (
     BoundaryData,
@@ -224,6 +226,72 @@ def test_miranda_talenti_validates_samples():
     space = FeSpace(build_structured_mesh(2, 2), 2)
     with pytest.raises(ValueError):
         verify_miranda_talenti(space, samples=0)
+
+
+PROBES = [verify_miranda_talenti, verify_discrete_sobolev]
+
+
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("samples, seed", [
+    (0, 0), (-2, 0), (3.0, 0), (True, 0), (np.bool_(True), 0), ("3", 0),
+    (3, -1), (3, 0.0), (3, False), (3, None),
+])
+def test_probes_reject_bad_samples_and_seeds(probe, samples, seed):
+    # checked before the cache is read: the same error on a fresh space and
+    # after a good call has cached the block of (3, 0)
+    space = FeSpace(build_structured_mesh(2, 2), 2)
+    with pytest.raises(ValueError):
+        probe(space, samples, seed)
+    probe(space, 3, 0)
+    with pytest.raises(ValueError):
+        probe(space, samples, seed)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_probes_accept_numpy_integers(probe):
+    space = FeSpace(build_structured_mesh(2, 2), 2)
+    want = probe(FeSpace(build_structured_mesh(2, 2), 2), 3, 4)
+    assert probe(space, np.int64(3), np.uint8(4)) == want
+    assert probe(space, 3, 4) == want
+
+
+def test_the_probes_share_one_evaluation_of_the_pieces(monkeypatch):
+    calls, pieces = [], analysis._norm_pieces
+
+    def spy(space, V):
+        calls.append(V.shape[1])
+        return pieces(space, V)
+
+    monkeypatch.setattr(analysis, "_norm_pieces", spy)
+    space = FeSpace(build_structured_mesh(3, 2), 2)
+    verify_miranda_talenti(space, 4, seed=0)
+    verify_discrete_sobolev(space, 4, seed=0)
+    assert calls == [4]
+    verify_discrete_sobolev(space, 4, seed=1)
+    verify_miranda_talenti(space, 4, seed=1)
+    assert calls == [4, 4]
+    verify_miranda_talenti(space, 5, seed=1)
+    verify_discrete_sobolev(space, 5, seed=1)
+    assert calls == [4, 4, 5]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 4), (3, 2)])
+def test_probes_score_a_fresh_block_bitwise(dim, n):
+    space = FeSpace(build_structured_mesh(dim, n), 2)
+    mt = verify_miranda_talenti(space, 6, seed=3)
+    sb = verify_discrete_sobolev(space, 6, seed=3)
+    V = _samples(space, 6, 3)
+    pieces = _norm_pieces(space, V)
+    assert mt == _miranda_talenti_constants(space, V, pieces).max()
+    assert sb == _sobolev_constants(space, V, pieces).max()
+
+
+def test_the_cached_block_is_read_only():
+    space = FeSpace(build_structured_mesh(2, 2), 2)
+    V, _ = _probe_block(space, 3, 0)
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
+    assert _probe_block(space, 3, 0)[0] is V
 
 
 def test_miranda_talenti_equality_limit():

@@ -497,7 +497,6 @@ def test_verify_bounded_levels(capsys, monkeypatch):
         return pieces(space, coeffs)
 
     monkeypatch.setattr(analysis, "_norm_pieces", spy)
-    monkeypatch.setattr(cli, "_norm_pieces", spy)
     code = run(
         "verify", "--case", "III", "--h-list", "1/4", "1/8",
         "--eps-list", "0.1", "--sigma", "20",
