@@ -18,8 +18,7 @@ independent of which neighbor is labeled plus.  The stabilized form is
   A(v, w) = eps (lap v, lap w) - eps C(v, w) - (Phi : D^2 v, w)
             + weight * P(v, w),
 
-with weight = sigma (eps + eps^-3) ("full"), sigma (eps + eps^-2)
-("reduced"), or sigma eps ("plain").
+with the weight of the penalty's mode in ``WEIGHT_MODES``.
 
 Everything but the low-order term is fixed within a continuation rung and
 cached per rung: A_h(0) = eps (B - C) + weight P (``_operator``, keyed by
@@ -105,7 +104,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from maviscid.elements import ReferenceElement, cell_quadrature, face_quadrature
@@ -122,11 +120,18 @@ __all__ = [
     "assemble_jacobian",
     "assemble_residual_and_jacobian",
     "apply_dirichlet",
-    "dump_matrix_market",
 ]
 
 _CELL_CHUNK = 1024
 _FACE_CHUNK = 2048
+
+# the gradient-jump penalty's weight in each mode, from sigma and eps
+WEIGHT_MODES = {
+    "full": lambda sigma, eps: sigma * (eps + eps**-3),
+    "reduced": lambda sigma, eps: sigma * (eps + eps**-2),
+    "plain": lambda sigma, eps: sigma * eps,
+}
+DEFAULT_WEIGHT_MODE = "plain"
 
 
 # --------------------------------------------------------------------- types
@@ -137,11 +142,6 @@ def _check_finite(A):
     if not np.all(np.isfinite(A.data)):
         raise ValueError("non-finite matrix entries")
     return A
-
-
-def dump_matrix_market(matrix, path):
-    """Write a matrix in MatrixMarket coordinate text format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
 
 
 class CoefficientField:
@@ -179,11 +179,12 @@ class CoefficientField:
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty strength sigma, regularization epsilon, and the weight mode."""
+    """Penalty strength sigma, regularization epsilon, and the weight mode,
+    a key of ``WEIGHT_MODES``."""
 
     sigma: float
     epsilon: float
-    weight_mode: str = "full"
+    weight_mode: str = DEFAULT_WEIGHT_MODE
 
     def __post_init__(self):
         # written so that NaN fails each test
@@ -191,17 +192,12 @@ class PenaltyParams:
             raise ValueError("epsilon must be finite and positive")
         if not 0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and non-negative")
-        if self.weight_mode not in ("full", "reduced", "plain"):
+        if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
     @property
     def jump_weight(self):
-        eps = self.epsilon
-        if self.weight_mode == "full":
-            return self.sigma * (eps + eps**-3)
-        if self.weight_mode == "reduced":
-            return self.sigma * (eps + eps**-2)
-        return self.sigma * eps
+        return WEIGHT_MODES[self.weight_mode](self.sigma, self.epsilon)
 
 
 @dataclass(frozen=True)

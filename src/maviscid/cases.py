@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from maviscid.analysis import ScalarField
-from maviscid.assembly import BoundaryData, det_and_cofactor
+from maviscid.assembly import DEFAULT_WEIGHT_MODE, BoundaryData, det_and_cofactor
 
 __all__ = [
     "ExperimentSpec",
@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 DEFAULT_SIGMA = 20.0
-DEFAULT_WEIGHT_MODE = "plain"
+# interior and boundary points that check_case_consistency draws
+_CONSISTENCY_POINTS = 20
 _EPS_LADDER = (0.5, 0.25, 0.125, 0.05, 0.025, 0.0125, 0.005)
 
 # case id: (dim, family, degrees, h_list, eps_list)
@@ -180,14 +181,14 @@ def _boundary_points(dim, count, rng):
     return pts
 
 
-def check_case_consistency(spec, eps=0.37, points=20, seed=1234):
+def check_case_consistency(spec, eps=0.37, seed=1234):
     """Max relative defect of the manufactured data against the exact
     solution, of the regularized problem if ``bilap`` is given."""
     if spec.exact_solution is None:
         return 0.0
     rng = np.random.default_rng(seed)
-    interior = rng.uniform(0.02, 0.98, size=(points, spec.dim))
-    boundary = _boundary_points(spec.dim, points, rng)
+    interior = rng.uniform(0.02, 0.98, size=(_CONSISTENCY_POINTS, spec.dim))
+    boundary = _boundary_points(spec.dim, _CONSISTENCY_POINTS, rng)
     u = spec.exact_solution
     f, bdata = spec.data(eps)
     det, _ = det_and_cofactor(u.hessian(interior))

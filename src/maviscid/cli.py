@@ -37,7 +37,7 @@ from maviscid.analysis import (
     format_rate_table,
     rate_table,
 )
-from maviscid.assembly import PenaltyParams, apply_dirichlet
+from maviscid.assembly import WEIGHT_MODES, PenaltyParams, apply_dirichlet
 from maviscid.cases import (
     case_with_overrides,
     check_case_consistency,
@@ -61,6 +61,7 @@ CASE_ABS_TOL = 1e-8
 
 _CONFIG_KEYS = {"case", "dim", "degrees", "h_list", "eps_list", "sigma",
                 "weight_mode", "seed", "out", "format"}
+FORMATS = ("csv", "md", "both")
 
 GRID_SAMPLES = 101
 # random zero-boundary samples that ``verify`` scores per mesh level
@@ -97,11 +98,11 @@ def _add_common(p):
     p.add_argument("--eps-list", nargs="+", metavar="E",
                    help="regularization parameters, decreasing")
     p.add_argument("--sigma", type=float, help="penalty strength")
-    p.add_argument("--weight-mode", choices=("full", "reduced", "plain"),
+    p.add_argument("--weight-mode", choices=tuple(WEIGHT_MODES),
                    help="penalty weight scaling in epsilon")
     p.add_argument("--seed", type=int, help="base random seed (default 0)")
     p.add_argument("--out", help="output directory (default ./out)")
-    p.add_argument("--format", choices=("csv", "md", "both"), dest="fmt",
+    p.add_argument("--format", choices=FORMATS, dest="fmt",
                    help="table file format (default both)")
 
 
@@ -187,7 +188,7 @@ def resolve_config(args):
         raise UsageError(f"seed must be non-negative, got {seed}")
     out = Path(args.out if args.out is not None else file_cfg.get("out", "out"))
     fmt = args.fmt if args.fmt is not None else file_cfg.get("format", "both")
-    if fmt not in ("csv", "md", "both"):
+    if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
     # solve runs at one degree and mesh size, verify at one degree: no more
     flags = {"degrees": "--degree", "h_list": "--h-list"}
@@ -215,14 +216,15 @@ def _progress(msg):
 
 
 def _counts(report):
-    """Newton steps, rungs (and how many ran on the n/2 mesh of nested
-    iteration), factorizations and GMRES iterations of one solve, worded the
-    same in every summary line."""
-    coarse = sum(rep.ndofs != report.ndofs for _, rep in report.rungs)
-    fallback = ", then the plain ladder" if report.fell_back else ""
-    return (f"{report.iterations} Newton steps over {len(report.rungs)} rungs "
-            f"({coarse} on the n/2 mesh{fallback}), "
-            f"{report.factorizations} factorizations, "
+    """Newton steps, rungs of a ladder (and how many ran on the n/2 mesh of
+    nested iteration), factorizations and GMRES iterations of one solve,
+    worded the same in every summary line."""
+    steps = f"{report.iterations} Newton steps"
+    if report.rungs:
+        coarse = sum(rep.ndofs != report.ndofs for _, rep in report.rungs)
+        fallback = ", then the plain ladder" if report.fell_back else ""
+        steps += f" over {len(report.rungs)} rungs ({coarse} on the n/2 mesh{fallback})"
+    return (f"{steps}, {report.factorizations} factorizations, "
             f"{report.gmres_iterations} GMRES iterations")
 
 

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "SimplicialMesh",
     "build_structured_mesh",
-    "dump_off",
 ]
 
 # (boundary face, vertex) pairs per block of the hanging-vertex check, so
@@ -343,13 +342,3 @@ def build_structured_mesh(dim, n):
     mesh.structure = ("kuhn", n)  # set first: __init__'s hanging scan skips it
     mesh.__init__(dim, verts, cells)
     return mesh
-
-
-def dump_off(mesh):
-    """Plain-text mesh dump: counts, then coordinate lines, then index lines."""
-    lines = [f"{mesh.num_vertices} {mesh.num_cells}"]
-    for v in mesh.vertices:
-        lines.append(" ".join(f"{x:.17g}" for x in v))
-    for c in mesh.cells:
-        lines.append(" ".join(str(int(i)) for i in c))
-    return "\n".join(lines) + "\n"

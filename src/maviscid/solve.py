@@ -50,6 +50,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from maviscid.assembly import (
+    DEFAULT_WEIGHT_MODE,
     PenaltyParams,
     _check_finite,
     _interior_block,
@@ -414,7 +415,7 @@ def convex_seed(space, g):
 
 
 def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
-                       weight_mode="full", data_factory=None, *, factor=None):
+                       weight_mode=DEFAULT_WEIGHT_MODE, data_factory=None, *, factor=None):
     """Solve the nonlinear scheme at eps_target via a decreasing epsilon ladder.
 
     ``data_factory(eps) -> (f, g_data)`` lets the source and boundary data

@@ -257,7 +257,7 @@ def _label_invariance_gap():
         return out
 
     field = CoefficientField(2, bumpy)
-    params = PenaltyParams(1.3, 0.3)
+    params = PenaltyParams(1.3, 0.3, "full")
     A1 = assemble_Ah_sigma(FeSpace(mesh, 2), field, params).toarray()
     flipped = copy.copy(mesh)
     flipped.iface_cells = mesh.iface_cells[:, ::-1].copy()

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from maviscid.assembly import (
@@ -20,7 +19,6 @@ from maviscid.assembly import (
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
     det_and_cofactor,
-    dump_matrix_market,
     _bilap,
     _boundary_flux_vector,
     _boundary_tables,
@@ -251,7 +249,8 @@ def coo_gram(u):
     """The Hessian Gram matrix of ``coo_reference``, which also forms r and J
     and so takes a state and data; G depends on the space alone."""
     data = BoundaryData(g=lambda p: np.zeros(len(p)))
-    return coo_reference(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.5))["G"]
+    return coo_reference(u, lambda p: np.ones(len(p)), data,
+                         PenaltyParams(1.0, 0.5, "full"))["G"]
 
 
 def field_2d(points):
@@ -349,10 +348,10 @@ def test_coefficient_field_checks():
     space = FeSpace(mesh, 2)
     wrong_dim = CoefficientField.constant(np.eye(3))
     with pytest.raises(ValueError):
-        assemble_Ah_sigma(space, wrong_dim, PenaltyParams(1.0, 0.5))
+        assemble_Ah_sigma(space, wrong_dim, PenaltyParams(1.0, 0.5, "full"))
     nan_field = CoefficientField.constant(np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
-        assemble_Ah_sigma(space, nan_field, PenaltyParams(1.0, 0.5))
+        assemble_Ah_sigma(space, nan_field, PenaltyParams(1.0, 0.5, "full"))
 
 
 # ------------------------------------------------- operator vs brute force
@@ -377,7 +376,7 @@ def test_operator_matches_brute_force(dim, degree):
 def test_rhs_matches_brute_force(dim):
     mesh = build_structured_mesh(dim, 1)
     space = FeSpace(mesh, 2)
-    params = PenaltyParams(1.0, 0.3)
+    params = PenaltyParams(1.0, 0.3, "full")
 
     def phi(p):
         return p[:, 0] + 2.0 * p[:, 1]
@@ -537,7 +536,8 @@ def test_space_keeps_no_per_face_arrays():
     # tables' placement index, one small integer per face side; no face
     # patch, slot or point array is kept
     space, u, _, data = _perturbed_state(3, 2, seed=3)
-    assemble_residual_and_jacobian(u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.2))
+    assemble_residual_and_jacobian(u, lambda p: np.ones(len(p)), data,
+                                   PenaltyParams(1.0, 0.2, "full"))
     num_faces = len(space.mesh.iface_cells)
     found = cached_arrays(space)
     assert found
@@ -560,7 +560,7 @@ def test_solved_space_caches_one_int32_pattern():
     v.coeffs[space.interior_dofs] = 1.0
     mesh_norm(v)
     assemble_Ah_sigma(space, CoefficientField.constant(np.eye(2)),
-                      PenaltyParams(1.0, 0.1))
+                      PenaltyParams(1.0, 0.1, "full"))
     found = cached_arrays(space)
     assert len([a for a in found if a.shape == (space.ndofs + 1,)]) == 1
     indices = [a for a in found if a.dtype.kind in "iu"]
@@ -596,7 +596,7 @@ def test_symmetry_without_coefficient():
         space = FeSpace(build_structured_mesh(dim, n), 2)
         A = assemble_Ah_sigma(
             space, CoefficientField.constant(np.zeros((dim, dim))),
-            PenaltyParams(1.5, 0.2)
+            PenaltyParams(1.5, 0.2, "full")
         )
         gap = np.max(np.abs((A - A.T).toarray()))
         assert gap < 1e-13 * np.max(np.abs(A.toarray()))
@@ -671,7 +671,7 @@ def test_residual_dirichlet_precheck():
     data = BoundaryData(g=lambda p: np.zeros(len(p)))
     with pytest.raises(ValueError):
         assemble_nonlinear_residual(
-            u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.1)
+            u, lambda p: np.ones(len(p)), data, PenaltyParams(1.0, 0.1, "full")
         )
 
 
@@ -680,7 +680,7 @@ def test_zero_data_zero_residual():
     u = FeFunction(space)
     data = BoundaryData(g=lambda p: np.zeros(len(p)), psi=lambda p: np.zeros(len(p)))
     r = assemble_nonlinear_residual(
-        u, lambda p: np.zeros(len(p)), data, PenaltyParams(1.0, 0.1)
+        u, lambda p: np.zeros(len(p)), data, PenaltyParams(1.0, 0.1, "full")
     )
     assert np.max(np.abs(r)) == 0.0
 
@@ -988,7 +988,7 @@ def test_cofactor_field_of_discrete_function():
 def test_plus_minus_label_invariance():
     mesh = build_structured_mesh(2, 3)
     space = FeSpace(mesh, 2)
-    params = PenaltyParams(1.3, 0.3)
+    params = PenaltyParams(1.3, 0.3, "full")
     field = CoefficientField(2, field_2d)
     A1 = assemble_Ah_sigma(space, field, params).toarray()
 
@@ -1010,14 +1010,3 @@ def test_apply_dirichlet():
     interior = space.interior_dofs
     assert len(interior) == space.ndofs - 16
     assert len(np.intersect1d(interior, space.boundary_dofs)) == 0
-
-
-def test_matrix_market_round_trip(tmp_path):
-    space = FeSpace(build_structured_mesh(2, 2), 2)
-    A = assemble_Ah_sigma(
-        space, CoefficientField.constant(np.eye(2)), PenaltyParams(1.0, 0.5)
-    )
-    path = tmp_path / "op.mtx"
-    dump_matrix_market(A, path)
-    B = scipy.io.mmread(str(path))
-    assert np.max(np.abs(B.toarray() - A.toarray())) < 1e-14 * np.max(np.abs(A.toarray()))

@@ -21,6 +21,7 @@ from maviscid import analysis, cli
 from maviscid.cli import _write_plane, build_parser, main, resolve_config
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import build_structured_mesh
+from maviscid.solve import SolveReport
 
 
 def run(*argv):
@@ -399,6 +400,16 @@ def test_counts_name_a_fallback():
     _, report = cli._solve_on_mesh(spec, 2, 0.25, spec.eps_list[0])
     assert "over 13 rungs (6 on the n/2 mesh, then the plain ladder)," in (
         cli._counts(report))
+
+
+def test_counts_name_rungs_only_for_a_ladder():
+    # an eps study's warm-started rows are single newton_solve reports
+    single = SolveReport(iterations=2, gmres_iterations=20, ndofs=81)
+    assert cli._counts(single) == "2 Newton steps, 0 factorizations, 20 GMRES iterations"
+    ladder = SolveReport(iterations=8, factorizations=2, gmres_iterations=28, ndofs=81,
+                         rungs=[(0.5, SolveReport(ndofs=25)), (0.05, SolveReport(ndofs=81))])
+    assert cli._counts(ladder) == ("8 Newton steps over 2 rungs (1 on the n/2 mesh), "
+                                   "2 factorizations, 28 GMRES iterations")
 
 
 def test_solve_2d_artifacts(tmp_path, capsys):

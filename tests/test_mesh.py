@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from maviscid.elements import FeSpace, interpolate
-from maviscid.mesh import SimplicialMesh, build_structured_mesh, dump_off
+from maviscid.mesh import SimplicialMesh, build_structured_mesh
 
 
 def brute_simplex_volume(pts):
@@ -333,15 +333,3 @@ def test_locate_rejects_nonfinite_points_without_warning(dim):
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="not inside any cell"):
                     m.locate(p)
-
-
-def test_dump_off_roundtrip():
-    mesh = build_structured_mesh(2, 2)
-    text = dump_off(mesh)
-    lines = text.strip().splitlines()
-    nv, nc = (int(x) for x in lines[0].split())
-    assert nv == mesh.num_vertices and nc == mesh.num_cells
-    coords = np.array([[float(x) for x in ln.split()] for ln in lines[1 : 1 + nv]])
-    assert np.allclose(coords, mesh.vertices)
-    cells = np.array([[int(x) for x in ln.split()] for ln in lines[1 + nv :]])
-    assert np.array_equal(cells, mesh.cells)

@@ -1,27 +1,33 @@
-"""The package's public API: each module's ``__all__``, re-exported; and
-no source file imports a name it does not use."""
+"""The package's public API: each module's ``__all__``, re-exported, and
+each export read somewhere; the weight mode's one default; and no source
+file imports a name it does not use."""
 
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
 import maviscid
+from maviscid import cli
+from maviscid.assembly import WEIGHT_MODES, PenaltyParams
+from maviscid.cases import CASE_IDS, builtin_case
+from maviscid.solve import continuation_solve
 
 ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ("mesh", "elements", "assembly", "solve", "analysis", "cases")
 
 # the names the package exported from its own list before it re-exported the
-# modules' ``__all__``s
+# modules' ``__all__``s, less the two dump writers that had no caller
 EXPORTED_BEFORE = {
-    "SimplicialMesh", "build_structured_mesh", "dump_off",
+    "SimplicialMesh", "build_structured_mesh",
     "QuadratureRule", "ReferenceElement", "FeSpace", "FeFunction",
     "cell_quadrature", "face_quadrature", "eval_fe", "interpolate",
     "CoefficientField", "PenaltyParams", "BoundaryData",
     "det_and_cofactor", "assemble_Ah_sigma", "assemble_linearized_rhs",
     "assemble_nonlinear_residual", "assemble_jacobian",
     "assemble_residual_and_jacobian", "apply_dirichlet",
-    "dump_matrix_market",
     "SingularMatrixError", "NewtonError", "NewtonConfig", "SolveReport",
     "sparse_solve", "newton_solve", "default_ladder", "convex_seed",
     "continuation_solve",
@@ -43,7 +49,49 @@ def test_package_all_is_the_modules_all():
         for name in module.__all__:
             assert getattr(maviscid, name) is getattr(module, name)
     assert isinstance(maviscid.__version__, str)
-    assert len(EXPORTED_BEFORE) == 45 and EXPORTED_BEFORE <= set(names)
+    assert len(EXPORTED_BEFORE) == 43 and EXPORTED_BEFORE <= set(names)
+
+
+# exports that no library code, demo or benchmark reads, with the reason each
+# stays
+UNCALLED_EXPORTS = {
+    "eval_fe": "the tests' oracle for FeFunction.evaluate",
+}
+
+
+def _names_read(path):
+    """Every name an AST ``Name`` or ``Attribute`` node in ``path`` reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_export_has_a_caller():
+    files = sorted(p for d in ("src", "demos", "bench") for p in (ROOT / d).rglob("*.py"))
+    read = set().union(*(_names_read(p) for p in files))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    uncalled = [name for name in maviscid.__all__ if name != "__version__"
+                and name not in read and not re.search(rf"\b{name}\b", readme)]
+    assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+
+
+def _weight_mode_choices(parser):
+    """The ``--weight-mode`` choices of every subcommand's parser."""
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return [a.choices for p in sub.choices.values() for a in p._actions
+            if "--weight-mode" in a.option_strings]
+
+
+def test_one_weight_mode_default_and_one_set_of_modes():
+    default = PenaltyParams(1.0, 0.1).weight_mode
+    signature = inspect.signature(continuation_solve)
+    assert signature.parameters["weight_mode"].default == default
+    assert {builtin_case(c).weight_mode for c in CASE_IDS} == {default}
+    choices = _weight_mode_choices(cli.build_parser())
+    assert len(choices) == 3
+    assert all(set(c) == set(WEIGHT_MODES) for c in choices)
+    for mode in WEIGHT_MODES:
+        assert PenaltyParams(1.0, 0.1, mode).weight_mode == mode
 
 
 def _unused_imports(path):
