@@ -20,7 +20,6 @@ cached per space and shared with the assembly passes.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +39,7 @@ from maviscid.assembly import (
     assemble_jacobian,
 )
 from maviscid.elements import _MAX_EXACTNESS
+from maviscid.mesh import _integer
 
 __all__ = [
     "ScalarField",
@@ -193,11 +193,9 @@ def _probe_block(space, samples, seed):
     both probes.  ``samples`` must be an integer >= 1 and ``seed`` one >= 0
     (not a bool): they are checked before the cache is read, so a call's
     outcome cannot depend on the calls before it."""
-    for name, value, least in (("samples", samples, 1), ("seed", seed, 0)):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return _sampled_pieces(space, int(samples), int(seed))
+    return _sampled_pieces(
+        space, _integer("samples", samples, 1), _integer("seed", seed, 0)
+    )
 
 
 @_cached

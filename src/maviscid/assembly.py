@@ -469,7 +469,7 @@ def _face_tables(space, rule, cells, vertex_ids):
     local = np.argmax(
         space.mesh.cells[cells][:, :, None, :] == vertex_ids[:, None, :, None], axis=3
     ).reshape(-1, d)
-    first, index = _number_rows(local)
+    first, index = _number_rows(local.T)
     placements = local[first]
     corners = np.vstack([np.zeros(d), np.eye(d)])  # reference cell vertices
     bary = np.column_stack([1.0 - rule.points.sum(axis=1), rule.points])

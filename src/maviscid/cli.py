@@ -218,14 +218,19 @@ def _progress(msg):
 def _counts(report):
     """Newton steps, rungs of a ladder (and how many ran on the n/2 mesh of
     nested iteration), factorizations and GMRES iterations of one solve,
-    worded the same in every summary line."""
-    steps = f"{report.iterations} Newton steps"
+    worded the same in every summary line (a count of 1 takes the singular)."""
+    steps = _count(report.iterations, "Newton step")
     if report.rungs:
         coarse = sum(rep.ndofs != report.ndofs for _, rep in report.rungs)
         fallback = ", then the plain ladder" if report.fell_back else ""
-        steps += f" over {len(report.rungs)} rungs ({coarse} on the n/2 mesh{fallback})"
-    return (f"{steps}, {report.factorizations} factorizations, "
-            f"{report.gmres_iterations} GMRES iterations")
+        steps += (f" over {_count(len(report.rungs), 'rung')} "
+                  f"({coarse} on the n/2 mesh{fallback})")
+    return (f"{steps}, {_count(report.factorizations, 'factorization')}, "
+            f"{_count(report.gmres_iterations, 'GMRES iteration')}")
+
+
+def _count(number, noun):
+    return f"{number} {noun}" + ("" if number == 1 else "s")
 
 
 # ------------------------------------------------------------------ tables

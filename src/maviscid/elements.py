@@ -16,12 +16,13 @@ get one dof without comparing coordinates.
 from __future__ import annotations
 
 import itertools
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from maviscid.mesh import _number_rows
+from maviscid.mesh import _number_rows, _sorted_columns
 
 __all__ = [
     "QuadratureRule",
@@ -102,9 +103,12 @@ def _check_exactness(dim, exactness):
 
 
 def check_degree(degree):
-    """Raise ValueError unless a space of ``degree`` is supported: 2 or 3."""
-    if degree not in (2, 3):
-        raise ValueError("degree must be 2 or 3")
+    """``degree`` as a Python int; ValueError unless it is an integer 2 or 3
+    (floats and bools are refused, numpy integers accepted)."""
+    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
+            or degree not in (2, 3)):
+        raise ValueError(f"degree must be 2 or 3, got {degree!r}")
+    return int(degree)
 
 
 class ReferenceElement:
@@ -197,8 +201,7 @@ class FeSpace:
 
     def __init__(self, mesh, degree):
         self.mesh = mesh
-        self.degree = int(degree)
-        check_degree(self.degree)
+        self.degree = check_degree(degree)
         self.ref = ReferenceElement(mesh.dim, self.degree)
 
         d, k = mesh.dim, self.degree
@@ -213,22 +216,21 @@ class FeSpace:
         self.jac_inv = np.linalg.inv(self.jac)
         self.jac_det = np.abs(np.linalg.det(self.jac))
 
-        # physical node coordinates per cell: x = v0 + J @ ref_node
-        phys = self.cell_origin[:, None, :] + np.einsum(
-            "cij,nj->cni", self.jac, self.ref.node_coords
-        )
-        # a node is keyed by the mesh vertices it combines: each global vertex
-        # id paired with the node's integer barycentric weight on it (packed
-        # as id * (k+1) + weight), zero-weight vertices blanked to -1, sorted
+        # a node is keyed by the mesh vertices it combines, each repeated by
+        # the node's integer barycentric weight on it: k vertex ids, sorted
         M, nb = mesh.num_cells, self.ref.node_count
         exps = self.ref.exponents
         weights = np.column_stack([k - exps.sum(axis=1), exps])  # (nb, d+1)
-        pairs = np.where(weights > 0, mesh.cells[:, None, :] * (k + 1) + weights, -1)
-        keys = np.sort(pairs, axis=2).reshape(M * nb, -1)
-        # number dofs in order of first occurrence over (cell, local node)
+        combines = np.array([np.repeat(np.arange(d + 1), w) for w in weights])  # (nb, k)
+        keys = _sorted_columns(mesh.cells[:, combines[:, j]].ravel() for j in range(k))
+        # number dofs in order of first occurrence over (cell, local node),
+        # each placed by its first node: x = v0 + J @ ref_node
         first, inverse = _number_rows(keys)
         self.cell_dofs = inverse.reshape(M, nb)
-        self.dof_coords = phys.reshape(M * nb, d)[first]
+        cell, node = np.divmod(first, nb)
+        self.dof_coords = self.cell_origin[cell] + np.einsum(
+            "uij,uj->ui", self.jac[cell], self.ref.node_coords[node]
+        )
         self.ndofs = len(self.dof_coords)
 
         # local nodes on local face f: zero weight on local vertex f

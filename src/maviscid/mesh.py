@@ -9,6 +9,23 @@ and 3: each grid cube is split into d! simplices, one per axis permutation
 main diagonal), so the mesh is conforming and quasi-uniform.  Generation,
 point location, face geometry and the conformity check are written once for
 both dimensions.
+
+Construction works on whole arrays.  Signed volumes take one pass; a cell
+reoriented by swapping its last two vertices is evaluated again on its own.
+A cell's diameter is its longest edge, over the d(d+1)/2 edges rather than
+all vertex pairs.  Face keys (and the node keys of ``FeSpace``) are sorted
+row by row by a compare-exchange network of np.minimum/np.maximum and
+numbered through one packed int64 key (``_number_rows``); ``FeSpace``
+places each dof by one product x = v0 + J x_ref at its first node.  Every
+array is bitwise equal to the per-pair formulas (all-pair diameters, np.sort
+keys, a full second volume pass, ``mean`` face midpoints, every node placed),
+which the tests keep as oracles.
+
+Input that cannot make a mesh is refused with ValueError naming the vertex
+or cell: non-finite vertices, cell entries that are not integer indices of
+existing vertices, no cells, and two cells on one side of their shared face
+(a repeated or overlapping cell; like hanging vertices, checked only on
+meshes not made by the generator).
 """
 
 from __future__ import annotations
@@ -16,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -29,22 +47,62 @@ __all__ = [
 _HANGING_PAIRS = 2**18
 
 
-def _number_rows(rows):
-    """Number the distinct rows of an (N, c) int array in order of first
-    occurrence: returns ``first`` (U,), the first row of each number, and
-    ``inverse`` (N,), each row's number.  Rows are sorted with ``lexsort``,
-    whose column keys cannot overflow the way a packed integer key can."""
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep row order
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    first = order[starts]  # each group's smallest row, in sorted-row order
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(first))
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = rank[np.cumsum(starts) - 1]
-    return first[by_first], inverse
+def _integer(name, value, least):
+    """``value`` as a Python int; ValueError unless it is an integer >= ``least``.
+    Floats and bools are refused, numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+# compare-exchange networks that sort 2 or 3 values
+_SORTING_NETWORKS = {2: [(0, 1)], 3: [(0, 1), (1, 2), (0, 1)]}
+
+
+def _sorted_columns(columns):
+    """Sort every row of an int table given as its 2 or 3 columns (N,):
+    one np.minimum and one np.maximum per compare-exchange."""
+    cols = list(columns)
+    for a, b in _SORTING_NETWORKS[len(cols)]:
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    return cols
+
+
+def _number_rows(columns):
+    """Number the distinct rows of an int table, given as its c int64
+    columns (N,) of values >= 0, in order of first occurrence: returns
+    ``first`` (U,), the first row of each number, and ``inverse`` (N,), each
+    row's number.  A row is packed into one int64 key in base ``size`` (its
+    largest value + 1), so ValueError is raised when size^c exceeds 2^63."""
+    size = 1 + max(int(c.max(initial=0)) for c in columns)
+    if size ** len(columns) > 2**63:
+        raise ValueError(
+            f"rows of {len(columns)} values below {size} do not pack into an int64"
+        )
+    key = columns[0]
+    for c in columns[1:]:
+        key = key * size + c
+    order = np.argsort(key, kind="stable")  # stable: equal rows keep row order
+    ordered = key[order]
+    starts = np.ones(len(key), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    heads = order[starts]  # each group's first row, in key order
+    is_first = np.zeros(len(key), dtype=bool)
+    is_first[heads] = True
+    number = np.cumsum(is_first) - 1  # at a first row: its group's number
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = number[heads][np.cumsum(starts) - 1]
+    return np.flatnonzero(is_first), inverse
+
+
+def _longest_edges(pts):
+    """Length of the longest edge of each simplex of ``pts`` (N, p, d): the
+    root of the largest squared length (roots keep the order), each summed
+    over the axes in turn as ``np.linalg.norm`` sums them."""
+    return np.sqrt(functools.reduce(np.maximum, (
+        ((pts[:, b] - pts[:, a]) ** 2).sum(axis=1)
+        for a, b in itertools.combinations(range(pts.shape[1]), 2)
+    )))
 
 
 def _local_face_indices(dim):
@@ -62,15 +120,15 @@ class SimplicialMesh:
         Spatial dimension, 2 or 3.
     vertices : array_like, shape (V, dim)
         Vertex coordinates.
-    cells : array_like, shape (M, dim+1)
+    cells : array_like of int, shape (M, dim+1)
         Vertex indices per cell.  Cells with negative signed volume are
         reoriented (last two vertices swapped) on construction.
 
     ``structure`` is ``("kuhn", n)`` on the meshes of ``build_structured_mesh``
     and None on every other: it selects direct point location (cell d! * cube
     + rank of the local coordinate order) and skips the hanging-vertex scan
-    (generator meshes are conforming by construction); other meshes are
-    located by a linear scan and scanned for hanging vertices.  ``locate``
+    and the overlap check (generator meshes are conforming by construction);
+    other meshes are located by a linear scan and checked for both.  ``locate``
     rejects points outside the mesh on both paths.
 
     Faces are stored as arrays, numbered in order of first occurrence over
@@ -94,28 +152,54 @@ class SimplicialMesh:
         self.vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
             raise ValueError("vertices must have shape (V, dim)")
-        cells = np.array(cells, dtype=np.int64, copy=True)
-        if cells.ndim != 2 or cells.shape[1] != dim + 1:
-            raise ValueError("cells must have shape (M, dim+1)")
+        bad = ~np.all(np.isfinite(self.vertices), axis=1)
+        if np.any(bad):  # before det, which would warn on NaN
+            v = int(np.argmax(bad))
+            raise ValueError(f"vertex {v} {self.vertices[v].tolist()} is not finite")
+        cells = self._checked_cells(cells, len(self.vertices))
 
+        # one pass; a reoriented cell (last two vertices swapped) is evaluated
+        # again on its own
         sv = self._signed_volumes(self.vertices, cells)
-        flip = sv < 0
-        if np.any(flip):
-            tmp = cells[flip, dim].copy()
-            cells[flip, dim] = cells[flip, dim - 1]
-            cells[flip, dim - 1] = tmp
-            sv = self._signed_volumes(self.vertices, cells)
+        flip = np.flatnonzero(sv < 0)
+        cells[flip, dim - 1:] = cells[flip, dim - 1:][:, ::-1]
+        sv[flip] = self._signed_volumes(self.vertices, cells[flip])
         if np.any(sv <= 0):
-            raise ValueError("degenerate cell (zero signed volume)")
+            c = int(np.argmax(sv <= 0))
+            raise ValueError(
+                f"degenerate cell {c} {cells[c].tolist()} (zero signed volume)"
+            )
         self.cells = cells
         self.cell_volumes = sv
 
-        pts = self.vertices[cells]  # (M, dim+1, dim)
-        diffs = pts[:, :, None, :] - pts[:, None, :, :]
-        self.cell_diameters = np.sqrt((diffs**2).sum(-1)).max(axis=(1, 2))
+        self.cell_diameters = _longest_edges(self.vertices[cells])
         self.h = float(self.cell_diameters.max())
 
         self._build_faces()
+
+    def _checked_cells(self, cells, num_vertices):
+        """A fresh int64 copy of ``cells``; ValueError, naming the first bad
+        cell, unless it holds integer indices of existing vertices."""
+        cells = np.asarray(cells)
+        if cells.ndim != 2 or cells.shape[1] != self.dim + 1:
+            raise ValueError("cells must have shape (M, dim+1)")
+        if len(cells) == 0:
+            raise ValueError("mesh has no cells")
+        if cells.dtype.kind not in "iu":
+            whole = np.zeros(cells.shape, dtype=bool)
+            if cells.dtype.kind == "f":
+                whole = np.isfinite(cells) & (cells == np.trunc(cells))
+            c = int(np.argmin(np.all(whole, axis=1)))
+            raise ValueError(
+                f"cell {c} {cells[c].tolist()} is not integer vertex indices"
+            )
+        bad = np.any((cells < 0) | (cells >= num_vertices), axis=1)
+        if np.any(bad):
+            c = int(np.argmax(bad))
+            raise ValueError(
+                f"cell {c} {cells[c].tolist()} names a vertex outside 0..{num_vertices - 1}"
+            )
+        return cells.astype(np.int64)
 
     @staticmethod
     def _signed_volumes(vertices, cells):
@@ -137,11 +221,10 @@ class SimplicialMesh:
         dim = self.dim
         # one row per (cell, local face), keyed by the face's sorted vertex
         # ids; an interior face's first owner has the smaller cell index
-        keys = np.sort(
-            self.cells[:, _local_face_indices(dim)], axis=2
-        ).reshape(-1, dim)
-        first, inverse = _number_rows(keys)
-        faces = keys[first]
+        local = np.array(_local_face_indices(dim))  # (dim+1, dim)
+        cols = _sorted_columns(self.cells[:, local[:, j]].ravel() for j in range(dim))
+        first, inverse = _number_rows(cols)
+        faces = np.stack([c[first] for c in cols], axis=1)
         counts = np.bincount(inverse)
         shared = counts > 2
         if np.any(shared):
@@ -178,6 +261,8 @@ class SimplicialMesh:
         self.bface_diameters = diam
         self.bface_measures = meas
 
+        self._check_no_overlapping_cells()
+
     def _face_geometry(self, vertex_ids, opposite):
         """Unit normals (pointing away from ``opposite``), diameters, measures.
 
@@ -194,14 +279,29 @@ class SimplicialMesh:
         size = np.linalg.norm(cr, axis=1)
         n = cr / size[:, None]
         meas = size / math.factorial(self.dim - 1)
-        diam = functools.reduce(np.maximum, (
-            np.linalg.norm(fc[:, b] - fc[:, a], axis=1)
-            for a, b in itertools.combinations(range(self.dim), 2)
-        ))
-        mid = fc.mean(axis=1)
+        diam = _longest_edges(fc)
+        mid = functools.reduce(np.add, (fc[:, i] for i in range(self.dim))) / self.dim
         wrong = np.einsum("fd,fd->f", n, mid - opposite) < 0
         n[wrong] *= -1.0
         return n, diam, meas
+
+    def _check_no_overlapping_cells(self):
+        # the two cells of an interior face lie on opposite sides of it: the
+        # minus cell's opposite vertex lies where the plus cell's normal
+        # points.  A repeated cell, or one folded over its neighbour, fails.
+        # Generator meshes are valid by construction and are not checked.
+        if self.structure is not None:
+            return
+        opp = self.vertices[self.cells[self.iface_cells[:, 1], self.iface_locals[:, 1]]]
+        base = self.vertices[self.iface_vertex_ids[:, 0]]
+        overlap = np.einsum("fd,fd->f", self.iface_normals, opp - base) <= 0
+        if np.any(overlap):
+            f = np.argmax(overlap)
+            raise ValueError(
+                f"cells {self.iface_cells[f, 0]} and {self.iface_cells[f, 1]} "
+                f"overlap: both lie on one side of their face "
+                f"{tuple(int(v) for v in self.iface_vertex_ids[f])}"
+            )
 
     def _check_no_hanging_vertices(self):
         # a hanging vertex shows up as a vertex of one single-owner face lying
@@ -322,9 +422,7 @@ def build_structured_mesh(dim, n):
     cube holds six tetrahedra around its main diagonal.  Conforming across
     cube faces; the mesh diameter is sqrt(dim) / n.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _integer("n", n, 1)
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
     axis = np.linspace(0.0, 1.0, n + 1)

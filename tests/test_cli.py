@@ -208,7 +208,7 @@ def test_eps_rows_share_one_factorization(tmp_path, capsys, monkeypatch):
     assert code == 0
     err = capsys.readouterr().err
     counts = [
-        int(re.search(r"(\d+) factorizations", line).group(1))
+        int(re.search(r"(\d+) factorizations?\b", line).group(1))
         for line in err.splitlines() if " eps=" in line
     ]
     assert counts == [1, 0, 0]
@@ -410,6 +410,15 @@ def test_counts_name_rungs_only_for_a_ladder():
                          rungs=[(0.5, SolveReport(ndofs=25)), (0.05, SolveReport(ndofs=81))])
     assert cli._counts(ladder) == ("8 Newton steps over 2 rungs (1 on the n/2 mesh), "
                                    "2 factorizations, 28 GMRES iterations")
+
+
+def test_counts_of_one_take_the_singular():
+    one = SolveReport(iterations=1, factorizations=1, gmres_iterations=1, ndofs=81,
+                      rungs=[(0.5, SolveReport(ndofs=81))])
+    assert cli._counts(one) == ("1 Newton step over 1 rung (0 on the n/2 mesh), "
+                                "1 factorization, 1 GMRES iteration")
+    single = SolveReport(iterations=1, factorizations=0, gmres_iterations=11, ndofs=81)
+    assert cli._counts(single) == "1 Newton step, 0 factorizations, 11 GMRES iterations"
 
 
 def test_solve_2d_artifacts(tmp_path, capsys):

@@ -1,0 +1,172 @@
+"""Mesh and space construction against the plain formulas, byte for byte.
+
+``SimplicialMesh`` evaluates signed volumes once (again only on reoriented
+cells), takes diameters over edges only and sums face midpoints;
+``FeSpace`` places only each dof's first node and keys nodes by vertex
+multisets sorted by a compare-exchange network.  The oracles below are the
+plain formulas those replace: every signed volume evaluated again after
+reorientation, the diameter over all vertex pairs, ``fc.mean`` midpoints,
+one einsum for every node's coordinates, ``np.sort`` keys of (vertex id,
+weight) pairs, and a lexsort numbering.  Every ndarray attribute must have
+the oracle's dtype, shape and bytes, so a last-bit change anywhere fails.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from maviscid.elements import FeSpace
+from maviscid.mesh import SimplicialMesh, build_structured_mesh
+
+
+def number_rows(rows):
+    """Distinct rows of an (N, c) table numbered in order of first
+    occurrence, through a lexsort over the columns: (first, inverse)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(first))
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = rank[np.cumsum(starts) - 1]
+    return first[by_first], inverse
+
+
+def signed_volumes(vertices, cells):
+    pts = vertices[cells]
+    return np.linalg.det(pts[:, 1:, :] - pts[:, :1, :]) / math.factorial(pts.shape[2])
+
+
+def face_geometry(vertices, dim, vertex_ids, opposite):
+    fc = vertices[vertex_ids]
+    e = fc[:, 1:] - fc[:, :1]
+    if dim == 2:
+        cr = np.stack([e[:, 0, 1], -e[:, 0, 0]], axis=1)
+    else:
+        cr = np.cross(e[:, 0], e[:, 1])
+    size = np.linalg.norm(cr, axis=1)
+    n = cr / size[:, None]
+    diam = functools.reduce(np.maximum, (
+        np.linalg.norm(fc[:, b] - fc[:, a], axis=1)
+        for a, b in itertools.combinations(range(dim), 2)
+    ))
+    wrong = np.einsum("fd,fd->f", n, fc.mean(axis=1) - opposite) < 0
+    n[wrong] *= -1.0
+    return n, diam, size / math.factorial(dim - 1)
+
+
+def oracle_mesh(dim, vertices, cells):
+    """Every ndarray attribute of SimplicialMesh(dim, vertices, cells), and h."""
+    vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
+    cells = np.array(cells, dtype=np.int64)
+    flip = signed_volumes(vertices, cells) < 0
+    tmp = cells[flip, dim].copy()
+    cells[flip, dim] = cells[flip, dim - 1]
+    cells[flip, dim - 1] = tmp
+    volumes = signed_volumes(vertices, cells)
+    pts = vertices[cells]
+    diffs = pts[:, :, None, :] - pts[:, None, :, :]
+    diameters = np.sqrt((diffs**2).sum(-1)).max(axis=(1, 2))
+
+    local = [tuple(j for j in range(dim + 1) if j != i) for i in range(dim + 1)]
+    keys = np.sort(cells[:, local], axis=2).reshape(-1, dim)
+    first, inverse = number_rows(keys)
+    faces = keys[first]
+    counts = np.bincount(inverse)
+    interior = np.flatnonzero(counts == 2)
+    boundary = np.flatnonzero(counts == 1)
+    owners = np.argsort(inverse, kind="stable")
+    second = owners[(np.cumsum(counts) - counts)[interior] + 1]
+    iface_cells, iface_locals = np.divmod(
+        np.column_stack([first[interior], second]), dim + 1
+    )
+    bface_cells, bface_locals = np.divmod(first[boundary], dim + 1)
+    want = dict(
+        vertices=vertices, cells=cells, cell_volumes=volumes,
+        cell_diameters=diameters,
+        iface_vertex_ids=faces[interior], iface_cells=iface_cells,
+        iface_locals=iface_locals,
+        bface_vertex_ids=faces[boundary], bface_cells=bface_cells,
+        bface_locals=bface_locals,
+    )
+    for side, own, loc in (("iface", iface_cells[:, 0], iface_locals[:, 0]),
+                           ("bface", bface_cells, bface_locals)):
+        opposite = vertices[cells[own, loc]]
+        n, diam, meas = face_geometry(vertices, dim, want[f"{side}_vertex_ids"], opposite)
+        want.update({f"{side}_normals": n, f"{side}_diameters": diam,
+                     f"{side}_measures": meas})
+    return want, float(diameters.max())
+
+
+def oracle_space(mesh, k):
+    """Every ndarray attribute of FeSpace(mesh, k)."""
+    d = mesh.dim
+    ref = FeSpace(mesh, k).ref  # the reference element is not under test
+    pts = mesh.vertices[mesh.cells]
+    origin = np.ascontiguousarray(pts[:, 0, :])
+    jac = np.ascontiguousarray(np.swapaxes(pts[:, 1:, :] - pts[:, :1, :], 1, 2))
+    phys = origin[:, None, :] + np.einsum("cij,nj->cni", jac, ref.node_coords)
+    M, nb = mesh.num_cells, ref.node_count
+    weights = np.column_stack([k - ref.exponents.sum(axis=1), ref.exponents])
+    pairs = np.where(weights > 0, mesh.cells[:, None, :] * (k + 1) + weights, -1)
+    first, inverse = number_rows(np.sort(pairs, axis=2).reshape(M * nb, -1))
+    cell_dofs = inverse.reshape(M, nb)
+    on_face = np.array([np.flatnonzero(w == 0) for w in weights.T])
+    boundary = np.unique(cell_dofs[mesh.bface_cells[:, None], on_face[mesh.bface_locals]])
+    mask = np.ones(len(first), dtype=bool)
+    mask[boundary] = False
+    return dict(
+        cell_origin=origin, jac=jac, jac_inv=np.linalg.inv(jac),
+        jac_det=np.abs(np.linalg.det(jac)), cell_dofs=cell_dofs,
+        dof_coords=phys.reshape(M * nb, d)[first], boundary_dofs=boundary,
+        interior_dofs=np.flatnonzero(mask),
+    )
+
+
+def assert_same_bytes(obj, want):
+    got = {name: v for name, v in vars(obj).items() if isinstance(v, np.ndarray)}
+    assert sorted(got) == sorted(want)
+    for name, a in want.items():
+        b = got[name]
+        assert (b.dtype, b.shape) == (a.dtype, a.shape), name
+        assert np.array_equal(b, a) and b.tobytes() == a.tobytes(), name
+
+
+def shuffled_kuhn(dim, n, seed, jitter):
+    """The Kuhn mesh's cells in random order, each with its vertices in
+    random order, and every vertex moved by up to ``jitter`` / n per axis
+    (0.1 keeps every cell's orientation): a mesh of its own (``structure``
+    None).  Moved vertices make the sums and products inexact, so that a
+    change in their order shows in the last bits."""
+    mesh = build_structured_mesh(dim, n)
+    rng = np.random.default_rng(seed)
+    cells = mesh.cells[rng.permutation(mesh.num_cells)]
+    cells = rng.permuted(cells, axis=1)
+    vertices = mesh.vertices + rng.uniform(-jitter, jitter, mesh.vertices.shape) / n
+    return vertices, cells
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["kuhn", "shuffled", "jittered"])
+def test_construction_matches_the_plain_formulas(dim, kind):
+    for n in (1, 3, 4, 7):
+        if kind == "kuhn":
+            mesh = build_structured_mesh(dim, n)
+            vertices, cells = mesh.vertices, mesh.cells
+            assert mesh.structure == ("kuhn", n)
+        else:
+            jitter = 0.1 if kind == "jittered" else 0.0
+            vertices, cells = shuffled_kuhn(dim, n, 10 * dim + n, jitter)
+            mesh = SimplicialMesh(dim, vertices, cells)
+            assert mesh.structure is None
+        want, h = oracle_mesh(dim, vertices, cells)
+        assert_same_bytes(mesh, want)
+        assert mesh.h.hex() == h.hex()
+        for k in (2, 3):
+            assert_same_bytes(FeSpace(mesh, k), oracle_space(mesh, k))

@@ -122,6 +122,15 @@ def test_lattice_degrees_build_but_spaces_reject_them(dim):
         ReferenceElement(dim, 4)
 
 
+def test_space_degree_must_be_an_integer():
+    mesh = build_structured_mesh(2, 1)
+    for degree in (2.7, 2.0, True, np.True_, "2", None):
+        with pytest.raises(ValueError, match=f"degree must be 2 or 3, got {degree!r}"):
+            FeSpace(mesh, degree)
+    space = FeSpace(mesh, np.int64(3))
+    assert type(space.degree) is int and space.degree == 3
+
+
 @pytest.mark.parametrize("dim,degree", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_reference_derivatives_match_finite_differences(dim, degree):
     ref = ReferenceElement(dim, degree)

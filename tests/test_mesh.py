@@ -233,6 +233,58 @@ def test_rejects_bad_n():
         build_structured_mesh(4, 2)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, np.True_, "3", None])
+def test_rejects_a_size_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n!r}"):
+        build_structured_mesh(2, n)
+
+
+def test_accepts_numpy_integer_sizes():
+    mesh = build_structured_mesh(2, np.int32(3))
+    assert mesh.structure == ("kuhn", 3) and type(mesh.structure[1]) is int
+    assert np.array_equal(mesh.cells, build_structured_mesh(2, 3).cells)
+
+
+TRIANGLE = [(0, 0), (1, 0), (0, 1)]
+
+
+def test_rejects_a_nonfinite_vertex_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"vertex 2 \[nan, 1.0\] is not finite"):
+            SimplicialMesh(2, [(0, 0), (1, 0), (np.nan, 1)], [(0, 1, 2)])
+
+
+def test_rejects_cells_that_are_not_integer_indices():
+    with pytest.raises(ValueError, match=r"cell 1 \[0.0, 1.0, 2.7\] is not integer"):
+        SimplicialMesh(2, TRIANGLE + [(1, 1)], [(1, 3, 2), (0, 1, 2.7)])
+
+
+@pytest.mark.parametrize("cell", [(0, 1, -1), (0, 1, 3)])
+def test_rejects_cells_naming_a_missing_vertex(cell):
+    with pytest.raises(ValueError, match=r"cell 0 .* names a vertex outside 0\.\.2"):
+        SimplicialMesh(2, TRIANGLE, [cell])
+
+
+def test_rejects_a_mesh_without_cells():
+    with pytest.raises(ValueError, match="mesh has no cells"):
+        SimplicialMesh(2, TRIANGLE, np.zeros((0, 3), dtype=np.int64))
+
+
+def test_rejects_a_repeated_cell():
+    # reoriented, the second cell is the first again: it would share all
+    # three faces with it
+    with pytest.raises(ValueError, match=r"cells 0 and 1 overlap"):
+        SimplicialMesh(2, TRIANGLE, [(0, 1, 2), (0, 2, 1)])
+
+
+def test_rejects_cells_overlapping_across_a_face():
+    # vertex 3 lies inside the first triangle, on the side of edge (0, 1)
+    # that the triangle covers
+    with pytest.raises(ValueError, match=r"cells 0 and 1 overlap: .* face \(0, 1\)"):
+        SimplicialMesh(2, TRIANGLE + [(0.2, 0.2)], [(0, 1, 2), (0, 1, 3)])
+
+
 def test_orientation_canonicalized():
     verts = [(0, 0), (1, 0), (0, 1)]
     mesh = SimplicialMesh(2, verts, [(0, 2, 1)])  # clockwise input
