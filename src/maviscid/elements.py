@@ -16,13 +16,12 @@ get one dof without comparing coordinates.
 from __future__ import annotations
 
 import itertools
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from maviscid.mesh import _number_rows, _sorted_columns
+from maviscid.mesh import _integer, _number_rows, _sorted_columns
 
 __all__ = [
     "QuadratureRule",
@@ -80,35 +79,29 @@ def _simplex_rule(sdim, exactness):
 
 def cell_quadrature(dim, exactness):
     """Rule on the reference simplex of dimension ``dim`` (2 or 3)."""
-    _check_exactness(dim, exactness)
+    dim, exactness = _check_exactness(dim, exactness)
     pts, w = _simplex_rule(dim, exactness)
-    return QuadratureRule(pts, w, int(exactness))
+    return QuadratureRule(pts, w, exactness)
 
 
 def face_quadrature(dim, exactness):
     """Rule on the reference face simplex (dimension ``dim`` - 1)."""
-    _check_exactness(dim, exactness)
+    dim, exactness = _check_exactness(dim, exactness)
     pts, w = _simplex_rule(dim - 1, exactness)
-    return QuadratureRule(pts, w, int(exactness))
+    return QuadratureRule(pts, w, exactness)
 
 
 def _check_exactness(dim, exactness):
-    if dim not in _MAX_EXACTNESS:
-        raise ValueError("dim must be 2 or 3")
-    if not 1 <= exactness <= _MAX_EXACTNESS[dim]:
-        raise ValueError(
-            f"exactness {exactness} unsupported in {dim}D "
-            f"(1..{_MAX_EXACTNESS[dim]})"
-        )
+    """``(dim, exactness)`` as Python ints; ValueError unless both are
+    integers and the exactness is supported in that dimension."""
+    dim = _integer("dim", dim, 2, 3)
+    return dim, _integer(f"exactness in {dim}D", exactness, 1, _MAX_EXACTNESS[dim])
 
 
 def check_degree(degree):
     """``degree`` as a Python int; ValueError unless it is an integer 2 or 3
     (floats and bools are refused, numpy integers accepted)."""
-    if (isinstance(degree, bool) or not isinstance(degree, numbers.Integral)
-            or degree not in (2, 3)):
-        raise ValueError(f"degree must be 2 or 3, got {degree!r}")
-    return int(degree)
+    return _integer("degree", degree, 2, 3)
 
 
 class ReferenceElement:
@@ -122,12 +115,8 @@ class ReferenceElement:
     """
 
     def __init__(self, dim, degree):
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        if degree not in range(4):
-            raise ValueError("element degree must be 0 to 3")
-        self.dim = dim
-        self.degree = degree
+        self.dim = dim = _integer("dim", dim, 2, 3)
+        self.degree = degree = _integer("degree", degree, 0, 3)
         multis = sorted(
             m
             for m in itertools.product(range(degree + 1), repeat=dim)

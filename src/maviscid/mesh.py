@@ -47,11 +47,16 @@ __all__ = [
 _HANGING_PAIRS = 2**18
 
 
-def _integer(name, value, least):
-    """``value`` as a Python int; ValueError unless it is an integer >= ``least``.
+def _integer(name, value, least, most=None):
+    """``value`` as a Python int; ValueError naming ``name`` and the value
+    unless it is an integer from ``least`` to ``most`` (None: no bound).
     Floats and bools are refused, numpy integers accepted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least or (most is not None and value > most)):
+        bound = (f"an integer >= {least}" if most is None
+                 else f"{least} or {most}" if most == least + 1
+                 else f"an integer {least} to {most}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
     return int(value)
 
 
@@ -146,9 +151,7 @@ class SimplicialMesh:
     structure = None
 
     def __init__(self, dim, vertices, cells):
-        if dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
-        self.dim = int(dim)
+        self.dim = dim = _integer("dim", dim, 2, 3)
         self.vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != dim:
             raise ValueError("vertices must have shape (V, dim)")
@@ -422,9 +425,7 @@ def build_structured_mesh(dim, n):
     cube holds six tetrahedra around its main diagonal.  Conforming across
     cube faces; the mesh diameter is sqrt(dim) / n.
     """
-    n = _integer("n", n, 1)
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
+    dim, n = _integer("dim", dim, 2, 3), _integer("n", n, 1)
     axis = np.linspace(0.0, 1.0, n + 1)
     # meshgrid's last axis runs fastest, so x comes last
     grid = np.meshgrid(*[axis] * dim, indexing="ij")

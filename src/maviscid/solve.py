@@ -10,11 +10,17 @@ there is no factorization yet or the GMRES answer fails that check.  The
 Jacobian changes only through its cofactor term from step to step and
 through epsilon from rung to rung, so one factorization usually serves all
 the rungs a continuation ladder runs on one mesh.  The Jacobian's pattern
-is symmetric and its values nearly so, so 2D Jacobians are factored in
-SuperLU's symmetric mode (minimum degree on A^T + A, diagonal pivot
-threshold 0.1), which cuts their fill by a third to a half; 3D Jacobians
-keep the default COLAMD ordering with partial pivoting, which fills less at
-3D sizes (see ``sparse_solve``).
+is symmetric and its values nearly so, so it is factored in SuperLU's
+symmetric mode (diagonal pivot threshold 0.1).  2D Jacobians are ordered by
+minimum degree on A^T + A, which cuts their fill by a third to a half.  3D
+Jacobians are ordered by a geometric nested dissection of the interior dofs
+(George 1973), computed once per space, and factored in single precision,
+which halves the factor time at 3D sizes.  That factorization only
+preconditions: every solve with it, the one right after factoring included,
+is a GMRES cycle whose answer must pass the same double-precision
+backward-error check, and if a cycle fails the step factors the same
+ordered matrix in double precision (Buttari et al. 2008; see
+``sparse_solve``).
 
 Robust starts at small epsilon come from a continuation ladder: solve at a
 large epsilon first, halve until the target.  The first solve is seeded with
@@ -52,8 +58,11 @@ from scipy.linalg import solve_triangular
 from maviscid.assembly import (
     DEFAULT_WEIGHT_MODE,
     PenaltyParams,
+    _cached,
     _check_finite,
     _interior_block,
+    _interior_pattern,
+    _read_only,
     apply_dirichlet,
     assemble_nonlinear_residual,
     assemble_residual_and_jacobian,
@@ -133,10 +142,10 @@ class SolveReport:
     """Iteration counts and residual history of one solve (or a ladder);
     ``factorizations`` counts the LU factorizations of the Newton steps and
     ``gmres_iterations`` the iterations of their preconditioned GMRES
-    cycles, failed cycles included.  ``ndofs`` is the size of the space the
-    solve ran on (a ladder's: the requested space), and ``fell_back`` says
-    that a ladder's nested plan failed and the plain ladder ran instead
-    (see ``continuation_solve``)."""
+    cycles, failed factorizations and cycles included.  ``ndofs`` is the
+    size of the space the solve ran on (a ladder's: the requested space),
+    and ``fell_back`` says that a ladder's nested plan failed and the plain
+    ladder ran instead (see ``continuation_solve``)."""
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
@@ -153,6 +162,10 @@ class SolveReport:
 # kept unless it is below 0.1 times the largest entry of its column
 _SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
+# the symmetric mode keeping the column order of a matrix already ordered
+_ORDERED_MODE = dict(_SYMMETRIC_MODE, permc_spec="NATURAL")
+# nested dissection stops splitting parts of at most this many dofs
+_DISSECTION_LEAF = 64
 
 # a solve is accepted when its backward error (see _backward_error) is below
 # this, whether it came from a fresh factorization or from GMRES
@@ -163,9 +176,15 @@ _GMRES_ITERS = 20
 # bound the backward-error check puts on the true residual, which leaves
 # room for the roundoff between the two
 _GMRES_MARGIN = 0.1
+# from half its iterations on, a cycle also stops when its estimate, reduced
+# further at its average rate so far in each iteration left, would still miss
+# that bound by this factor.  GMRES often speeds up late: over the 3494
+# cycles of the tests and the bench workloads, a factor of 1 stopped 97 that
+# went on to pass, and this one none
+_GMRES_STAGNATION = 1e6
 
 
-def sparse_solve(A, b, *, symmetric=False, factor=None):
+def sparse_solve(A, b, *, symmetric=False, order=None, factor=None):
     """Sparse LU solve of a square interior system.
 
     Solves with SuperLU and checks that the backward error
@@ -175,27 +194,38 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     symmetric mode instead: minimum degree on A^T + A and diagonal pivots
     unless one is below 0.1 of its column's largest entry.  That suits a
     matrix with a symmetric pattern and nearly symmetric values, such as the
-    Newton Jacobian.  On interior Newton Jacobians (one thread, factor +
-    solve) the symmetric mode was 2.2-3.3x faster with 31-46% less L+U fill
-    on 2D k=2 and k=3 spaces of n=32 and 64, but 37-63% slower with 27-35%
-    more fill on 3D spaces of n=10, 12 at k=2 and n=6 at k=3, so
-    ``newton_solve`` uses it in 2D only.  ``A`` is anything
-    ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry of ``A`` or
-    ``b`` raises ValueError before anything is solved or factored.
+    Newton Jacobian; on interior 2D Jacobians of k=2 and k=3 spaces of n=32
+    and 64 it was 2.2-3.3x faster than COLAMD (one thread, factor + solve)
+    with 31-46% less L+U fill.
+
+    ``order``, a permutation P of the unknowns, factors P A P^T in the
+    symmetric mode keeping that order (not with ``symmetric``), first in
+    single precision.  That factorization only preconditions: the system is
+    solved by the GMRES cycle described below, and if its answer fails the
+    backward-error check, the factorization is dropped and P A P^T factored
+    again in double precision, which solves directly as the other modes do.
+    ``newton_solve`` passes the nested-dissection order of 3D interior dofs
+    (``_dissection_order``): on the case VI Jacobians of n=6 and n=12, k=2,
+    it fills 8% and 16% less than COLAMD, and the single-precision factor
+    took 16 ms against 30 ms and 0.9 s against 3.5 s (one thread).  ``A``
+    is anything ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry of
+    ``A`` or ``b``, or an ``order`` that is no permutation, raises
+    ValueError before anything is solved or factored.
 
     ``factor`` lets a sequence of solves with nearby matrices share one
-    factorization.  It is a list, empty or holding the SuperLU factorization
-    of an earlier matrix.  If it holds one of this matrix's shape, the
-    system is first solved by one right-preconditioned GMRES cycle of at
-    most ``_GMRES_ITERS`` iterations, each applying that factorization once
-    (see ``_preconditioned_gmres``).  The cycle stops as soon as its
-    residual estimate is a tenth of what the backward-error check allows,
-    and x is accepted when it is finite and passes that check.  Otherwise
-    the held factorization is dropped before this matrix is factored, so
-    at most one factorization is alive, and the new one is left in the list
-    for the next solve; without ``factor`` the list is the call's own.  The
-    result is ``(x, factored, gmres_iterations)``: whether this call
-    factored, and how many GMRES iterations it ran.
+    factorization.  It is a list, empty or holding the factorization of an
+    earlier matrix.  If it holds one of this matrix's shape, the system is
+    first solved by one right-preconditioned GMRES cycle of at most
+    ``_GMRES_ITERS`` iterations, each applying that factorization once (see
+    ``_preconditioned_gmres``).  The cycle stops as soon as its residual
+    estimate is a tenth of what the backward-error check allows, or when it
+    cannot get there in the iterations left, and x is accepted when it is
+    finite and passes that check.  Otherwise the held factorization is
+    dropped before this matrix is factored, so at most one factorization is
+    alive, and the new one is left in the list for the next solve; without
+    ``factor`` the list is the call's own.  The result is ``(x, factored,
+    gmres_iterations)``: how many factorizations this call made (0, 1, or 2
+    when a single-precision one failed) and how many GMRES iterations it ran.
     """
     csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
@@ -204,6 +234,12 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
         raise ValueError("need a square matrix and a matching vector")
     if not np.isfinite(b).all():
         raise ValueError("non-finite right-hand side entries")
+    if order is not None:
+        if symmetric:
+            raise ValueError("an order is factored in its own mode, not with symmetric")
+        order = np.asarray(order)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order must be a permutation of the unknowns")
     # ||A||_inf, shared by the GMRES stop and the backward-error check
     norm_a = float(np.asarray(abs(csr).sum(axis=1)).max(initial=0.0))
     factor = [] if factor is None else factor
@@ -211,12 +247,32 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
     if factor and factor[0].shape == csr.shape:
         x, iters = _preconditioned_gmres(csr, b, factor[0], norm_a)
         if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
-            return x, False, iters
+            return x, 0, iters
     factor.clear()
+    factored = 1
+    if order is None:
+        matrix, mode = csr.tocsc(), _SYMMETRIC_MODE if symmetric else {}
+    else:
+        matrix, mode = csr[order][:, order].tocsc(), _ORDERED_MODE
+        # an entry beyond single precision becomes inf, and the factor or
+        # its cycle fails
+        with np.errstate(over="ignore"):
+            single = matrix.astype(np.float32)
+        try:
+            factor.append(_Reordered(spla.splu(single, **mode), order, np.float32))
+        except RuntimeError:
+            pass
+        else:
+            x, cycle = _preconditioned_gmres(csr, b, factor[0], norm_a)
+            iters += cycle
+            if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
+                return x, 1, iters
+            factor.clear()
+        factored = 2
     try:
-        lu = spla.splu(csr.tocsc(), **(_SYMMETRIC_MODE if symmetric else {}))
-        factor.append(lu)
-        x = lu.solve(b)
+        lu = spla.splu(matrix, **mode)
+        factor.append(lu if order is None else _Reordered(lu, order, np.float64))
+        x = factor[0].solve(b)
     except RuntimeError as exc:
         row = _suspect_row(csr)
         raise SingularMatrixError(
@@ -230,7 +286,21 @@ def sparse_solve(A, b, *, symmetric=False, factor=None):
             f"(worst row {row})",
             row=row,
         )
-    return x, True, iters
+    return x, factored, iters
+
+
+class _Reordered:
+    """The factorization ``lu`` of P A P^T, P the permutation ``order``,
+    applied as one of A to double-precision vectors; ``dtype`` is the
+    precision ``lu`` was factored in."""
+
+    def __init__(self, lu, order, dtype):
+        self.lu, self.order, self.dtype, self.shape = lu, order, dtype, lu.shape
+
+    def solve(self, b):
+        x = np.empty(len(b))
+        x[self.order] = self.lu.solve(b[self.order].astype(self.dtype, copy=False))
+        return x
 
 
 def _preconditioned_gmres(csr, b, lu, norm_a):
@@ -247,6 +317,10 @@ def _preconditioned_gmres(csr, b, lu, norm_a):
     ``_GMRES_ITERS`` iterations, or at a breakdown: a new Hessenberg entry
     below eps ||A z_j|| spans no new direction.  A diagonal of R that small
     is roundoff of a zero one, and its direction is dropped, not divided by.
+    From half its iterations on, it also stops when it stagnates: when the
+    estimate, reduced further by its average reduction per iteration so far
+    in each iteration left, would still miss that bound by the factor
+    ``_GMRES_STAGNATION``.  A non-finite A z_j ends the cycle with a NaN x.
     """
     n = len(b)
     beta = np.linalg.norm(b)
@@ -267,6 +341,8 @@ def _preconditioned_gmres(csr, b, lu, norm_a):
         Z[j] = lu.solve(V[j])
         w = csr @ Z[j]
         w_norm = np.linalg.norm(w)
+        if not np.isfinite(w_norm):
+            return np.full(n, np.nan), j + 1
         h = np.zeros(j + 2)
         for _ in range(2):
             proj = V[: j + 1] @ w
@@ -290,8 +366,14 @@ def _preconditioned_gmres(csr, b, lu, norm_a):
         kept = j + 1 if r > eps * w_norm else j
         y = solve_triangular(R[:kept, :kept], g[:kept])
         x = y @ Z[:kept]
-        if breakdown or abs(g[j + 1]) < bound * (norm_a * np.abs(x).max() + b_inf):
+        estimate = abs(g[j + 1])
+        target = bound * (norm_a * np.abs(x).max() + b_inf)
+        if breakdown or estimate < target:
             break
+        if 2 * (j + 1) >= m and not (
+                estimate * (estimate / beta) ** ((m - j - 1) / (j + 1))
+                < _GMRES_STAGNATION * target):
+            break  # stagnation
     return x, j + 1
 
 
@@ -304,6 +386,63 @@ def _backward_error(csr, x, b, norm_a):
         return math.nan
     denom = norm_a * np.abs(x).max() + np.abs(b).max()
     return np.abs(csr @ x - b).max() / (denom or 1.0)
+
+
+def _dissection_tree(space):
+    """Nested-dissection tree (George 1973) of the space's interior dofs,
+    given as positions in ``space.interior_dofs``.
+
+    A part of at most ``_DISSECTION_LEAF`` dofs is a leaf: the array of its
+    dofs.  A larger part is bisected at the median of its dof coordinates
+    along their longest extent.  Its separator is the smaller of the two
+    one-sided sets of dofs coupled, in the interior Jacobian's pattern, to a
+    dof of the other half.  The part is the tuple (first half's tree, second
+    half's tree, separator), the halves without the separator, which no
+    coupling joins.
+    """
+    _, indptr, indices = _interior_pattern(space)
+    coords = space.dof_coords[space.interior_dofs]
+    n = len(coords)
+    graph = sp.csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr),
+                          shape=(n, n))
+    # (first half, second half) indicators of the part being split
+    halves = np.zeros((n, 2), dtype=np.int32)
+
+    def dissect(dofs):
+        if len(dofs) <= _DISSECTION_LEAF:
+            return dofs
+        c = coords[dofs]
+        key = c[:, np.argmax(np.ptp(c, axis=0))]
+        median = np.median(key)
+        first = key < median
+        if not first.any():  # more than half the part on its lowest plane
+            first = key <= median
+        halves[dofs, 0], halves[dofs, 1] = first, ~first
+        # couplings of each dof to the first and to the second half
+        coupled = graph[dofs] @ halves
+        halves[dofs] = 0
+        touch_first = first & (coupled[:, 1] > 0)
+        touch_second = ~first & (coupled[:, 0] > 0)
+        sep = touch_first if touch_first.sum() <= touch_second.sum() else touch_second
+        return dissect(dofs[first & ~sep]), dissect(dofs[~first & ~sep]), dofs[sep]
+
+    return dissect(np.arange(n))
+
+
+@_cached
+def _dissection_order(space):
+    """The space's interior dofs, as positions in ``space.interior_dofs``,
+    in nested-dissection order (``_dissection_tree``), cached on the space:
+    each part's first half, then its second half, then its separator, so
+    that factoring in this order makes no fill between the halves."""
+
+    def blocks(tree):
+        if isinstance(tree, np.ndarray):
+            return [tree]
+        first, second, sep = tree
+        return blocks(first) + blocks(second) + [sep]
+
+    return _read_only(np.concatenate(blocks(_dissection_tree(space))))[0]
 
 
 def _suspect_row(csr):
@@ -325,14 +464,18 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
     ``g_data`` must be pure functions: their load and boundary-flux vectors
     are formed once and reused by every residual of the solve.  A step
     solves by GMRES preconditioned with the last factorization, and factors
-    its interior Jacobian (a 2D one in SuperLU's symmetric mode, a 3D one
-    with the default ordering) only when none is held or that solve fails
-    the residual check (see ``sparse_solve``).  ``factor`` is the holder of
-    that factorization, a list as ``sparse_solve`` takes it: passing one
-    lets a factorization serve several solves, and without it the first
-    step factors and the holder lives as long as this call.  Returns the
-    solution and a report; raises NewtonError with a distinct reason
-    otherwise.
+    its interior Jacobian only when none is held or that solve fails the
+    residual check (see ``sparse_solve``).  A 2D Jacobian is factored in
+    SuperLU's symmetric mode.  A 3D one is factored in the space's
+    nested-dissection order and in single precision, which only
+    preconditions the GMRES cycle that solves the step; every accepted step
+    passes the double-precision check, and a step whose cycle fails factors
+    again in double precision, so that step counts two factorizations.
+    ``factor`` is the holder of that factorization, a list as
+    ``sparse_solve`` takes it: passing one lets a factorization serve
+    several solves, and without it the first step factors and the holder
+    lives as long as this call.  Returns the solution and a report; raises
+    NewtonError with a distinct reason otherwise.
     """
     if initial is None:
         raise ValueError("newton_solve needs an initial FeFunction")
@@ -345,6 +488,7 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
         factor = []
     t0 = time.perf_counter()
     try:
+        order = _dissection_order(space) if space.dim == 3 else None
         while True:
             r, J = assemble_residual_and_jacobian(u, f, g_data, params)
             rn = float(np.abs(r).max())
@@ -365,8 +509,8 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
                 )
             try:
                 step, factored, gmres_iters = sparse_solve(
-                    _interior_block(space, J), -r[ii], symmetric=space.dim == 2,
-                    factor=factor)
+                    _interior_block(space, J), -r[ii], symmetric=order is None,
+                    order=order, factor=factor)
             except SingularMatrixError as exc:
                 raise NewtonError(
                     f"singular Jacobian: {exc}", "singular_jacobian", report

@@ -122,6 +122,45 @@ def test_lattice_degrees_build_but_spaces_reject_them(dim):
         ReferenceElement(dim, 4)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, np.True_, "2", 1])
+def test_reference_element_rejects_a_dimension_that_is_not_2_or_3(dim):
+    with pytest.raises(ValueError, match=f"dim must be 2 or 3, got {dim!r}"):
+        ReferenceElement(dim, 2)
+    ref = ReferenceElement(np.int32(3), 2)
+    assert type(ref.dim) is int and ref.node_count == 10
+
+
+@pytest.mark.parametrize("degree", [2.0, True, np.True_, "2", 4, -1])
+def test_reference_element_rejects_a_degree_that_is_not_0_to_3(degree):
+    with pytest.raises(ValueError,
+                       match=f"degree must be an integer 0 to 3, got {degree!r}"):
+        ReferenceElement(2, degree)
+    ref = ReferenceElement(2, np.uint8(3))
+    assert type(ref.degree) is int and ref.node_count == 10
+
+
+@pytest.mark.parametrize("exactness", [4.5, 4.0, True, np.True_, "4", 0, 11])
+def test_cell_quadrature_rejects_an_unsupported_exactness(exactness):
+    # 4.5 built the m=3 Gauss rule, exact to degree 5, labelled 4
+    with pytest.raises(ValueError, match=(
+            f"exactness in 2D must be an integer 1 to 10, got {exactness!r}")):
+        cell_quadrature(2, exactness)
+    rule = cell_quadrature(2, np.int64(4))
+    assert type(rule.exactness) is int and rule.exactness == 4
+
+
+@pytest.mark.parametrize("exactness", [True, np.True_, 1.0, "1", 0, 9])
+def test_face_quadrature_rejects_an_unsupported_exactness(exactness):
+    # True built the one-point rule labelled exactness 1
+    with pytest.raises(ValueError, match=(
+            f"exactness in 3D must be an integer 1 to 8, got {exactness!r}")):
+        face_quadrature(3, exactness)
+    with pytest.raises(ValueError, match="dim must be 2 or 3, got 3.0"):
+        face_quadrature(3.0, 1)
+    rule = face_quadrature(np.int16(3), np.int16(1))
+    assert type(rule.exactness) is int and rule.exactness == 1
+
+
 def test_space_degree_must_be_an_integer():
     mesh = build_structured_mesh(2, 1)
     for degree in (2.7, 2.0, True, np.True_, "2", None):

@@ -245,6 +245,23 @@ def test_accepts_numpy_integer_sizes():
     assert np.array_equal(mesh.cells, build_structured_mesh(2, 3).cells)
 
 
+@pytest.mark.parametrize("dim", [2.0, True, np.True_, "2", 4])
+def test_generator_rejects_a_dimension_that_is_not_2_or_3(dim):
+    with pytest.raises(ValueError, match=f"dim must be 2 or 3, got {dim!r}"):
+        build_structured_mesh(dim, 3)
+    mesh = build_structured_mesh(np.int64(3), 2)
+    assert type(mesh.dim) is int and mesh.dim == 3
+
+
+@pytest.mark.parametrize("dim", [2.0, True, np.True_, "2", 4])
+def test_mesh_rejects_a_dimension_that_is_not_2_or_3(dim):
+    verts, cells = [(0, 0), (1, 0), (0, 1)], [[0, 1, 2]]
+    with pytest.raises(ValueError, match=f"dim must be 2 or 3, got {dim!r}"):
+        SimplicialMesh(dim, verts, cells)
+    mesh = SimplicialMesh(np.int8(2), verts, cells)
+    assert type(mesh.dim) is int and mesh.dim == 2
+
+
 TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 
 

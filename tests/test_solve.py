@@ -15,6 +15,7 @@ from maviscid.assembly import (
     BoundaryData,
     CoefficientField,
     PenaltyParams,
+    _interior_pattern,
     apply_dirichlet,
     assemble_Ah_sigma,
     assemble_residual_and_jacobian,
@@ -24,8 +25,11 @@ from maviscid.cli import _solve_on_mesh
 from maviscid.elements import FeSpace, interpolate
 from maviscid.mesh import SimplicialMesh, build_structured_mesh
 from maviscid.solve import (
+    _DISSECTION_LEAF,
     _GMRES_ITERS,
     _RUNG_TOL,
+    _dissection_order,
+    _dissection_tree,
     NewtonConfig,
     NewtonError,
     SingularMatrixError,
@@ -163,10 +167,12 @@ class _Factored(Exception):
 @pytest.mark.parametrize("dim, symmetric_mode", [(2, True), (3, False)])
 def test_newton_factors_2d_jacobians_in_symmetric_mode(monkeypatch, dim,
                                                         symmetric_mode):
+    # 2D: minimum degree in double precision; 3D: the nested-dissection
+    # order kept, in single precision
     calls = []
 
     def spy(A, **kwargs):
-        calls.append(kwargs)
+        calls.append((kwargs, A.dtype))
         raise _Factored
 
     monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
@@ -177,9 +183,11 @@ def test_newton_factors_2d_jacobians_in_symmetric_mode(monkeypatch, dim,
         newton_solve(lambda p: np.ones(len(p)), data, params, NewtonConfig(),
                      convex_seed(space, data.g))
     expected = (
-        dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-             options=dict(SymmetricMode=True))
-        if symmetric_mode else {}
+        (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+              options=dict(SymmetricMode=True)), np.float64)
+        if symmetric_mode else
+        (dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
+              options=dict(SymmetricMode=True)), np.float32)
     )
     assert calls == [expected]
 
@@ -287,10 +295,30 @@ def test_sparse_solve_replaces_an_unfit_held_factor(splu_calls, held_matrix):
     x, factored, gmres_iters = sparse_solve(A, b, symmetric=True, factor=held)
     assert _backward_error(A, x, b) < 1e-10
     assert len(splu_calls) == 1 and len(held) == 1 and held[0] is not old
-    # a held factor of the wrong shape is not tried
-    assert factored and gmres_iters == old.calls == (
-        _GMRES_ITERS if held_matrix == "unrelated" else 0)
+    # a held factor of the wrong shape is not tried, and an unrelated one's
+    # cycle stagnates and stops early
+    assert factored == 1 and gmres_iters == old.calls
+    if held_matrix == "unrelated":
+        assert 0 < gmres_iters < _GMRES_ITERS
+    else:
+        assert gmres_iters == 0
     assert np.abs(held[0].solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_gmres_does_not_stop_a_cycle_that_converges_late():
+    # 12 spread eigenvalues and 88 at 1: the cycle gains little until it
+    # has spanned all 13 and then converges at once, at iteration 13.  At
+    # iteration 10 its average rate projects a miss, but by less than
+    # _GMRES_STAGNATION
+    n = 100
+    d = np.ones(n)
+    d[:12] = np.geomspace(0.1, 10.0, 12)
+    A = sp.diags(d).tocsr()
+    b = np.random.default_rng(0).standard_normal(n)
+    held = [spla.splu(sp.identity(n, format="csc"))]
+    x, factored, gmres_iters = sparse_solve(A, b, factor=held)
+    assert not factored and gmres_iters == 13
+    assert _backward_error(A, x, b) < 1e-10
 
 
 @ORDERINGS
@@ -343,7 +371,9 @@ def test_reuse_matches_factoring_every_step(monkeypatch, case, dim, n):
     # a GMRES answer that never passes the check forces a factor per step
     monkeypatch.setattr("maviscid.solve._preconditioned_gmres", _nan_gmres)
     u_lu, report_lu = _case_solve(case, dim, n)
-    assert report_lu.factorizations == report_lu.iterations
+    # a 3D step's single-precision factor fails its cycle too, and the step
+    # factors again in double precision
+    assert report_lu.factorizations == (1 if dim == 2 else 2) * report_lu.iterations
     assert report.factorizations < report.iterations
     assert report.iterations == report_lu.iterations
     assert [e for e, _ in report.rungs] == [e for e, _ in report_lu.rungs]
@@ -351,6 +381,104 @@ def test_reuse_matches_factoring_every_step(monkeypatch, case, dim, n):
         r.iterations for _, r in report_lu.rungs]
     gap = np.abs(u.coeffs - u_lu.coeffs).max()
     assert gap <= 1e-10 * np.abs(u_lu.coeffs).max()
+
+
+# ------------------------------------------------- 3D single-precision factor
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 4), (3, 6)])
+def test_dissection_order_puts_each_separator_after_its_halves(dim, n):
+    space = FeSpace(build_structured_mesh(dim, n), 2)
+    _, indptr, indices = _interior_pattern(space)
+    size = len(indptr) - 1
+    coupled = sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                            shape=(size, size))
+    order = _dissection_order(space)
+    assert np.array_equal(np.sort(order), np.arange(size))
+    position = np.empty(size, dtype=int)
+    position[order] = np.arange(size)
+    splits = []
+
+    def before(a, b):
+        return position[a].max(initial=-1) < position[b].min(initial=size)
+
+    def check(tree):
+        """The dofs of ``tree``, after checking its splits."""
+        if isinstance(tree, np.ndarray):
+            assert len(tree) <= _DISSECTION_LEAF
+            return tree
+        first, second = check(tree[0]), check(tree[1])
+        sep = tree[2]
+        # no coupling joins the halves, and the order runs first half,
+        # second half, separator
+        assert coupled[first][:, second].nnz == 0
+        assert before(first, second) and before(first, sep) and before(second, sep)
+        splits.append(len(sep))
+        return np.concatenate([first, second, sep])
+
+    assert len(check(_dissection_tree(space))) == size
+    assert len(splits) >= 3 and min(splits) > 0
+
+
+@pytest.mark.parametrize("failure", ["underflow", "singular_pivot"])
+def test_failed_single_precision_factor_falls_back_to_double(splu_calls, failure):
+    if failure == "underflow":
+        # every entry is below the smallest single-precision number
+        A, b = _interior_jacobian()
+        A, b = 1e-50 * A, 1e-50 * b
+    else:
+        # 1 + 1e-9 rounds to 1 in single precision, and the matrix to a
+        # singular one
+        A, b = sp.csr_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-9]]), np.array([1.0, 2.0])
+    n = A.shape[0]
+    held = []
+    x, factored, gmres_iters = sparse_solve(A, b, order=np.arange(n)[::-1],
+                                            factor=held)
+    assert factored == 2 and gmres_iters == 0
+    assert [kw["permc_spec"] for kw in splu_calls] == ["NATURAL"] * 2
+    assert len(held) == 1 and held[0].dtype == np.float64
+    assert _backward_error(A, x, b) < 1e-10
+
+
+def test_sparse_solve_checks_its_order():
+    with pytest.raises(ValueError, match="symmetric"):
+        sparse_solve(np.eye(2), np.ones(2), symmetric=True, order=np.arange(2))
+    with pytest.raises(ValueError, match="permutation"):
+        sparse_solve(np.eye(2), np.ones(2), order=[0, 0])
+
+
+def test_3d_step_refactors_in_double_when_its_cycle_fails(monkeypatch):
+    # every cycle fails, so every step factors in single precision and then
+    # in double precision, counts both, and drops the first factor before
+    # it makes the second
+    alive, refs, dtypes, splu = [], [], [], spla.splu
+
+    def spy(A, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        dtypes.append(A.dtype)
+        if A.dtype == np.float32:
+            lu = _CountingLU(splu(A, **kwargs))
+            refs.append(weakref.ref(lu))
+            return lu
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr("scipy.sparse.linalg.splu", spy)
+    monkeypatch.setattr("maviscid.solve._preconditioned_gmres", _nan_gmres)
+    _, report = _case_solve("VI", 3, 4)
+    assert dtypes == [np.float32, np.float64] * report.iterations
+    assert report.factorizations == len(dtypes)
+    assert alive == [0] * len(alive)
+
+
+@pytest.mark.parametrize("n, iterations, min_dof", [
+    (4, 15, -0.189669514807859), (6, 13, -0.175244972345973)])
+def test_3d_single_precision_factor_keeps_the_double_precision_counts(
+        n, iterations, min_dof):
+    # the counts and min dof of the COLAMD double-precision factor: Newton
+    # steps, and one factorization per space of the nested ladder
+    u, report = _case_solve("VI", 3, n)
+    assert report.iterations == iterations and report.factorizations == 2
+    assert abs(u.coeffs.min() - min_dof) <= 1e-9
 
 
 # ------------------------------------------------------------------- config
