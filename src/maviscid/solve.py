@@ -11,16 +11,14 @@ Jacobian changes only through its cofactor term from step to step and
 through epsilon from rung to rung, so one factorization usually serves all
 the rungs a continuation ladder runs on one mesh.  The Jacobian's pattern
 is symmetric and its values nearly so, so it is factored in SuperLU's
-symmetric mode (diagonal pivot threshold 0.1).  2D Jacobians are ordered by
-minimum degree on A^T + A, which cuts their fill by a third to a half.  3D
-Jacobians are ordered by a geometric nested dissection of the interior dofs
-(George 1973), computed once per space, and factored in single precision,
-which halves the factor time at 3D sizes.  That factorization only
-preconditions: every solve with it, the one right after factoring included,
-is a GMRES cycle whose answer must pass the same double-precision
-backward-error check, and if a cycle fails the step factors the same
-ordered matrix in double precision (Buttari et al. 2008; see
-``sparse_solve``).
+symmetric mode (diagonal pivot threshold 0.1), in single precision.  2D
+Jacobians are ordered by minimum degree on A^T + A, 3D Jacobians by a
+geometric nested dissection of the interior dofs (George 1973), computed
+once per space.  That factorization only preconditions: every solve with
+it, the one right after factoring included, is a GMRES cycle whose answer
+must pass the same double-precision backward-error check, and if a cycle
+fails the step factors the same ordered matrix in double precision
+(Buttari et al. 2008; see ``sparse_solve``).
 
 Robust starts at small epsilon come from a continuation ladder: solve at a
 large epsilon first, halve until the target.  The first solve is seeded with
@@ -178,39 +176,39 @@ _GMRES_ITERS = 20
 _GMRES_MARGIN = 0.1
 # from half its iterations on, a cycle also stops when its estimate, reduced
 # further at its average rate so far in each iteration left, would still miss
-# that bound by this factor.  GMRES often speeds up late: over the 3494
-# cycles of the tests and the bench workloads, a factor of 1 stopped 97 that
-# went on to pass, and this one none
+# that bound by this factor.  GMRES often speeds up late: over the 1263
+# cycles of the tests and the bench workloads, a factor of 1 stopped 139 that
+# went on to pass, and this one 2 (one cycle, run twice, of a 2D solve that
+# fails anyway)
 _GMRES_STAGNATION = 1e6
 
 
-def sparse_solve(A, b, *, symmetric=False, order=None, factor=None):
-    """Sparse LU solve of a square interior system.
+def sparse_solve(A, b, *, order=None, factor=None):
+    """Sparse LU solve of a square interior system, checked in double
+    precision.
 
-    Solves with SuperLU and checks that the backward error
-    ||Ax - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) is below 1e-10.  By
-    default SuperLU orders the columns by COLAMD and pivots partially, as
-    for any unsymmetric matrix.  ``symmetric=True`` factors in SuperLU's
-    symmetric mode instead: minimum degree on A^T + A and diagonal pivots
-    unless one is below 0.1 of its column's largest entry.  That suits a
-    matrix with a symmetric pattern and nearly symmetric values, such as the
-    Newton Jacobian; on interior 2D Jacobians of k=2 and k=3 spaces of n=32
-    and 64 it was 2.2-3.3x faster than COLAMD (one thread, factor + solve)
-    with 31-46% less L+U fill.
+    Factors P A P^T in SuperLU's symmetric mode: diagonal pivots unless one
+    is below 0.1 of its column's largest entry, which suits a matrix with a
+    symmetric pattern and nearly symmetric values such as the Newton
+    Jacobian.  Without ``order``, P is minimum degree on A^T + A; ``order``,
+    a permutation of the unknowns given as integers, is P itself.
+    ``newton_solve`` passes no order in 2D and the nested-dissection order of
+    the interior dofs in 3D (``_dissection_order``): on the case VI
+    Jacobians of n=6 and n=12, k=2, that fills 8% and 16% less than COLAMD.
 
-    ``order``, a permutation P of the unknowns, factors P A P^T in the
-    symmetric mode keeping that order (not with ``symmetric``), first in
-    single precision.  That factorization only preconditions: the system is
-    solved by the GMRES cycle described below, and if its answer fails the
-    backward-error check, the factorization is dropped and P A P^T factored
-    again in double precision, which solves directly as the other modes do.
-    ``newton_solve`` passes the nested-dissection order of 3D interior dofs
-    (``_dissection_order``): on the case VI Jacobians of n=6 and n=12, k=2,
-    it fills 8% and 16% less than COLAMD, and the single-precision factor
-    took 16 ms against 30 ms and 0.9 s against 3.5 s (one thread).  ``A``
-    is anything ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry of
-    ``A`` or ``b``, or an ``order`` that is no permutation, raises
-    ValueError before anything is solved or factored.
+    The matrix is factored in single precision first, which took 20-47%
+    less time than in double precision on Jacobians of 2D n=32 and 64 and 3D
+    n=6 (one thread), with the same fill.  That factorization
+    only preconditions: every solve with it, the one right after factoring
+    included, is the GMRES cycle described below, and x is accepted only
+    when it is finite and its backward error ||Ax - b||_inf / (||A||_inf
+    ||x||_inf + ||b||_inf) is below 1e-10.  If the single-precision
+    factorization fails, or its cycle's answer fails that check, it is
+    dropped and P A P^T factored again in double precision, whose direct
+    solve must pass the same check or raise SingularMatrixError.  ``A`` is
+    anything ``scipy.sparse.csr_matrix`` accepts; a NaN or inf entry of
+    ``A`` or ``b``, or an ``order`` that is not an integer permutation,
+    raises ValueError before anything is solved or factored.
 
     ``factor`` lets a sequence of solves with nearby matrices share one
     factorization.  It is a list, empty or holding the factorization of an
@@ -219,13 +217,14 @@ def sparse_solve(A, b, *, symmetric=False, order=None, factor=None):
     ``_GMRES_ITERS`` iterations, each applying that factorization once (see
     ``_preconditioned_gmres``).  The cycle stops as soon as its residual
     estimate is a tenth of what the backward-error check allows, or when it
-    cannot get there in the iterations left, and x is accepted when it is
-    finite and passes that check.  Otherwise the held factorization is
-    dropped before this matrix is factored, so at most one factorization is
-    alive, and the new one is left in the list for the next solve; without
-    ``factor`` the list is the call's own.  The result is ``(x, factored,
-    gmres_iterations)``: how many factorizations this call made (0, 1, or 2
-    when a single-precision one failed) and how many GMRES iterations it ran.
+    cannot get there in the iterations left.  If its answer fails the
+    check, the held factorization is dropped before this matrix is
+    factored, so at most one factorization is alive, and the new one is
+    left in the list for the next solve; without ``factor`` the list is the
+    call's own.  The result is ``(x, factored, gmres_iterations)``: how many
+    factorizations this call made (0, 1, or 2 when a single-precision one
+    failed) and how many GMRES iterations it ran, those of a fresh factor's
+    cycle included.
     """
     csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
@@ -235,11 +234,10 @@ def sparse_solve(A, b, *, symmetric=False, order=None, factor=None):
     if not np.isfinite(b).all():
         raise ValueError("non-finite right-hand side entries")
     if order is not None:
-        if symmetric:
-            raise ValueError("an order is factored in its own mode, not with symmetric")
         order = np.asarray(order)
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise ValueError("order must be a permutation of the unknowns")
+        if (order.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(order), np.arange(n))):
+            raise ValueError("order must be an integer permutation of the unknowns")
     # ||A||_inf, shared by the GMRES stop and the backward-error check
     norm_a = float(np.asarray(abs(csr).sum(axis=1)).max(initial=0.0))
     factor = [] if factor is None else factor
@@ -249,29 +247,26 @@ def sparse_solve(A, b, *, symmetric=False, order=None, factor=None):
         if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
             return x, 0, iters
     factor.clear()
-    factored = 1
     if order is None:
-        matrix, mode = csr.tocsc(), _SYMMETRIC_MODE if symmetric else {}
+        matrix, mode = csr.tocsc(), _SYMMETRIC_MODE
     else:
         matrix, mode = csr[order][:, order].tocsc(), _ORDERED_MODE
+    try:
         # an entry beyond single precision becomes inf, and the factor or
         # its cycle fails
         with np.errstate(over="ignore"):
-            single = matrix.astype(np.float32)
-        try:
-            factor.append(_Reordered(spla.splu(single, **mode), order, np.float32))
-        except RuntimeError:
-            pass
-        else:
-            x, cycle = _preconditioned_gmres(csr, b, factor[0], norm_a)
-            iters += cycle
-            if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
-                return x, 1, iters
-            factor.clear()
-        factored = 2
+            factor.append(_Factor(spla.splu(matrix.astype(np.float32), **mode),
+                                  order, np.float32))
+    except RuntimeError:
+        pass
+    else:
+        x, cycle = _preconditioned_gmres(csr, b, factor[0], norm_a)
+        iters += cycle
+        if _backward_error(csr, x, b, norm_a) < _RESIDUAL_TOL:
+            return x, 1, iters
+        factor.clear()
     try:
-        lu = spla.splu(matrix, **mode)
-        factor.append(lu if order is None else _Reordered(lu, order, np.float64))
+        factor.append(_Factor(spla.splu(matrix, **mode), order, np.float64))
         x = factor[0].solve(b)
     except RuntimeError as exc:
         row = _suspect_row(csr)
@@ -286,16 +281,17 @@ def sparse_solve(A, b, *, symmetric=False, order=None, factor=None):
             f"(worst row {row})",
             row=row,
         )
-    return x, factored, iters
+    return x, 2, iters
 
 
-class _Reordered:
-    """The factorization ``lu`` of P A P^T, P the permutation ``order``,
-    applied as one of A to double-precision vectors; ``dtype`` is the
-    precision ``lu`` was factored in."""
+class _Factor:
+    """The factorization ``lu`` of P A P^T, P the permutation ``order`` or
+    the identity for None, applied as one of A to double-precision vectors;
+    ``dtype`` is the precision ``lu`` was factored in."""
 
     def __init__(self, lu, order, dtype):
-        self.lu, self.order, self.dtype, self.shape = lu, order, dtype, lu.shape
+        self.lu, self.dtype, self.shape = lu, dtype, lu.shape
+        self.order = slice(None) if order is None else order
 
     def solve(self, b):
         x = np.empty(len(b))
@@ -465,12 +461,12 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
     are formed once and reused by every residual of the solve.  A step
     solves by GMRES preconditioned with the last factorization, and factors
     its interior Jacobian only when none is held or that solve fails the
-    residual check (see ``sparse_solve``).  A 2D Jacobian is factored in
-    SuperLU's symmetric mode.  A 3D one is factored in the space's
-    nested-dissection order and in single precision, which only
-    preconditions the GMRES cycle that solves the step; every accepted step
-    passes the double-precision check, and a step whose cycle fails factors
-    again in double precision, so that step counts two factorizations.
+    residual check (see ``sparse_solve``).  The Jacobian is factored in
+    single precision, a 2D one in minimum-degree order and a 3D one in the
+    space's nested-dissection order, and that factor only preconditions the
+    GMRES cycle that solves the step; every accepted step passes the
+    double-precision check, and a step whose cycle fails factors again in
+    double precision, so that step counts two factorizations.
     ``factor`` is the holder of that factorization, a list as
     ``sparse_solve`` takes it: passing one lets a factorization serve
     several solves, and without it the first step factors and the holder
@@ -509,8 +505,7 @@ def newton_solve(f, g_data, params, config=None, initial=None, *,
                 )
             try:
                 step, factored, gmres_iters = sparse_solve(
-                    _interior_block(space, J), -r[ii], symmetric=order is None,
-                    order=order, factor=factor)
+                    _interior_block(space, J), -r[ii], order=order, factor=factor)
             except SingularMatrixError as exc:
                 raise NewtonError(
                     f"singular Jacobian: {exc}", "singular_jacobian", report
