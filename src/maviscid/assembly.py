@@ -107,7 +107,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from maviscid.elements import ReferenceElement, cell_quadrature, face_quadrature
-from maviscid.mesh import _number_rows
+from maviscid.mesh import _number_rows, det_and_cofactor
 
 __all__ = [
     "CoefficientField",
@@ -211,43 +211,6 @@ class BoundaryData:
         if self.psi is not None:
             return self.psi
         return lambda points: np.full(len(points), float(epsilon))
-
-
-# ---------------------------------------------------------- small dense math
-
-
-def det_and_cofactor(H):
-    """Determinant and cofactor matrix of symmetric 2x2/3x3 matrices.
-
-    Accepts a single matrix or any batch (..., d, d); the identity
-    H cof(H)^T = det(H) I holds for singular H as well.
-    """
-    H = np.asarray(H, dtype=float)
-    d = H.shape[-1]
-    if H.shape[-2] != d or d not in (2, 3):
-        raise ValueError("expected (..., d, d) with d in {2, 3}")
-    if d == 2:
-        det = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]
-        cof = np.empty_like(H)
-        cof[..., 0, 0] = H[..., 1, 1]
-        cof[..., 0, 1] = -H[..., 1, 0]
-        cof[..., 1, 0] = -H[..., 0, 1]
-        cof[..., 1, 1] = H[..., 0, 0]
-        return det, cof
-    cof = np.empty_like(H)
-    idx = ((1, 2), (0, 2), (0, 1))
-    for i in range(3):
-        r1, r2 = idx[i]
-        for j in range(3):
-            c1, c2 = idx[j]
-            minor = H[..., r1, c1] * H[..., r2, c2] - H[..., r1, c2] * H[..., r2, c1]
-            cof[..., i, j] = minor if (i + j) % 2 == 0 else -minor
-    det = (
-        H[..., 0, 0] * cof[..., 0, 0]
-        + H[..., 0, 1] * cof[..., 0, 1]
-        + H[..., 0, 2] * cof[..., 0, 2]
-    )
-    return det, cof
 
 
 # ------------------------------------------------------------ cached tables

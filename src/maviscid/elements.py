@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from maviscid.mesh import _integer, _number_rows, _sorted_columns
+from maviscid.mesh import _integer, _number_rows, _sorted_columns, det_and_cofactor
 
 __all__ = [
     "QuadratureRule",
@@ -200,10 +200,16 @@ class FeSpace:
         self.face_rule = face_quadrature(d, 2 * (k - 1) + 2)
         pts = mesh.vertices[mesh.cells]  # (M, d+1, d)
         self.cell_origin = np.ascontiguousarray(pts[:, 0, :])
-        # jacobian columns are the edge vectors
-        self.jac = np.ascontiguousarray(np.swapaxes(pts[:, 1:, :] - pts[:, :1, :], 1, 2))
-        self.jac_inv = np.linalg.inv(self.jac)
-        self.jac_det = np.abs(np.linalg.det(self.jac))
+        # jacobian columns are the edge vectors, so J^T's rows are, and
+        # J^-1 = cof(J)^T / det J = cof(J^T) / det J^T: the mesh's determinant.
+        # The cofactors are divided in place, and the edges not held through
+        # the dof numbering
+        edges = pts[:, 1:, :] - pts[:, :1, :]
+        self.jac = np.ascontiguousarray(np.swapaxes(edges, 1, 2))
+        det, self.jac_inv = det_and_cofactor(edges)
+        del edges
+        self.jac_inv /= det[:, None, None]
+        self.jac_det = np.abs(det)
 
         # a node is keyed by the mesh vertices it combines, each repeated by
         # the node's integer barycentric weight on it: k vertex ids, sorted

@@ -10,22 +10,31 @@ main diagonal), so the mesh is conforming and quasi-uniform.  Generation,
 point location, face geometry and the conformity check are written once for
 both dimensions.
 
-Construction works on whole arrays.  Signed volumes take one pass; a cell
-reoriented by swapping its last two vertices is evaluated again on its own.
-A cell's diameter is its longest edge, over the d(d+1)/2 edges rather than
-all vertex pairs.  Face keys (and the node keys of ``FeSpace``) are sorted
-row by row by a compare-exchange network of np.minimum/np.maximum and
-numbered through one packed int64 key (``_number_rows``); ``FeSpace``
-places each dof by one product x = v0 + J x_ref at its first node.  Every
-array is bitwise equal to the per-pair formulas (all-pair diameters, np.sort
-keys, a full second volume pass, ``mean`` face midpoints, every node placed),
-which the tests keep as oracles.
+Construction works on whole arrays.  Every affine map's determinant and
+inverse come from one closed form, ``det_and_cofactor`` (J^-1 = cof(J)^T /
+det J), with no batched LAPACK call: the signed volumes, ``FeSpace``'s
+``jac_inv`` and ``jac_det``, the scan's barycentric map and the
+hanging-vertex check's face Gram matrices.  Signed volumes take one pass; a
+cell reoriented by swapping its last two vertices is evaluated again on its
+own.  A cell's diameter is its longest edge, over the d(d+1)/2 edges rather
+than all vertex pairs; squared lengths and the 3D face cross product are
+written out by components.  Face keys (and the node keys of ``FeSpace``)
+are sorted row by row by a compare-exchange network of
+np.minimum/np.maximum and numbered through one packed int64 key
+(``_number_rows``); ``FeSpace`` places each dof by one product
+x = v0 + J x_ref at its first node.  Every array but the cell volumes and
+``FeSpace``'s ``jac_inv`` and ``jac_det`` is bitwise equal to the per-pair
+formulas (all-pair diameters, np.sort keys, a full second volume pass,
+``mean`` face midpoints, every node placed), and those three to a per-cell
+adjugate formula; the tests keep both as oracles.
 
 Input that cannot make a mesh is refused with ValueError naming the vertex
 or cell: non-finite vertices, cell entries that are not integer indices of
-existing vertices, no cells, and two cells on one side of their shared face
-(a repeated or overlapping cell; like hanging vertices, checked only on
-meshes not made by the generator).
+existing vertices, no cells, a cell flat to roundoff (|det J| at most
+``_FLAT_CELL`` machine epsilons times the product of its edge lengths, its
+Hadamard bound), and two cells on one side of their shared face (a repeated
+or overlapping cell; like hanging vertices, checked only on meshes not made
+by the generator).
 """
 
 from __future__ import annotations
@@ -45,6 +54,12 @@ __all__ = [
 # (boundary face, vertex) pairs per block of the hanging-vertex check, so
 # that its (pairs, d) arrays stay near 6 MB each
 _HANGING_PAIRS = 2**18
+
+# a cell with |det J| <= _FLAT_CELL * eps * (product of its edge lengths) is
+# flat to roundoff.  Collinear or coplanar cells with vertices given to two
+# decimals in the unit square or cube reach 62 eps in 2D and 7 eps in 3D
+# over 2e5 random draws; a valid cell of aspect 1e-6 sits near 1e-6.
+_FLAT_CELL = 256
 
 
 def _integer(name, value, least, most=None):
@@ -100,12 +115,57 @@ def _number_rows(columns):
     return np.flatnonzero(is_first), inverse
 
 
+def det_and_cofactor(H):
+    """Determinant and cofactor matrix of 2x2/3x3 matrices, by the closed
+    form: each cofactor a signed 2x2 minor (an entry in 2D), the
+    determinant expanded along the first row.
+
+    Accepts a single matrix or any batch (..., d, d), symmetric or not.
+    The identity H cof(H)^T = det(H) I holds for singular H as well, and
+    for invertible H the inverse is cof(H)^T / det(H).
+    """
+    H = np.asarray(H, dtype=float)
+    d = H.shape[-1]
+    if H.shape[-2] != d or d not in (2, 3):
+        raise ValueError("expected (..., d, d) with d in {2, 3}")
+    if d == 2:
+        det = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]
+        cof = np.empty_like(H)
+        cof[..., 0, 0] = H[..., 1, 1]
+        cof[..., 0, 1] = -H[..., 1, 0]
+        cof[..., 1, 0] = -H[..., 0, 1]
+        cof[..., 1, 1] = H[..., 0, 0]
+        return det, cof
+    cof = np.empty_like(H)
+    idx = ((1, 2), (0, 2), (0, 1))
+    for i in range(3):
+        r1, r2 = idx[i]
+        for j in range(3):
+            c1, c2 = idx[j]
+            minor = H[..., r1, c1] * H[..., r2, c2] - H[..., r1, c2] * H[..., r2, c1]
+            cof[..., i, j] = minor if (i + j) % 2 == 0 else -minor
+    det = (
+        H[..., 0, 0] * cof[..., 0, 0]
+        + H[..., 0, 1] * cof[..., 0, 1]
+        + H[..., 0, 2] * cof[..., 0, 2]
+    )
+    return det, cof
+
+
+def _squared_lengths(v):
+    """Squared length of each vector of ``v`` (..., d), d = 2 or 3: the
+    components' squares added in turn, as ``np.linalg.norm`` adds them."""
+    sq = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+    if v.shape[-1] == 3:
+        sq += v[..., 2] * v[..., 2]
+    return sq
+
+
 def _longest_edges(pts):
     """Length of the longest edge of each simplex of ``pts`` (N, p, d): the
-    root of the largest squared length (roots keep the order), each summed
-    over the axes in turn as ``np.linalg.norm`` sums them."""
+    root of the largest squared length (roots keep the order)."""
     return np.sqrt(functools.reduce(np.maximum, (
-        ((pts[:, b] - pts[:, a]) ** 2).sum(axis=1)
+        _squared_lengths(pts[:, b] - pts[:, a])
         for a, b in itertools.combinations(range(pts.shape[1]), 2)
     )))
 
@@ -162,21 +222,30 @@ class SimplicialMesh:
         cells = self._checked_cells(cells, len(self.vertices))
 
         # one pass; a reoriented cell (last two vertices swapped) is evaluated
-        # again on its own
-        sv = self._signed_volumes(self.vertices, cells)
+        # again on its own.  A reorientation permutes a cell's edges, so its
+        # edge lengths and diameter come from the points as given.
+        pts = self.vertices[cells]
+        sv = self._signed_volumes(pts)
         flip = np.flatnonzero(sv < 0)
         cells[flip, dim - 1:] = cells[flip, dim - 1:][:, ::-1]
-        sv[flip] = self._signed_volumes(self.vertices, cells[flip])
-        if np.any(sv <= 0):
-            c = int(np.argmax(sv <= 0))
+        sv[flip] = self._signed_volumes(self.vertices[cells[flip]])
+        # Hadamard: |det J| is at most the product of the edge lengths from
+        # the first vertex, 0 for a repeated vertex
+        bound = np.sqrt(functools.reduce(np.multiply, (
+            _squared_lengths(pts[:, i] - pts[:, 0]) for i in range(1, dim + 1)
+        )))
+        flat = sv <= _FLAT_CELL * np.finfo(float).eps / math.factorial(dim) * bound
+        if np.any(flat):
+            c = int(np.argmax(flat))
             raise ValueError(
                 f"degenerate cell {c} {cells[c].tolist()} (zero signed volume)"
             )
         self.cells = cells
         self.cell_volumes = sv
 
-        self.cell_diameters = _longest_edges(self.vertices[cells])
+        self.cell_diameters = _longest_edges(pts)
         self.h = float(self.cell_diameters.max())
+        del pts  # not held through the face pass
 
         self._build_faces()
 
@@ -205,10 +274,12 @@ class SimplicialMesh:
         return cells.astype(np.int64)
 
     @staticmethod
-    def _signed_volumes(vertices, cells):
-        pts = vertices[cells]
-        edges = pts[:, 1:, :] - pts[:, :1, :]
-        return np.linalg.det(edges) / math.factorial(pts.shape[2])
+    def _signed_volumes(pts):
+        """det J / d! for the simplices of ``pts`` (N, d+1, d), J's columns
+        the edge vectors from the first vertex; det J = det J^T is expanded
+        along the first edge."""
+        det, _ = det_and_cofactor(pts[:, 1:, :] - pts[:, :1, :])
+        return det / math.factorial(pts.shape[2])
 
     @property
     def num_vertices(self):
@@ -238,11 +309,10 @@ class SimplicialMesh:
             )
         interior = np.flatnonzero(counts == 2)
         boundary = np.flatnonzero(counts == 1)
-        # rows grouped by face in cell order: a face's second owner follows
-        # its first
-        owners = np.argsort(inverse, kind="stable")
-        second = owners[(np.cumsum(counts) - counts)[interior] + 1]
-        rows = np.column_stack([first[interior], second])
+        # an interior face's second owner is the last row with its key
+        last = np.zeros(len(first), dtype=np.int64)
+        np.maximum.at(last, inverse, np.arange(len(inverse)))
+        rows = np.column_stack([first[interior], last[interior]])
         self.iface_vertex_ids = faces[interior]
         self.iface_cells, self.iface_locals = np.divmod(rows, dim + 1)
         self.bface_vertex_ids = faces[boundary]
@@ -277,9 +347,12 @@ class SimplicialMesh:
         e = fc[:, 1:] - fc[:, :1]
         if self.dim == 2:
             cr = np.stack([e[:, 0, 1], -e[:, 0, 0]], axis=1)
-        else:
-            cr = np.cross(e[:, 0], e[:, 1])
-        size = np.linalg.norm(cr, axis=1)
+        else:  # as np.cross forms it
+            a, b = e[:, 0], e[:, 1]
+            cr = np.stack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                           a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                           a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]], axis=1)
+        size = np.sqrt(_squared_lengths(cr))
         n = cr / size[:, None]
         meas = size / math.factorial(self.dim - 1)
         diam = _longest_edges(fc)
@@ -345,7 +418,13 @@ class SimplicialMesh:
             rel = q[p] - fc[face, 0]  # (pairs, d)
             # face coordinates of each point's projection: the (symmetric)
             # Gram system e e^T s = e rel
-            s = (rel[:, None] @ et @ np.linalg.inv(e @ et))[:, 0]
+            gram = e @ et
+            if self.dim == 2:
+                gram_inv = 1.0 / gram
+            else:
+                det, cof = det_and_cofactor(gram)
+                gram_inv = cof / det[:, None, None]
+            s = (rel[:, None] @ et @ gram_inv)[:, 0]
             dist = np.linalg.norm(rel - (s[:, None] @ e)[:, 0], axis=1)
             own = np.any(cand_ids[p][:, None] == self.bface_vertex_ids[face], axis=1)
             hanging = (
@@ -393,7 +472,9 @@ class SimplicialMesh:
         found = np.full(len(pts), -1, dtype=np.int64)
         v0 = self.vertices[self.cells[:, 0]]
         edges = self.vertices[self.cells[:, 1:]] - v0[:, None, :]
-        binv = np.linalg.inv(np.swapaxes(edges, 1, 2))
+        # the barycentric map J^-1 = cof(J^T) / det J^T, J^T's rows the edges
+        det, cof = det_and_cofactor(edges)
+        binv = cof / det[:, None, None]
         for p in range(len(pts)):
             lam = np.einsum("cij,cj->ci", binv, pts[p] - v0)
             ok = np.all(lam >= -1e-10, axis=1) & (lam.sum(axis=1) <= 1 + 1e-10)

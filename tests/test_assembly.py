@@ -301,6 +301,23 @@ def test_cofactor_identity_random():
         assert np.max(np.abs(det - np.linalg.det(H))) < 1e-12
 
 
+def test_cofactor_of_nonsymmetric_batches():
+    # the closed form serves any matrix, the affine maps' Jacobians too:
+    # H cof(H)^T = det(H) I, and cof(H)^T / det(H) is LAPACK's inverse to
+    # 8 ulps times the condition number
+    rng = np.random.default_rng(11)
+    eps = np.finfo(float).eps
+    for d in (2, 3):
+        H = rng.standard_normal((500, d, d))
+        det, cof = det_and_cofactor(H)
+        prod = np.einsum("nij,nkj->nik", H, cof)
+        assert np.max(np.abs(prod - det[:, None, None] * np.eye(d))) < 1e-12
+        inv = np.swapaxes(cof, 1, 2) / det[:, None, None]
+        want = np.linalg.inv(H)
+        err = np.abs(inv - want).max(axis=(1, 2))
+        assert np.all(err <= 8 * eps * np.linalg.cond(H) * np.abs(want).max(axis=(1, 2)))
+
+
 def test_det_cofactor_shapes():
     det, cof = det_and_cofactor(np.eye(2))
     assert np.isscalar(det) or det.shape == ()

@@ -1,14 +1,20 @@
 """Mesh and space construction against the plain formulas, byte for byte.
 
 ``SimplicialMesh`` evaluates signed volumes once (again only on reoriented
-cells), takes diameters over edges only and sums face midpoints;
-``FeSpace`` places only each dof's first node and keys nodes by vertex
-multisets sorted by a compare-exchange network.  The oracles below are the
-plain formulas those replace: every signed volume evaluated again after
-reorientation, the diameter over all vertex pairs, ``fc.mean`` midpoints,
-one einsum for every node's coordinates, ``np.sort`` keys of (vertex id,
-weight) pairs, and a lexsort numbering.  Every ndarray attribute must have
-the oracle's dtype, shape and bytes, so a last-bit change anywhere fails.
+cells), takes diameters over edges only, writes squared lengths and cross
+products out by components, sums face midpoints and takes a face's second
+owner by ``np.maximum.at``; ``FeSpace`` places only each dof's first node
+and keys nodes by vertex multisets sorted by a compare-exchange network.
+The oracles below are the plain formulas those replace: every signed volume
+evaluated again after reorientation, the diameter over all vertex pairs,
+``np.cross`` and ``np.linalg.norm``, ``fc.mean`` midpoints, a stable argsort
+of the owners, one einsum for every node's coordinates, ``np.sort`` keys of
+(vertex id, weight) pairs, and a lexsort numbering.  The signed volumes,
+``jac_det`` and ``jac_inv`` come from the closed-form cofactors of each
+cell's edge matrix, and their oracle is the textbook adjugate formula
+written out cell by cell; they are also checked against LAPACK's ``det``
+and ``inv`` to a tolerance.  Every ndarray attribute must have the oracle's
+dtype, shape and bytes, so a last-bit change anywhere fails.
 """
 
 import functools
@@ -38,9 +44,40 @@ def number_rows(rows):
     return first[by_first], inverse
 
 
-def signed_volumes(vertices, cells):
+def cofactors(a):
+    """Determinant and cofactor matrix of one 2x2 or 3x3 matrix, as Python
+    floats: cofactor (i, j) is (-1)^(i+j) times the minor without row i and
+    column j, and the determinant is row 0 times its cofactors, added left
+    to right."""
+    a = a.tolist()
+    d = len(a)
+    cof = [[0.0] * d for _ in range(d)]
+    for i in range(d):
+        rows = [r for r in range(d) if r != i]
+        for j in range(d):
+            cols = [c for c in range(d) if c != j]
+            if d == 2:
+                minor = a[rows[0]][cols[0]]
+            else:
+                (r1, r2), (c1, c2) = rows, cols
+                minor = a[r1][c1] * a[r2][c2] - a[r1][c2] * a[r2][c1]
+            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
+    det = a[0][0] * cof[0][0]
+    for j in range(1, d):
+        det = det + a[0][j] * cof[0][j]
+    return det, cof
+
+
+def edge_matrices(vertices, cells):
+    """J^T per cell: row i is the edge from vertex 0 to vertex i + 1."""
     pts = vertices[cells]
-    return np.linalg.det(pts[:, 1:, :] - pts[:, :1, :]) / math.factorial(pts.shape[2])
+    return pts[:, 1:, :] - pts[:, :1, :]
+
+
+def signed_volumes(vertices, cells):
+    edges = edge_matrices(vertices, cells)
+    dets = np.array([cofactors(e)[0] for e in edges])
+    return dets / math.factorial(edges.shape[2])
 
 
 def face_geometry(vertices, dim, vertex_ids, opposite):
@@ -121,12 +158,32 @@ def oracle_space(mesh, k):
     boundary = np.unique(cell_dofs[mesh.bface_cells[:, None], on_face[mesh.bface_locals]])
     mask = np.ones(len(first), dtype=bool)
     mask[boundary] = False
+    # J^-1 = cof(J)^T / det J = cof(J^T) / det J^T
+    dets, cofs = zip(*(cofactors(e) for e in edge_matrices(mesh.vertices, mesh.cells)))
+    jac_inv = np.array([[[c / det for c in row] for row in cof]
+                        for det, cof in zip(dets, cofs)]).reshape(M, d, d)
     return dict(
-        cell_origin=origin, jac=jac, jac_inv=np.linalg.inv(jac),
-        jac_det=np.abs(np.linalg.det(jac)), cell_dofs=cell_dofs,
+        cell_origin=origin, jac=jac, jac_inv=jac_inv,
+        jac_det=np.abs(np.array(dets)), cell_dofs=cell_dofs,
         dof_coords=phys.reshape(M * nb, d)[first], boundary_dofs=boundary,
         interior_dofs=np.flatnonzero(mask),
     )
+
+
+def assert_near_lapack(mesh, space):
+    """Volumes, determinants and inverses within 8 ulps of LAPACK's, scaled
+    by the Hadamard bound (determinants) or the condition number (inverses)."""
+    eps = np.finfo(float).eps
+    jac = space.jac
+    hadamard = np.prod(np.linalg.norm(jac, axis=1), axis=1)
+    det = np.linalg.det(jac)
+    assert np.all(np.abs(space.jac_det - np.abs(det)) <= 8 * eps * hadamard)
+    vol = mesh.cell_volumes * math.factorial(mesh.dim)
+    assert np.all(np.abs(vol - det) <= 8 * eps * hadamard)
+    inv = np.linalg.inv(jac)
+    err = np.abs(space.jac_inv - inv).max(axis=(1, 2))
+    scale = np.linalg.cond(jac) * np.abs(inv).max(axis=(1, 2))
+    assert np.all(err <= 8 * eps * scale)
 
 
 def assert_same_bytes(obj, want):
@@ -169,4 +226,30 @@ def test_construction_matches_the_plain_formulas(dim, kind):
         assert_same_bytes(mesh, want)
         assert mesh.h.hex() == h.hex()
         for k in (2, 3):
-            assert_same_bytes(FeSpace(mesh, k), oracle_space(mesh, k))
+            space = FeSpace(mesh, k)
+            assert_same_bytes(space, oracle_space(mesh, k))
+        if kind != "kuhn":
+            assert_near_lapack(mesh, space)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_construction_calls_no_batched_lapack(dim, monkeypatch):
+    # every affine map's inverse and determinant comes from the closed-form
+    # cofactors; only single matrices (the reference Vandermonde) may go to
+    # LAPACK
+    def single_only(function):
+        def call(a, *args, **kwargs):
+            if np.ndim(a) >= 3:
+                raise AssertionError(f"batched np.linalg.{function.__name__}")
+            return function(a, *args, **kwargs)
+        return call
+
+    for name in ("inv", "det"):
+        monkeypatch.setattr(np.linalg, name, single_only(getattr(np.linalg, name)))
+    with pytest.raises(AssertionError, match="batched"):
+        np.linalg.inv(np.ones((2, dim, dim)))
+    for mesh in (build_structured_mesh(dim, 3),
+                 SimplicialMesh(dim, *shuffled_kuhn(dim, 3, 5, 0.1))):
+        for k in (2, 3):
+            FeSpace(mesh, k)
+        mesh.locate(np.full((2, dim), 0.3))

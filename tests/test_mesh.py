@@ -1,5 +1,6 @@
 """Mesh generator and face-topology tests against brute-force oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -286,6 +287,45 @@ def test_rejects_cells_naming_a_missing_vertex(cell):
 def test_rejects_a_mesh_without_cells():
     with pytest.raises(ValueError, match="mesh has no cells"):
         SimplicialMesh(2, TRIANGLE, np.zeros((0, 3), dtype=np.int64))
+
+
+# cells flat to roundoff: a repeated vertex, and collinear or coplanar
+# vertices that are not dyadic, whose determinants round to a few ulps off 0
+# in some vertex orders (a test for exactly 0 accepts the coplanar one in
+# some orders and reports the collinear ones as hanging vertices in others)
+FLAT_CELLS = {
+    "repeated-2d": [(0.1, 0.2), (0.7, 0.3), (0.1, 0.2)],
+    "repeated-3d": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 0)],
+    "collinear-2d": [(0, 0), (0.1, 0.3), (0.2, 0.6)],
+    "collinear-2d-off-origin": [(0.3, 0.7), (0.1, 0.9), (0.7, 0.3)],
+    "coplanar-3d": [(0, 0, 0), (0.1, 0.2, 0.3), (0.3, 0.1, 0.7), (0.4, 0.3, 1.0)],
+    "collinear-face-3d": [(0.1, 0.3, 0.7), (0.2, 0.6, 1.4), (0.3, 0.9, 2.1),
+                          (0.5, 0.1, 0.3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CELLS))
+def test_rejects_a_cell_flat_to_roundoff(name):
+    verts = FLAT_CELLS[name]
+    dim = len(verts[0])
+    for order in itertools.permutations(range(dim + 1)):
+        with pytest.raises(ValueError, match=r"degenerate cell 0 .*\(zero signed volume\)"):
+            SimplicialMesh(dim, verts, [order])
+
+
+def test_rejects_a_cell_that_repeats_a_vertex_index():
+    with pytest.raises(ValueError, match=r"degenerate cell 1 \[1, 2, 2\]"):
+        SimplicialMesh(2, TRIANGLE + [(1, 1)], [(1, 3, 2), (1, 2, 2)])
+
+
+@pytest.mark.parametrize("verts", [
+    [(0, 0), (1, 0), (0.5, 1e-6)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-6)],
+], ids=["2d", "3d"])
+def test_accepts_a_thin_cell(verts):
+    dim = len(verts[0])
+    mesh = SimplicialMesh(dim, verts, [range(dim + 1)])
+    assert mesh.cell_volumes[0] == pytest.approx(1e-6 / math.factorial(dim), rel=1e-9)
 
 
 def test_rejects_a_repeated_cell():
