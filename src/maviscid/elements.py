@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from maviscid.mesh import _integer, _number_rows, _sorted_columns, det_and_cofactor
+from maviscid.mesh import _integer, _number_rows, _sorted_columns
 
 __all__ = [
     "QuadratureRule",
@@ -184,8 +184,8 @@ class FeSpace:
     """Continuous Lagrange space of degree ``k`` on a simplicial mesh.
 
     Carries the global dof table (coordinates, cell-to-dof map, boundary dof
-    set) and the per-cell affine geometry used to push reference derivatives
-    to physical space.  Immutable after construction.
+    set) and reads the per-cell affine maps that push reference derivatives
+    to physical space from its mesh.  Immutable after construction.
     """
 
     def __init__(self, mesh, degree):
@@ -198,19 +198,6 @@ class FeSpace:
         # polynomial forms build rules of their own degree on first use
         self.cell_rule = cell_quadrature(d, max(2 * k, d * (k - 2) + k) + 2)
         self.face_rule = face_quadrature(d, 2 * (k - 1) + 2)
-        pts = mesh.vertices[mesh.cells]  # (M, d+1, d)
-        self.cell_origin = np.ascontiguousarray(pts[:, 0, :])
-        # jacobian columns are the edge vectors, so J^T's rows are, and
-        # J^-1 = cof(J)^T / det J = cof(J^T) / det J^T: the mesh's determinant.
-        # The cofactors are divided in place, and the edges not held through
-        # the dof numbering
-        edges = pts[:, 1:, :] - pts[:, :1, :]
-        self.jac = np.ascontiguousarray(np.swapaxes(edges, 1, 2))
-        det, self.jac_inv = det_and_cofactor(edges)
-        del edges
-        self.jac_inv /= det[:, None, None]
-        self.jac_det = np.abs(det)
-
         # a node is keyed by the mesh vertices it combines, each repeated by
         # the node's integer barycentric weight on it: k vertex ids, sorted
         M, nb = mesh.num_cells, self.ref.node_count
@@ -242,10 +229,11 @@ class FeSpace:
     def dim(self):
         return self.mesh.dim
 
-    def reference_coords(self, cells, points):
-        """Pull physical points back to reference coordinates of given cells."""
-        rel = points - self.cell_origin[cells]
-        return np.einsum("cij,cj->ci", self.jac_inv[cells], rel)
+    # each cell's affine map is the mesh's own (``SimplicialMesh``)
+    cell_origin = property(lambda self: self.mesh.cell_origin)
+    jac = property(lambda self: self.mesh.jac)
+    jac_inv = property(lambda self: self.mesh.jac_inv)
+    jac_det = property(lambda self: self.mesh.jac_det)
 
 
 class FeFunction:
@@ -267,7 +255,7 @@ class FeFunction:
         """Point values anywhere in the domain (locates the containing cells)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cells = self.space.mesh.locate(pts)
-        ref = self.space.reference_coords(cells, pts)
+        ref = self.space.mesh.reference_coords(cells, pts)
         val = self.space.ref.values(ref)
         return np.einsum("nb,nb->n", val, self.coeffs[self.space.cell_dofs[cells]])
 

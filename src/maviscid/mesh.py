@@ -10,23 +10,26 @@ main diagonal), so the mesh is conforming and quasi-uniform.  Generation,
 point location, face geometry and the conformity check are written once for
 both dimensions.
 
-Construction works on whole arrays.  Every affine map's determinant and
-inverse come from one closed form, ``det_and_cofactor`` (J^-1 = cof(J)^T /
-det J), with no batched LAPACK call: the signed volumes, ``FeSpace``'s
-``jac_inv`` and ``jac_det``, the scan's barycentric map and the
-hanging-vertex check's face Gram matrices.  Signed volumes take one pass; a
-cell reoriented by swapping its last two vertices is evaluated again on its
-own.  A cell's diameter is its longest edge, over the d(d+1)/2 edges rather
-than all vertex pairs; squared lengths and the 3D face cross product are
-written out by components.  Face keys (and the node keys of ``FeSpace``)
-are sorted row by row by a compare-exchange network of
-np.minimum/np.maximum and numbered through one packed int64 key
-(``_number_rows``); ``FeSpace`` places each dof by one product
-x = v0 + J x_ref at its first node.  Every array but the cell volumes and
-``FeSpace``'s ``jac_inv`` and ``jac_det`` is bitwise equal to the per-pair
-formulas (all-pair diameters, np.sort keys, a full second volume pass,
-``mean`` face midpoints, every node placed), and those three to a per-cell
-adjugate formula; the tests keep both as oracles.
+Each cell carries its affine map x = ``cell_origin`` + ``jac`` x_ref, with
+``jac_inv`` and ``jac_det`` = |det jac|, computed once, here: ``FeSpace``
+reads these arrays, not copies, and point location pulls points back
+through ``reference_coords``; ``cell_volumes`` is ``jac_det`` / d!.
+
+Construction works on whole arrays.  Determinants and inverses come from one
+closed form, ``det_and_cofactor`` (J^-1 = cof(J)^T / det J), with no batched
+LAPACK call: one pass over the cells' edge matrices, a cell reoriented by
+swapping its last two vertices evaluated again on its own, and the
+hanging-vertex check's face Gram matrices.  A cell's diameter is its longest
+edge, over the d(d+1)/2 edges rather than all vertex pairs; squared lengths
+and the 3D face cross product are written out by components.  Face keys (and
+the node keys of ``FeSpace``) are sorted row by row by a compare-exchange
+network of np.minimum/np.maximum and numbered through one packed int64 key
+(``_number_rows``); ``FeSpace`` places each dof by one product x = v0 + J
+x_ref at its first node.  Every array but ``jac_inv`` and ``jac_det`` (and
+so the cell volumes) is bitwise equal to the per-pair formulas (all-pair
+diameters, np.sort keys, a full second cofactor pass, ``mean`` face
+midpoints, every node placed), and those two to a per-cell adjugate
+formula; the tests keep both as oracles.
 
 Input that cannot make a mesh is refused with ValueError naming the vertex
 or cell: non-finite vertices, cell entries that are not integer indices of
@@ -196,6 +199,10 @@ class SimplicialMesh:
     other meshes are located by a linear scan and checked for both.  ``locate``
     rejects points outside the mesh on both paths.
 
+    Cell c maps the reference simplex by x = ``cell_origin[c]`` + ``jac[c]``
+    x_ref, the columns of ``jac[c]`` its edges from its first vertex;
+    ``jac_inv[c]`` is the inverse and ``jac_det[c]`` = |det jac[c]|.
+
     Faces are stored as arrays, numbered in order of first occurrence over
     (cell, local face); local face i omits local vertex i.  Interior face f
     has sorted ``iface_vertex_ids[f]``, cells ``iface_cells[f] = (plus,
@@ -221,31 +228,40 @@ class SimplicialMesh:
             raise ValueError(f"vertex {v} {self.vertices[v].tolist()} is not finite")
         cells = self._checked_cells(cells, len(self.vertices))
 
-        # one pass; a reoriented cell (last two vertices swapped) is evaluated
-        # again on its own.  A reorientation permutes a cell's edges, so its
-        # edge lengths and diameter come from the points as given.
+        # J's columns are the edges from the first vertex, so J^T's rows are,
+        # and J^-1 = cof(J)^T / det J = cof(J^T) / det J^T.  One cofactor
+        # pass; a reoriented cell (last two vertices swapped, so last two
+        # edge rows swapped) is evaluated again on its own.  Its edge lengths
+        # and diameter come from the points as given.
         pts = self.vertices[cells]
-        sv = self._signed_volumes(pts)
-        flip = np.flatnonzero(sv < 0)
-        cells[flip, dim - 1:] = cells[flip, dim - 1:][:, ::-1]
-        sv[flip] = self._signed_volumes(self.vertices[cells[flip]])
+        edges = pts[:, 1:, :] - pts[:, :1, :]
+        det, cof = det_and_cofactor(edges)
         # Hadamard: |det J| is at most the product of the edge lengths from
         # the first vertex, 0 for a repeated vertex
         bound = np.sqrt(functools.reduce(np.multiply, (
-            _squared_lengths(pts[:, i] - pts[:, 0]) for i in range(1, dim + 1)
+            _squared_lengths(edges[:, i]) for i in range(dim)
         )))
-        flat = sv <= _FLAT_CELL * np.finfo(float).eps / math.factorial(dim) * bound
+        flip = np.flatnonzero(det < 0)
+        cells[flip, dim - 1:] = cells[flip, dim - 1:][:, ::-1]
+        edges[flip, dim - 2:] = edges[flip, dim - 2:][:, ::-1]
+        det[flip], cof[flip] = det_and_cofactor(edges[flip])
+        flat = det <= _FLAT_CELL * np.finfo(float).eps * bound
         if np.any(flat):
             c = int(np.argmax(flat))
             raise ValueError(
                 f"degenerate cell {c} {cells[c].tolist()} (zero signed volume)"
             )
         self.cells = cells
-        self.cell_volumes = sv
+        # each cell's affine map x = cell_origin + jac x_ref, its inverse and
+        # |det jac| (det > 0 after the flat check)
+        self.cell_origin = np.ascontiguousarray(pts[:, 0, :])
+        self.jac = np.ascontiguousarray(np.swapaxes(edges, 1, 2))
+        cof /= det[:, None, None]
+        self.jac_inv, self.jac_det = cof, det
 
         self.cell_diameters = _longest_edges(pts)
         self.h = float(self.cell_diameters.max())
-        del pts  # not held through the face pass
+        del pts, edges  # not held through the face pass
 
         self._build_faces()
 
@@ -273,13 +289,15 @@ class SimplicialMesh:
             )
         return cells.astype(np.int64)
 
-    @staticmethod
-    def _signed_volumes(pts):
-        """det J / d! for the simplices of ``pts`` (N, d+1, d), J's columns
-        the edge vectors from the first vertex; det J = det J^T is expanded
-        along the first edge."""
-        det, _ = det_and_cofactor(pts[:, 1:, :] - pts[:, :1, :])
-        return det / math.factorial(pts.shape[2])
+    @property
+    def cell_volumes(self):
+        return self.jac_det / math.factorial(self.dim)
+
+    def reference_coords(self, cells, points):
+        """Pull physical points back to reference coordinates of the cells
+        ``cells`` indexes (``slice(None)``: every cell)."""
+        rel = points - self.cell_origin[cells]
+        return np.einsum("cij,cj->ci", self.jac_inv[cells], rel)
 
     @property
     def num_vertices(self):
@@ -470,13 +488,8 @@ class SimplicialMesh:
         if np.any(bad):  # before any reduction, which would warn on NaN
             raise ValueError(f"point {pts[np.argmax(bad)]} not inside any cell")
         found = np.full(len(pts), -1, dtype=np.int64)
-        v0 = self.vertices[self.cells[:, 0]]
-        edges = self.vertices[self.cells[:, 1:]] - v0[:, None, :]
-        # the barycentric map J^-1 = cof(J^T) / det J^T, J^T's rows the edges
-        det, cof = det_and_cofactor(edges)
-        binv = cof / det[:, None, None]
         for p in range(len(pts)):
-            lam = np.einsum("cij,cj->ci", binv, pts[p] - v0)
+            lam = self.reference_coords(slice(None), pts[p])
             ok = np.all(lam >= -1e-10, axis=1) & (lam.sum(axis=1) <= 1 + 1e-10)
             hits = np.flatnonzero(ok)
             if len(hits) == 0:

@@ -174,13 +174,6 @@ _GMRES_ITERS = 20
 # bound the backward-error check puts on the true residual, which leaves
 # room for the roundoff between the two
 _GMRES_MARGIN = 0.1
-# from half its iterations on, a cycle also stops when its estimate, reduced
-# further at its average rate so far in each iteration left, would still miss
-# that bound by this factor.  GMRES often speeds up late: over the 1263
-# cycles of the tests and the bench workloads, a factor of 1 stopped 139 that
-# went on to pass, and this one 2 (one cycle, run twice, of a 2D solve that
-# fails anyway)
-_GMRES_STAGNATION = 1e6
 
 
 def sparse_solve(A, b, *, order=None, factor=None):
@@ -216,15 +209,14 @@ def sparse_solve(A, b, *, order=None, factor=None):
     first solved by one right-preconditioned GMRES cycle of at most
     ``_GMRES_ITERS`` iterations, each applying that factorization once (see
     ``_preconditioned_gmres``).  The cycle stops as soon as its residual
-    estimate is a tenth of what the backward-error check allows, or when it
-    cannot get there in the iterations left.  If its answer fails the
-    check, the held factorization is dropped before this matrix is
-    factored, so at most one factorization is alive, and the new one is
-    left in the list for the next solve; without ``factor`` the list is the
-    call's own.  The result is ``(x, factored, gmres_iterations)``: how many
-    factorizations this call made (0, 1, or 2 when a single-precision one
-    failed) and how many GMRES iterations it ran, those of a fresh factor's
-    cycle included.
+    estimate is a tenth of what the backward-error check allows, or at the
+    iteration cap or a breakdown.  If its answer fails the check, the held
+    factorization is dropped before this matrix is factored, so at most one
+    factorization is alive, and the new one is left in the list for the
+    next solve; without ``factor`` the list is the call's own.  The result
+    is ``(x, factored, gmres_iterations)``: how many factorizations this
+    call made (0, 1, or 2 when a single-precision one failed) and how many
+    GMRES iterations it ran, those of a fresh factor's cycle included.
     """
     csr = _check_finite(sp.csr_matrix(A))
     b = np.asarray(b, dtype=float)
@@ -313,10 +305,7 @@ def _preconditioned_gmres(csr, b, lu, norm_a):
     ``_GMRES_ITERS`` iterations, or at a breakdown: a new Hessenberg entry
     below eps ||A z_j|| spans no new direction.  A diagonal of R that small
     is roundoff of a zero one, and its direction is dropped, not divided by.
-    From half its iterations on, it also stops when it stagnates: when the
-    estimate, reduced further by its average reduction per iteration so far
-    in each iteration left, would still miss that bound by the factor
-    ``_GMRES_STAGNATION``.  A non-finite A z_j ends the cycle with a NaN x.
+    A non-finite A z_j ends the cycle with a NaN x.
     """
     n = len(b)
     beta = np.linalg.norm(b)
@@ -366,10 +355,6 @@ def _preconditioned_gmres(csr, b, lu, norm_a):
         target = bound * (norm_a * np.abs(x).max() + b_inf)
         if breakdown or estimate < target:
             break
-        if 2 * (j + 1) >= m and not (
-                estimate * (estimate / beta) ** ((m - j - 1) / (j + 1))
-                < _GMRES_STAGNATION * target):
-            break  # stagnation
     return x, j + 1
 
 

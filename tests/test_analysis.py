@@ -108,7 +108,7 @@ def brute_mesh_norm(v_h):
             wq = frule.weights[q] * mesh.iface_measures[f] / ref_meas
             sides = []
             for cell in mesh.iface_cells[f]:  # (plus, minus)
-                xref = space.reference_coords(np.array([cell]), x[None, :])[0]
+                xref = space.mesh.reference_coords(np.array([cell]), x[None, :])[0]
                 _, g, _ = eval_fe(v_h, cell, xref)
                 sides.append(g @ mesh.iface_normals[f])
             jump2 += wq / mesh.iface_diameters[f] * (sides[0] - sides[1]) ** 2

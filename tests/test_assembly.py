@@ -118,7 +118,7 @@ def brute_face_terms(space):
             jump = np.zeros(2 * nb)
             avg = np.zeros(2 * nb)
             for side, (cell, sgn) in enumerate(zip(cells2, (1.0, -1.0))):
-                xref = space.reference_coords(np.array([cell]), x[None, :])[0]
+                xref = space.mesh.reference_coords(np.array([cell]), x[None, :])[0]
                 _, grad, hess = space.ref.tabulate(xref[None, :])
                 jinv = space.jac_inv[cell]
                 for loc in range(nb):
@@ -163,7 +163,7 @@ def brute_boundary_flux(space, psi_fn):
             x = fc[0] + (fc[1:] - fc[0]).T @ frule.points[q]
             wq = frule.weights[q] * mesh.bface_measures[f] / ref_meas
             pv = psi_fn(x[None, :])[0]
-            xref = space.reference_coords(np.array([cell]), x[None, :])[0]
+            xref = space.mesh.reference_coords(np.array([cell]), x[None, :])[0]
             _, grad, _ = space.ref.tabulate(xref[None, :])
             for loc, idof in enumerate(space.cell_dofs[cell]):
                 g = jinv.T @ grad[0, loc]
@@ -524,7 +524,7 @@ def test_penalty_vanishes_on_c1_functions(dim, degree):
             for xq, wq in zip(frule.points, frule.weights):
                 x = fc[0] + (fc[1:] - fc[0]).T @ xq
                 plus, minus = (
-                    eval_fe(v, c, space.reference_coords(np.array([c]), x[None, :])[0])[1]
+                    eval_fe(v, c, space.mesh.reference_coords(np.array([c]), x[None, :])[0])[1]
                     for c in cells
                 )
                 energy += wq * scale_f * ((plus - minus) @ mesh.iface_normals[f]) ** 2

@@ -1,31 +1,36 @@
 """Mesh and space construction against the plain formulas, byte for byte.
 
-``SimplicialMesh`` evaluates signed volumes once (again only on reoriented
-cells), takes diameters over edges only, writes squared lengths and cross
-products out by components, sums face midpoints and takes a face's second
-owner by ``np.maximum.at``; ``FeSpace`` places only each dof's first node
-and keys nodes by vertex multisets sorted by a compare-exchange network.
-The oracles below are the plain formulas those replace: every signed volume
+``SimplicialMesh`` evaluates its cells' affine maps once (again only on
+reoriented cells), takes diameters over edges only, writes squared lengths
+and cross products out by components, sums face midpoints and takes a
+face's second owner by ``np.maximum.at``; ``FeSpace`` places only each
+dof's first node and keys nodes by vertex multisets sorted by a
+compare-exchange network.
+The oracles below are the plain formulas those replace: every cell's map
 evaluated again after reorientation, the diameter over all vertex pairs,
 ``np.cross`` and ``np.linalg.norm``, ``fc.mean`` midpoints, a stable argsort
 of the owners, one einsum for every node's coordinates, ``np.sort`` keys of
-(vertex id, weight) pairs, and a lexsort numbering.  The signed volumes,
-``jac_det`` and ``jac_inv`` come from the closed-form cofactors of each
-cell's edge matrix, and their oracle is the textbook adjugate formula
-written out cell by cell; they are also checked against LAPACK's ``det``
-and ``inv`` to a tolerance.  Every ndarray attribute must have the oracle's
-dtype, shape and bytes, so a last-bit change anywhere fails.
+(vertex id, weight) pairs, and a lexsort numbering.  The mesh's
+``jac_det`` and ``jac_inv``, and the cell volumes derived from ``jac_det``,
+come from the closed-form cofactors of each cell's edge matrix, and their
+oracle is the textbook adjugate formula written out cell by cell; they are
+also checked against LAPACK's ``det`` and ``inv`` to a tolerance.  Every
+ndarray attribute, and the cell volumes, must have the oracle's dtype,
+shape and bytes, so a last-bit change anywhere fails.  The cells' affine
+maps are computed once, by the mesh, and ``FeSpace`` reads the mesh's own
+arrays.
 """
 
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from maviscid.elements import FeSpace
-from maviscid.mesh import SimplicialMesh, build_structured_mesh
+from maviscid.mesh import SimplicialMesh, build_structured_mesh, det_and_cofactor
 
 
 def number_rows(rows):
@@ -99,7 +104,8 @@ def face_geometry(vertices, dim, vertex_ids, opposite):
 
 
 def oracle_mesh(dim, vertices, cells):
-    """Every ndarray attribute of SimplicialMesh(dim, vertices, cells), and h."""
+    """Every ndarray attribute of SimplicialMesh(dim, vertices, cells), h and
+    the cell volumes."""
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=float))
     cells = np.array(cells, dtype=np.int64)
     flip = signed_volumes(vertices, cells) < 0
@@ -108,6 +114,13 @@ def oracle_mesh(dim, vertices, cells):
     cells[flip, dim - 1] = tmp
     volumes = signed_volumes(vertices, cells)
     pts = vertices[cells]
+    origin = np.ascontiguousarray(pts[:, 0, :])
+    jac = np.ascontiguousarray(np.swapaxes(pts[:, 1:, :] - pts[:, :1, :], 1, 2))
+    # J^-1 = cof(J)^T / det J = cof(J^T) / det J^T
+    M = len(cells)
+    dets, cofs = zip(*(cofactors(e) for e in edge_matrices(vertices, cells)))
+    jac_inv = np.array([[[c / det for c in row] for row in cof]
+                        for det, cof in zip(dets, cofs)]).reshape(M, dim, dim)
     diffs = pts[:, :, None, :] - pts[:, None, :, :]
     diameters = np.sqrt((diffs**2).sum(-1)).max(axis=(1, 2))
 
@@ -125,7 +138,8 @@ def oracle_mesh(dim, vertices, cells):
     )
     bface_cells, bface_locals = np.divmod(first[boundary], dim + 1)
     want = dict(
-        vertices=vertices, cells=cells, cell_volumes=volumes,
+        vertices=vertices, cells=cells, cell_origin=origin, jac=jac,
+        jac_inv=jac_inv, jac_det=np.abs(np.array(dets)),
         cell_diameters=diameters,
         iface_vertex_ids=faces[interior], iface_cells=iface_cells,
         iface_locals=iface_locals,
@@ -138,7 +152,7 @@ def oracle_mesh(dim, vertices, cells):
         n, diam, meas = face_geometry(vertices, dim, want[f"{side}_vertex_ids"], opposite)
         want.update({f"{side}_normals": n, f"{side}_diameters": diam,
                      f"{side}_measures": meas})
-    return want, float(diameters.max())
+    return want, float(diameters.max()), volumes
 
 
 def oracle_space(mesh, k):
@@ -158,41 +172,39 @@ def oracle_space(mesh, k):
     boundary = np.unique(cell_dofs[mesh.bface_cells[:, None], on_face[mesh.bface_locals]])
     mask = np.ones(len(first), dtype=bool)
     mask[boundary] = False
-    # J^-1 = cof(J)^T / det J = cof(J^T) / det J^T
-    dets, cofs = zip(*(cofactors(e) for e in edge_matrices(mesh.vertices, mesh.cells)))
-    jac_inv = np.array([[[c / det for c in row] for row in cof]
-                        for det, cof in zip(dets, cofs)]).reshape(M, d, d)
     return dict(
-        cell_origin=origin, jac=jac, jac_inv=jac_inv,
-        jac_det=np.abs(np.array(dets)), cell_dofs=cell_dofs,
+        cell_dofs=cell_dofs,
         dof_coords=phys.reshape(M * nb, d)[first], boundary_dofs=boundary,
         interior_dofs=np.flatnonzero(mask),
     )
 
 
-def assert_near_lapack(mesh, space):
+def assert_near_lapack(mesh):
     """Volumes, determinants and inverses within 8 ulps of LAPACK's, scaled
     by the Hadamard bound (determinants) or the condition number (inverses)."""
     eps = np.finfo(float).eps
-    jac = space.jac
+    jac = mesh.jac
     hadamard = np.prod(np.linalg.norm(jac, axis=1), axis=1)
     det = np.linalg.det(jac)
-    assert np.all(np.abs(space.jac_det - np.abs(det)) <= 8 * eps * hadamard)
+    assert np.all(np.abs(mesh.jac_det - np.abs(det)) <= 8 * eps * hadamard)
     vol = mesh.cell_volumes * math.factorial(mesh.dim)
     assert np.all(np.abs(vol - det) <= 8 * eps * hadamard)
     inv = np.linalg.inv(jac)
-    err = np.abs(space.jac_inv - inv).max(axis=(1, 2))
+    err = np.abs(mesh.jac_inv - inv).max(axis=(1, 2))
     scale = np.linalg.cond(jac) * np.abs(inv).max(axis=(1, 2))
     assert np.all(err <= 8 * eps * scale)
+
+
+def assert_same_array(got, want, name):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), name
 
 
 def assert_same_bytes(obj, want):
     got = {name: v for name, v in vars(obj).items() if isinstance(v, np.ndarray)}
     assert sorted(got) == sorted(want)
     for name, a in want.items():
-        b = got[name]
-        assert (b.dtype, b.shape) == (a.dtype, a.shape), name
-        assert np.array_equal(b, a) and b.tobytes() == a.tobytes(), name
+        assert_same_array(got[name], a, name)
 
 
 def shuffled_kuhn(dim, n, seed, jitter):
@@ -222,14 +234,15 @@ def test_construction_matches_the_plain_formulas(dim, kind):
             vertices, cells = shuffled_kuhn(dim, n, 10 * dim + n, jitter)
             mesh = SimplicialMesh(dim, vertices, cells)
             assert mesh.structure is None
-        want, h = oracle_mesh(dim, vertices, cells)
+        want, h, volumes = oracle_mesh(dim, vertices, cells)
         assert_same_bytes(mesh, want)
         assert mesh.h.hex() == h.hex()
+        assert_same_array(mesh.cell_volumes, volumes, "cell_volumes")
         for k in (2, 3):
             space = FeSpace(mesh, k)
             assert_same_bytes(space, oracle_space(mesh, k))
         if kind != "kuhn":
-            assert_near_lapack(mesh, space)
+            assert_near_lapack(mesh)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -253,3 +266,37 @@ def test_construction_calls_no_batched_lapack(dim, monkeypatch):
         for k in (2, 3):
             FeSpace(mesh, k)
         mesh.locate(np.full((2, dim), 0.3))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_each_cell_map_is_computed_once(dim, monkeypatch):
+    # the mesh passes its cells' edge matrices through the cofactor formula
+    # once, and again only the reoriented ones; spaces and the scan read the
+    # mesh's maps.  A batch of dim x dim matrices is a batch of edge
+    # matrices: the hanging-vertex check's face Gram matrices are smaller
+    batches = []
+
+    def counting(H):
+        if np.ndim(H) == 3 and np.shape(H)[1:] == (dim, dim):
+            batches.append(len(H))
+        return det_and_cofactor(H)
+
+    for name, module in list(sys.modules.items()):  # wherever it is imported
+        if (name.startswith("maviscid")
+                and getattr(module, "det_and_cofactor", None) is det_and_cofactor):
+            monkeypatch.setattr(module, "det_and_cofactor", counting)
+    points = np.random.default_rng(dim).uniform(0.05, 0.95, (5, dim))
+    shuffled = shuffled_kuhn(dim, 3, 7, 0.1)
+    for build in (lambda: build_structured_mesh(dim, 3),
+                  lambda: SimplicialMesh(dim, *shuffled)):
+        batches.clear()
+        mesh = build()
+        assert 1 <= len(batches) <= 2 and batches[0] == mesh.num_cells
+        assert all(size < mesh.num_cells for size in batches[1:])
+        batches.clear()
+        spaces = [FeSpace(mesh, k) for k in (2, 3)]
+        mesh._locate_scan(points)
+        assert batches == []
+        for space, name in itertools.product(
+                spaces, ["cell_origin", "jac", "jac_inv", "jac_det"]):
+            assert getattr(space, name) is getattr(mesh, name), name

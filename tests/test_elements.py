@@ -203,7 +203,7 @@ def test_evaluate_uses_basis_values_only(monkeypatch):
     u = FeFunction(space, np.random.default_rng(4).uniform(-1, 1, space.ndofs))
     pts = np.random.default_rng(5).uniform(0, 1, size=(50, 3))
     cells = space.mesh.locate(pts)
-    val, _, _ = space.ref.tabulate(space.reference_coords(cells, pts))
+    val, _, _ = space.ref.tabulate(space.mesh.reference_coords(cells, pts))
     want = np.einsum("nb,nb->n", val, u.coeffs[space.cell_dofs[cells]])
 
     def no_tabulate(self, pts):
@@ -326,7 +326,7 @@ def test_c0_continuity_across_faces(dim, degree, n):
         phys = fc[0] + frule.points @ (fc[1:] - fc[0])
         pair = []
         for cell in cells:
-            ref_pts = space.reference_coords(
+            ref_pts = space.mesh.reference_coords(
                 np.full(len(phys), cell, dtype=int), phys
             )
             val, grad, _ = space.ref.tabulate(ref_pts)
