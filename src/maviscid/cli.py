@@ -216,15 +216,15 @@ def _progress(msg):
 
 
 def _counts(report):
-    """Newton steps, rungs of a ladder (and how many ran on the n/2 mesh of
-    nested iteration), factorizations and GMRES iterations of one solve,
+    """Newton steps, rungs of a ladder (and how many ran on the coarser
+    meshes of nested iteration), factorizations and GMRES iterations of one solve,
     worded the same in every summary line (a count of 1 takes the singular)."""
     steps = _count(report.iterations, "Newton step")
     if report.rungs:
         coarse = sum(rep.ndofs != report.ndofs for _, rep in report.rungs)
         fallback = ", then the plain ladder" if report.fell_back else ""
         steps += (f" over {_count(len(report.rungs), 'rung')} "
-                  f"({coarse} on the n/2 mesh{fallback})")
+                  f"({coarse} on coarser meshes{fallback})")
     return (f"{steps}, {_count(report.factorizations, 'factorization')}, "
             f"{_count(report.gmres_iterations, 'GMRES iteration')}")
 

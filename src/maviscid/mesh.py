@@ -35,9 +35,11 @@ Input that cannot make a mesh is refused with ValueError naming the vertex
 or cell: non-finite vertices, cell entries that are not integer indices of
 existing vertices, no cells, a cell flat to roundoff (|det J| at most
 ``_FLAT_CELL`` machine epsilons times the product of its edge lengths, its
-Hadamard bound), and two cells on one side of their shared face (a repeated
-or overlapping cell; like hanging vertices, checked only on meshes not made
-by the generator).
+Hadamard bound), a cell whose squared Hadamard bound, |det J| or J^-1
+leaves the normal float64 range (no overflow or underflow is let through
+as a warning or read as flatness), and two cells on one side of their
+shared face (a repeated or overlapping cell; like hanging vertices,
+checked only on meshes not made by the generator).
 """
 
 from __future__ import annotations
@@ -235,28 +237,23 @@ class SimplicialMesh:
         # and diameter come from the points as given.
         pts = self.vertices[cells]
         edges = pts[:, 1:, :] - pts[:, :1, :]
-        det, cof = det_and_cofactor(edges)
-        # Hadamard: |det J| is at most the product of the edge lengths from
-        # the first vertex, 0 for a repeated vertex
-        bound = np.sqrt(functools.reduce(np.multiply, (
-            _squared_lengths(edges[:, i]) for i in range(dim)
-        )))
-        flip = np.flatnonzero(det < 0)
-        cells[flip, dim - 1:] = cells[flip, dim - 1:][:, ::-1]
-        edges[flip, dim - 2:] = edges[flip, dim - 2:][:, ::-1]
-        det[flip], cof[flip] = det_and_cofactor(edges[flip])
-        flat = det <= _FLAT_CELL * np.finfo(float).eps * bound
-        if np.any(flat):
-            c = int(np.argmax(flat))
-            raise ValueError(
-                f"degenerate cell {c} {cells[c].tolist()} (zero signed volume)"
-            )
+        with np.errstate(all="ignore"):  # a cell out of range is refused below
+            det, cof = det_and_cofactor(edges)
+            # Hadamard: |det J| is at most the product of the edge lengths
+            # from the first vertex, 0 for a repeated vertex
+            bound_sq = functools.reduce(np.multiply, (
+                _squared_lengths(edges[:, i]) for i in range(dim)))
+            flip = np.flatnonzero(det < 0)
+            cells[flip, dim - 1:] = cells[flip, dim - 1:][:, ::-1]
+            edges[flip, dim - 2:] = edges[flip, dim - 2:][:, ::-1]
+            det[flip], cof[flip] = det_and_cofactor(edges[flip])
+            cof /= det[:, None, None]
+        self._check_affine_maps(cells, edges, det, bound_sq, cof)
         self.cells = cells
         # each cell's affine map x = cell_origin + jac x_ref, its inverse and
         # |det jac| (det > 0 after the flat check)
         self.cell_origin = np.ascontiguousarray(pts[:, 0, :])
         self.jac = np.ascontiguousarray(np.swapaxes(edges, 1, 2))
-        cof /= det[:, None, None]
         self.jac_inv, self.jac_det = cof, det
 
         self.cell_diameters = _longest_edges(pts)
@@ -288,6 +285,35 @@ class SimplicialMesh:
                 f"cell {c} {cells[c].tolist()} names a vertex outside 0..{num_vertices - 1}"
             )
         return cells.astype(np.int64)
+
+    @staticmethod
+    def _check_affine_maps(cells, edges, det, bound_sq, inv):
+        """ValueError naming the first cell that is flat to roundoff, or
+        whose squared Hadamard bound, determinant or inverse leaves the
+        normal float64 range, given each cell's edge rows from its first
+        vertex, det J, the squared bound and J^-1."""
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        in_range = (bound_sq >= tiny) & (bound_sq <= huge) & (det <= huge)
+        # below tiny, the squared bound is in range only as the exact 0 of a
+        # cell with a zero edge
+        small = np.flatnonzero(bound_sq < tiny)
+        in_range[small] = ~np.all(np.any(edges[small], axis=2), axis=1)
+        eps = np.finfo(float).eps
+        flat = in_range & (det <= _FLAT_CELL * eps * np.sqrt(bound_sq))
+        if not np.isfinite(inv).all():  # per cell only when some entry is not
+            in_range &= flat | np.all(np.isfinite(inv), axis=(1, 2))
+        bad = flat | ~in_range
+        if np.any(bad):
+            c = int(np.argmax(bad))
+            if flat[c]:
+                raise ValueError(
+                    f"degenerate cell {c} {cells[c].tolist()} (zero signed volume)")
+            raise ValueError(
+                f"cell {c} {cells[c].tolist()} leaves the float64 range "
+                f"[{tiny:.3g}, {huge:.3g}]: its squared Hadamard bound (the "
+                f"product of its squared edge lengths from its first vertex) "
+                f"is {bound_sq[c]:.3g} and |det J| {det[c]:.3g}, and J^-1 must "
+                f"be finite")
 
     @property
     def cell_volumes(self):

@@ -29,16 +29,16 @@ Rungs before the target only have to land inside the next rung's Newton
 basin, so they stop at a residual of ``_RUNG_TOL``; the target rung stops at
 the configured ``abs_tol``.
 
-On a Kuhn mesh of ``build_structured_mesh`` with an even number n >= 4 of
-cells per axis, the ladder is climbed by nested iteration (Deuflhard 2004; Brandt
-1977): every rung but the target runs on the n/2 Kuhn mesh.  Those meshes
-nest, as every n/2 cube splits into 2^d n cubes whose Kuhn simplices tile
-the coarse ones, so the coarse space is a subspace of the fine one and
-interpolating the predicted start onto the requested space moves it
-exactly.  Only the target rung then runs on the requested mesh.  If any
-rung of that plan fails, the plain ladder runs on the requested mesh.  Odd
-n, n=2 (whose n=1 mesh is one cube), meshes not built by the generator and
-one-rung ladders take the plain ladder directly.
+On a Kuhn mesh of ``build_structured_mesh`` with n >= 4 cells per axis, the
+ladder is climbed by nested iteration (Deuflhard 2004; Brandt 1977) on the
+n // 2 Kuhn mesh: every rung but the target runs there, or, for a one-rung
+ladder, which has no rung below its target, that rung, by this same rule.
+The start then moves to the requested space by interpolation: exactly for
+even n, as every n/2 cube splits into 2^d n cubes whose Kuhn simplices tile
+the coarse ones, and as a nodal interpolant for odd n.  Only the target rung
+runs on the requested mesh.  If any rung of that plan fails, the plain
+ladder runs on the requested mesh.  n <= 3 (whose n // 2 = 1 mesh is one
+cube) and meshes not built by the generator take the plain ladder directly.
 """
 
 from __future__ import annotations
@@ -186,8 +186,12 @@ def sparse_solve(A, b, *, order=None, factor=None):
     Jacobian.  Without ``order``, P is minimum degree on A^T + A; ``order``,
     a permutation of the unknowns given as integers, is P itself.
     ``newton_solve`` passes no order in 2D and the nested-dissection order of
-    the interior dofs in 3D (``_dissection_order``): on the case VI
-    Jacobians of n=6 and n=12, k=2, that fills 8% and 16% less than COLAMD.
+    the interior dofs in 3D (``_dissection_order``), each the cheaper for its
+    dimension on the single-precision factor of a converged k=2 Jacobian
+    (process time, one thread): in 3D minimum degree fills 21.5M entries
+    against 14.5M and takes 2.4 s against 1.1 s (case VI n=12); in 2D nested
+    dissection fills 23% and 5% more (case III n=32 and 64), and forming its
+    order takes 24-51 ms, more than the 7-10 ms it saves in the factor.
 
     The matrix is factored in single precision first, which took 20-47%
     less time than in double precision on Jacobians of 2D n=32 and 64 and 3D
@@ -553,17 +557,18 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
     the residual max(config.abs_tol, ``_RUNG_TOL``), enough to land in the
     next rung's Newton basin; the last stops at ``config.abs_tol``.
 
-    On a Kuhn mesh of ``build_structured_mesh`` with an even n >= 4, a
-    ladder of two or more rungs is climbed by nested iteration: every rung but the
-    target runs on the same degree's space on the n/2 Kuhn mesh, which the
-    n mesh refines, so the target rung's start moves to ``space`` exactly by
-    ``interpolate(space, start.evaluate)``; it is re-pinned and the target
-    rung alone runs on ``space``.  The coarse space, its solutions and its
-    factorization are released before that rung assembles.  If a coarse
-    rung or the target rung raises NewtonError, the plain ladder runs on
-    ``space`` from its convex seed and ``report.fell_back`` is set.  Any
-    other mesh (n=2 included), and a one-rung ladder, always takes the
-    plain ladder.
+    On a Kuhn mesh of ``build_structured_mesh`` with n >= 4 the ladder is
+    climbed by nested iteration on the same degree's space on the n // 2
+    Kuhn mesh (``_coarse_divisions``): every rung but the target runs there,
+    or, for a one-rung ladder, a ``continuation_solve`` of that rung to the
+    earlier rungs' tolerance.  The target rung's start moves to ``space`` by
+    ``interpolate(space, start.evaluate)``, exactly for even n and as a nodal
+    interpolant for odd n, is re-pinned, and the target rung alone runs on
+    ``space``.  The coarse space, its solutions and its factorization are
+    released before that rung assembles.  If a coarse rung or the target
+    rung raises NewtonError, the plain ladder runs on ``space`` from its
+    convex seed and ``report.fell_back`` is set.  n <= 3 and meshes not
+    built by the generator always take the plain ladder.
 
     ``report.rungs`` lists every rung attempted, in order: coarse ones,
     failed ones and a fallback's included, each with the ``ndofs`` of its
@@ -618,18 +623,31 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
         return u, prev
 
     def nested_start(n, g):
-        """The target rung's start on ``space``, from the ladder climbed on
-        the n Kuhn mesh; nothing of that mesh outlives this call."""
+        """The target rung's start on ``space``, from the ladder climbed, or
+        the one rung solved, on the n Kuhn mesh; nothing of that mesh
+        outlives this call."""
         coarse = FeSpace(build_structured_mesh(space.dim, n), space.degree)
-        u, prev = climb(coarse, len(ladder) - 1, [])
-        start = _rung_start(coarse, ladder, len(ladder) - 1, u, prev, g)
+        if len(ladder) > 1:
+            u, prev = climb(coarse, len(ladder) - 1, [])
+            start = _rung_start(coarse, ladder, len(ladder) - 1, u, prev, g)
+        else:  # no rung below the target: solve it on the coarse mesh
+            try:
+                start, rep = continuation_solve(
+                    coarse, f, g_data, sigma, eps_target, rung_config,
+                    weight_mode, data_factory)
+            except NewtonError as exc:
+                for eps, rung in exc.report.rungs:
+                    _add_rung(total, eps, rung)
+                raise
+            for eps, rung in rep.rungs:
+                _add_rung(total, eps, rung)
         fine = interpolate(space, start.evaluate)
         fine.coeffs[space.boundary_dofs] = apply_dirichlet(space, g)
         return fine
 
     t0 = time.perf_counter()
     try:
-        n = _coarse_divisions(space, ladder)
+        n = _coarse_divisions(space)
         if n is not None:
             factor.clear()
             f_eps, g_eps = data(ladder[-1])
@@ -649,15 +667,15 @@ def continuation_solve(space, f, g_data, sigma, eps_target, config=None,
         total.wall_time = time.perf_counter() - t0
 
 
-def _coarse_divisions(space, ladder):
+def _coarse_divisions(space):
     """Divisions per axis of the Kuhn mesh that nested iteration climbs the
-    ladder on (half of ``space``'s even n), or None for the plain ladder.
-    The n=2 mesh keeps the plain ladder: a ladder climbed on the one-cube
-    n=1 mesh (one interior dof at k=2) can steer the target rung to a
-    spurious non-convex root (case VI in 3D, k=2)."""
+    ladder on, n // 2 of ``space``'s n >= 4 (even n: the n mesh refines it;
+    odd n: the start moves as a nodal interpolant), or None for the plain
+    ladder.  n = 2 and 3 keep the plain ladder: a ladder climbed on the
+    one-cube n=1 mesh (one interior dof at k=2) can steer the target rung to
+    a spurious non-convex root (case VI in 3D, k=2)."""
     structure = space.mesh.structure
-    if (len(ladder) < 2 or structure is None or structure[0] != "kuhn"
-            or structure[1] % 2 or structure[1] < 4):
+    if structure is None or structure[0] != "kuhn" or structure[1] < 4:
         return None
     return structure[1] // 2
 

@@ -191,8 +191,9 @@ def test_small_eps_study(tmp_path):
 
 
 def test_eps_rows_share_one_factorization(tmp_path, capsys, monkeypatch):
-    # the first row factors in its ladder and the rows after it reuse that
-    # factorization; the rows are those of a study that factored per row
+    # the first row's one-rung ladder factors once on each of n=2, 4 and 8
+    # and the rows after it reuse its last factorization; the rows are those
+    # of a study that factored per row
     written = []
     write_tables = cli._write_tables
 
@@ -211,7 +212,7 @@ def test_eps_rows_share_one_factorization(tmp_path, capsys, monkeypatch):
         int(re.search(r"(\d+) factorizations?\b", line).group(1))
         for line in err.splitlines() if " eps=" in line
     ]
-    assert counts == [1, 0, 0]
+    assert counts == [3, 0, 0]
     assert err.count("GMRES iterations") == 3
     # (l2, h1, h2) per row from a study that factored on rows 1 and 2
     expected = (
@@ -266,7 +267,9 @@ def test_failed_row_stops_the_h_study(tmp_path, capsys):
 
 
 def test_failed_row_stops_the_h_study_plain_ladder(tmp_path, capsys):
-    # odd n, the plain ladder: row 1/7 fails at eps = 0.015625
+    # odd n: row 1/3 runs the plain ladder, row 1/5 converges on its
+    # plain-ladder fallback, and row 1/7 fails at its target rung on n=7 and
+    # its fallback at eps = 0.015625
     _h_study_stops_at(tmp_path, capsys, ("1/3", "1/5", "1/7", "1/9"), 2,
                       ["0.333333", "0.2"])
 
@@ -382,15 +385,15 @@ def parse_blocked_csv(path):
     return blocks
 
 
-@pytest.mark.parametrize("h, coarse", [("1/6", 4), ("1/5", 0)])
+@pytest.mark.parametrize("h, coarse", [("1/6", 4), ("1/5", 4), ("1/3", 0)])
 def test_solve_says_how_many_rungs_ran_on_the_half_mesh(tmp_path, capsys, h,
                                                          coarse):
-    # eps 0.05 is the fifth rung of the default ladder: on an even n the
-    # four before it run on the n/2 mesh
+    # eps 0.05 is the fifth rung of the default ladder: for n >= 4, even or
+    # odd, the four before it run on the n // 2 mesh; n=3 runs all five
     code = run("solve", "--case", "III", "--h-list", h, "--eps-list", "0.05",
                "--out", str(tmp_path))
     assert code == 0
-    assert f"over 5 rungs ({coarse} on the n/2 mesh)," in capsys.readouterr().out
+    assert f"over 5 rungs ({coarse} on coarser meshes)," in capsys.readouterr().out
 
 
 def test_counts_name_a_fallback():
@@ -398,7 +401,7 @@ def test_counts_name_a_fallback():
     # plain ladder converges
     spec = case_with_overrides("II", {"sigma": "1", "weight_mode": "plain"})
     _, report = cli._solve_on_mesh(spec, 2, 0.25, spec.eps_list[0])
-    assert "over 13 rungs (6 on the n/2 mesh, then the plain ladder)," in (
+    assert "over 13 rungs (6 on coarser meshes, then the plain ladder)," in (
         cli._counts(report))
 
 
@@ -408,14 +411,14 @@ def test_counts_name_rungs_only_for_a_ladder():
     assert cli._counts(single) == "2 Newton steps, 0 factorizations, 20 GMRES iterations"
     ladder = SolveReport(iterations=8, factorizations=2, gmres_iterations=28, ndofs=81,
                          rungs=[(0.5, SolveReport(ndofs=25)), (0.05, SolveReport(ndofs=81))])
-    assert cli._counts(ladder) == ("8 Newton steps over 2 rungs (1 on the n/2 mesh), "
+    assert cli._counts(ladder) == ("8 Newton steps over 2 rungs (1 on coarser meshes), "
                                    "2 factorizations, 28 GMRES iterations")
 
 
 def test_counts_of_one_take_the_singular():
     one = SolveReport(iterations=1, factorizations=1, gmres_iterations=1, ndofs=81,
                       rungs=[(0.5, SolveReport(ndofs=81))])
-    assert cli._counts(one) == ("1 Newton step over 1 rung (0 on the n/2 mesh), "
+    assert cli._counts(one) == ("1 Newton step over 1 rung (0 on coarser meshes), "
                                 "1 factorization, 1 GMRES iteration")
     single = SolveReport(iterations=1, factorizations=0, gmres_iterations=11, ndofs=81)
     assert cli._counts(single) == "1 Newton step, 0 factorizations, 11 GMRES iterations"

@@ -328,6 +328,33 @@ def test_accepts_a_thin_cell(verts):
     assert mesh.cell_volumes[0] == pytest.approx(1e-6 / math.factorial(dim), rel=1e-9)
 
 
+def _right_cell(dim, leg):
+    """Vertices of the right-angled cell at the origin with legs ``leg``."""
+    return np.vstack([np.zeros(dim), leg * np.eye(dim)])
+
+
+# legs whose squared Hadamard bound L^(2d) or whose |det J| = L^d over- or
+# underflows float64: once they warned of an overflow, or were called
+# degenerate
+@pytest.mark.parametrize("dim, leg", [
+    (2, 1e200), (2, 1e155), (3, 1e103), (2, 1e-160), (2, 1e-200), (3, 1e-110),
+])
+def test_rejects_a_cell_outside_the_float64_range(dim, leg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"cell 0 \[0, 1, 2(, 3)?\] leaves "
+                                             r"the float64 range \[2.23e-308, 1.8e\+308\]"):
+            SimplicialMesh(dim, _right_cell(dim, leg), [range(dim + 1)])
+
+
+@pytest.mark.parametrize("dim, leg", [(2, 1e76), (3, 1e51)])
+def test_accepts_a_large_cell_inside_the_float64_range(dim, leg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = SimplicialMesh(dim, _right_cell(dim, leg), [range(dim + 1)])
+    assert mesh.jac_det[0] == pytest.approx(leg ** dim, rel=1e-12)
+
+
 def test_rejects_a_repeated_cell():
     # reoriented, the second cell is the first again: it would share all
     # three faces with it

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from maviscid import assembly
+from maviscid.analysis import error_norms
 from maviscid.assembly import (
     BoundaryData,
     CoefficientField,
@@ -226,10 +227,11 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def _case_solve(case, dim, n):
-    """Continuation solve of a built-in case, k=2, on its default ladder."""
+def _case_solve(case, dim, n, mesh=None):
+    """Continuation solve of a built-in case, k=2, on its default ladder, on
+    the n Kuhn mesh or on ``mesh``."""
     spec = builtin_case(case)
-    space = FeSpace(build_structured_mesh(dim, n), 2)
+    space = FeSpace(mesh or build_structured_mesh(dim, n), 2)
     return continuation_solve(
         space, None, None, spec.sigma, spec.eps_list[0],
         NewtonConfig(abs_tol=1e-8), weight_mode=spec.weight_mode,
@@ -705,14 +707,15 @@ def test_newton_negative_source_diagnostic(monkeypatch):
 
 
 def test_continuation_single_rung():
+    # on n=4 the one rung first runs on the n=2 mesh, then on n=4
     space = FeSpace(build_structured_mesh(2, 4), 2)
     data = BoundaryData(g=lambda p: np.zeros(len(p)))
     u, report = continuation_solve(
         space, lambda p: np.ones(len(p)), data, sigma=20.0, eps_target=0.5,
         weight_mode="plain",
     )
-    assert report.converged and len(report.rungs) == 1
-    assert report.rungs[0][0] == 0.5
+    assert report.converged and not report.fell_back
+    assert [(e, r.ndofs) for e, r in report.rungs] == [(0.5, 25), (0.5, space.ndofs)]
     assert report.residual_history[-1] <= 1e-10
 
 
@@ -780,8 +783,9 @@ def test_continuation_factors_once_per_ladder():
 
 
 def test_plain_ladder_factors_once():
-    # odd n=7: the whole ladder runs on one mesh and factors once
-    _, report = _case_solve("III", 2, 7)
+    # the n=7 cells without the generator's structure: the whole ladder runs
+    # on one mesh and factors once
+    _, report = _case_solve("III", 2, 7, _without_structure(build_structured_mesh(2, 7)))
     assert report.factorizations == sum(r.factorizations for _, r in report.rungs)
     assert {r.ndofs for _, r in report.rungs} == {report.ndofs}
     assert [r.factorizations for _, r in report.rungs] == [1] + [0] * 7
@@ -805,16 +809,26 @@ def _ladder_by_hand(case, dim, n, schedule, abs_tol, loose, nested=False,
     _RUNG_TOL, the secant predictor from the third rung on, and one
     factorization holder; otherwise every rung runs to abs_tol from the
     previous solution, each with its own holder.  ``nested`` runs every
-    rung but the last on the n/2 Kuhn mesh and moves the last rung's start
-    to the n mesh by interpolation, with a holder of its own."""
+    rung but the last on the n // 2 Kuhn mesh, or a one-rung schedule's one
+    rung first, by hand again (nested for n // 2 >= 4, and to _RUNG_TOL if
+    ``loose``), and moves the last rung's start to the n mesh by
+    interpolation, with a holder of its own.  Returns the last solution and
+    the iterations of every rung run, in order."""
     spec = builtin_case(case)
     space = FeSpace(mesh or build_structured_mesh(dim, n), 2)
-    on = FeSpace(build_structured_mesh(dim, n // 2), 2) if nested else space
+    on = space
     holder = [] if loose else None
     solutions, iterations = [], []
+    if nested and len(schedule) > 1:
+        on = FeSpace(build_structured_mesh(dim, n // 2), 2)
+    elif nested:
+        tol = max(abs_tol, _RUNG_TOL) if loose else abs_tol
+        u, iterations = _ladder_by_hand(case, dim, n // 2, schedule, tol, loose,
+                                        nested=n // 2 >= 4)
+        solutions.append(u)
     for k, eps in enumerate(schedule):
         f, data = spec.data(eps)
-        if k == 0:
+        if not solutions:
             start = convex_seed(on, data.g)
         else:
             start = solutions[-1].copy()
@@ -822,8 +836,8 @@ def _ladder_by_hand(case, dim, n, schedule, abs_tol, loose, nested=False,
                 theta = math.log(eps / schedule[k - 1]) / math.log(
                     schedule[k - 1] / schedule[k - 2])
                 start.coeffs += theta * (solutions[-1].coeffs - solutions[-2].coeffs)
-            start.coeffs[on.boundary_dofs] = apply_dirichlet(on, data.g)
-        if on is not space and k == len(schedule) - 1:
+            start.coeffs[start.space.boundary_dofs] = apply_dirichlet(start.space, data.g)
+        if start.space is not space and k == len(schedule) - 1:
             start = interpolate(space, start.evaluate)
             start.coeffs[space.boundary_dofs] = apply_dirichlet(space, data.g)
             holder = [] if loose else None
@@ -870,7 +884,9 @@ def _schedule_matches_by_hand(schedule, n, nested):
         NewtonConfig(abs_tol=1e-8, continuation_schedule=schedule),
         weight_mode=spec.weight_mode, data_factory=spec.data,
     )
-    assert report.converged and [e for e, _ in report.rungs] == list(schedule)
+    # a nested one-rung ladder runs its rung on n // 2 first
+    rungs = list(schedule) * (2 if nested and len(schedule) == 1 else 1)
+    assert report.converged and [e for e, _ in report.rungs] == rungs
     u_hand, iterations = _ladder_by_hand("III", 2, n, schedule, 1e-8,
                                          loose=True, nested=nested)
     assert [r.iterations for _, r in report.rungs] == iterations
@@ -880,18 +896,18 @@ def _schedule_matches_by_hand(schedule, n, nested):
 
 @SCHEDULES
 def test_continuation_schedules(schedule):
-    # on the even n=6 mesh a ladder of two or more rungs takes the nested
-    # plan: its rungs before the target run on n=3
-    report = _schedule_matches_by_hand(schedule, 6, nested=len(schedule) > 1)
+    # on the n=6 mesh every ladder takes the nested plan: its rungs before
+    # the target, or a one-rung ladder's rung, first run on n=3
+    report = _schedule_matches_by_hand(schedule, 6, nested=True)
     sizes = [r.ndofs for _, r in report.rungs]
-    assert sizes == [49] * (len(schedule) - 1) + [169]
+    assert sizes == [49] * max(len(schedule) - 1, 1) + [169]
 
 
 @SCHEDULES
 def test_continuation_schedules_plain_ladder(schedule):
-    # on the odd n=5 mesh every ladder runs there
-    report = _schedule_matches_by_hand(schedule, 5, nested=False)
-    assert [r.ndofs for _, r in report.rungs] == [121] * len(schedule)
+    # n=3 is too coarse to nest: every ladder runs there
+    report = _schedule_matches_by_hand(schedule, 3, nested=False)
+    assert [r.ndofs for _, r in report.rungs] == [49] * len(schedule)
 
 
 def _without_structure(mesh):
@@ -913,6 +929,36 @@ def test_unstructured_mesh_takes_the_plain_ladder():
                                          loose=True, mesh=mesh)
     assert [r.iterations for _, r in report.rungs] == iterations
     assert np.array_equal(u.coeffs, u_hand.coeffs)
+
+
+def test_odd_mesh_nests_on_its_floor_half():
+    # case III on n=7 climbs on n=3 and moves its start by a nodal
+    # interpolant (the n=7 mesh does not refine n=3); it lands on the plain
+    # ladder's root, run on the same cells without the generator's structure
+    u, report = _case_solve("III", 2, 7)
+    coarse = FeSpace(build_structured_mesh(2, 3), 2).ndofs
+    assert not report.fell_back
+    assert [r.ndofs for _, r in report.rungs] == [coarse] * 7 + [report.ndofs]
+    u_plain, plain = _case_solve("III", 2, 7, _without_structure(build_structured_mesh(2, 7)))
+    assert {r.ndofs for _, r in plain.rungs} == {report.ndofs}
+    assert report.residual_history[-1] <= 1e-8 and plain.residual_history[-1] <= 1e-8
+    gap = np.abs(u.coeffs - u_plain.coeffs).max()
+    assert gap <= 1e-6 * np.abs(u_plain.coeffs).max()
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_one_rung_ladder_finds_the_convex_root(n):
+    # case IV at eps 0.5 is one rung.  Run on 3D n=7 itself it reaches a
+    # spurious root (min dof -0.467 where g >= 1, L2 error 0.97), and on
+    # n=8 it fails; solved on n // 2 first, it reaches the convex one
+    spec = builtin_case("IV")
+    u, report = _solve_on_mesh(spec, 2, 1 / n, 0.5)
+    assert report.converged and not report.fell_back
+    assert [e for e, _ in report.rungs] == [0.5] * len(report.rungs)
+    assert [r.ndofs for _, r in report.rungs][-2:] == [
+        FeSpace(build_structured_mesh(3, n // 2), 2).ndofs, report.ndofs]
+    assert u.coeffs.min() > 0.99
+    assert error_norms(spec.exact_solution, u).l2 < 0.13
 
 
 @pytest.fixture
