@@ -235,18 +235,18 @@ def _cached(build):
 
 def _cell_tables(space, degree=None):
     """A cell rule exact for polynomials of ``degree`` and the reference basis
-    tables on it, built on first use and cached per exactness.  ``None`` takes
-    the exactness of ``space.cell_rule``, the rule for non-polynomial data.
-
-    Not ``_cached``: that keeps one entry per builder, and forms on different
-    rules alternate within one Newton step.
+    tables on it, built on first use and cached for one exactness at a time:
+    a rung asks for its rules before its first Newton step, never inside one.
+    ``None`` takes the exactness of ``space.cell_rule``, the rule for
+    non-polynomial data.
     """
-    exactness = space.cell_rule.exactness if degree is None else max(1, degree)
-    key = ("cell tables", exactness)
-    if key not in space._cache:
-        rule = cell_quadrature(space.dim, exactness)
-        space._cache[key] = (rule,) + space.ref.tabulate(rule.points)
-    return space._cache[key]
+    return _rule_tables(space, space.cell_rule.exactness if degree is None else max(1, degree))
+
+
+@_cached
+def _rule_tables(space, exactness):
+    rule = cell_quadrature(space.dim, exactness)
+    return (rule,) + space.ref.tabulate(rule.points)
 
 
 def _cell_chunks(space):

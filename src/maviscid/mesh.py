@@ -1,4 +1,4 @@
-"""Structured simplicial meshes of the unit square/cube with face topology.
+"""Conforming simplicial meshes with face topology, and the Kuhn generator.
 
 Cells are affine simplices with positive orientation.  Every mesh carries its
 full interior/boundary face data (vertex ids, unit normals, diameters,
@@ -17,19 +17,18 @@ through ``reference_coords``; ``cell_volumes`` is ``jac_det`` / d!.
 
 Construction works on whole arrays.  Determinants and inverses come from one
 closed form, ``det_and_cofactor`` (J^-1 = cof(J)^T / det J), with no batched
-LAPACK call: one pass over the cells' edge matrices, a cell reoriented by
-swapping its last two vertices evaluated again on its own, and the
-hanging-vertex check's face Gram matrices.  A cell's diameter is its longest
-edge, over the d(d+1)/2 edges rather than all vertex pairs; squared lengths
-and the 3D face cross product are written out by components.  Face keys (and
-the node keys of ``FeSpace``) are sorted row by row by a compare-exchange
-network of np.minimum/np.maximum and numbered through one packed int64 key
-(``_number_rows``); ``FeSpace`` places each dof by one product x = v0 + J
-x_ref at its first node.  Every array but ``jac_inv`` and ``jac_det`` (and
-so the cell volumes) is bitwise equal to the per-pair formulas (all-pair
-diameters, np.sort keys, a full second cofactor pass, ``mean`` face
-midpoints, every node placed), and those two to a per-cell adjugate
-formula; the tests keep both as oracles.
+LAPACK call: one pass over the cells' edge matrices, and a cell reoriented by
+swapping its last two vertices evaluated again on its own.  A cell's diameter
+is its longest edge, over the d(d+1)/2 edges rather than all vertex pairs;
+squared lengths and the 3D face cross product are written out by components.
+Face keys (and the node keys of ``FeSpace``) are sorted row by row by a
+compare-exchange network of np.minimum/np.maximum and numbered through one
+packed int64 key (``_number_rows``); ``FeSpace`` places each dof by one
+product x = v0 + J x_ref at its first node.  Every array but ``jac_inv`` and
+``jac_det`` (and so the cell volumes) is bitwise equal to the per-pair
+formulas (all-pair diameters, np.sort keys, a full second cofactor pass,
+``mean`` face midpoints, every node placed), and those two to a per-cell
+adjugate formula; the tests keep both as oracles.
 
 Input that cannot make a mesh is refused with ValueError naming the vertex
 or cell: non-finite vertices, cell entries that are not integer indices of
@@ -37,9 +36,13 @@ existing vertices, no cells, a cell flat to roundoff (|det J| at most
 ``_FLAT_CELL`` machine epsilons times the product of its edge lengths, its
 Hadamard bound), a cell whose squared Hadamard bound, |det J| or J^-1
 leaves the normal float64 range (no overflow or underflow is let through
-as a warning or read as flatness), and two cells on one side of their
-shared face (a repeated or overlapping cell; like hanging vertices,
-checked only on meshes not made by the generator).
+as a warning or read as flatness), a face shared by three cells, and, on
+meshes not made by the generator only, two cells on one side of their
+shared face (a repeated or overlapping cell) and a vertex hanging on a
+boundary face.  Inside the float64 range no verdict depends on the mesh's
+scale: the hanging-vertex check and point location on such meshes share
+one search (``SimplicialMesh._search``) that compares barycentric
+coordinates from each cell's own inverse map.
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ __all__ = [
     "build_structured_mesh",
 ]
 
-# (boundary face, vertex) pairs per block of the hanging-vertex check, so
-# that its (pairs, d) arrays stay near 6 MB each
-_HANGING_PAIRS = 2**18
+# (box, point) pairs per block of ``SimplicialMesh._search``, so that its
+# (pairs, d, d) gathers of the cells' inverse maps stay near 5 MB each
+_SEARCH_PAIRS = 2**16
 
 # a cell with |det J| <= _FLAT_CELL * eps * (product of its edge lengths) is
 # flat to roundoff.  Collinear or coplanar cells with vertices given to two
@@ -182,7 +185,7 @@ def _local_face_indices(dim):
 
 
 class SimplicialMesh:
-    """Conforming simplicial mesh of the unit square or cube.
+    """Conforming simplicial mesh of a polygon or polyhedron.
 
     Parameters
     ----------
@@ -196,10 +199,11 @@ class SimplicialMesh:
 
     ``structure`` is ``("kuhn", n)`` on the meshes of ``build_structured_mesh``
     and None on every other: it selects direct point location (cell d! * cube
-    + rank of the local coordinate order) and skips the hanging-vertex scan
+    + rank of the local coordinate order) and skips the hanging-vertex check
     and the overlap check (generator meshes are conforming by construction);
-    other meshes are located by a linear scan and checked for both.  ``locate``
-    rejects points outside the mesh on both paths.
+    other meshes are checked for both and locate points by a bucketed search
+    over the cells' bounding boxes.  ``locate`` rejects points outside the
+    mesh on both paths.
 
     Cell c maps the reference simplex by x = ``cell_origin[c]`` + ``jac[c]``
     x_ref, the columns of ``jac[c]`` its edges from its first vertex;
@@ -362,8 +366,6 @@ class SimplicialMesh:
         self.bface_vertex_ids = faces[boundary]
         self.bface_cells, self.bface_locals = np.divmod(first[boundary], dim + 1)
 
-        self._check_no_hanging_vertices()
-
         opp = self.vertices[
             self.cells[self.iface_cells[:, 0], self.iface_locals[:, 0]]
         ]
@@ -378,6 +380,7 @@ class SimplicialMesh:
         self.bface_diameters = diam
         self.bface_measures = meas
 
+        self._check_no_hanging_vertices()
         self._check_no_overlapping_cells()
 
     def _face_geometry(self, vertex_ids, opposite):
@@ -426,57 +429,18 @@ class SimplicialMesh:
     def _check_no_hanging_vertices(self):
         # a hanging vertex shows up as a vertex of one single-owner face lying
         # on another single-owner face (inside it or on its edges) without
-        # being one of its vertices; faces triple-shared are caught during
-        # table construction.  Generator meshes are conforming by
-        # construction and are not scanned.
-        B = len(self.bface_vertex_ids)
-        if self.structure is not None or B == 0:
+        # being one of its vertices: in the face's cell, its barycentric
+        # coordinate opposite the face is 0 and none is negative.  Faces
+        # triple-shared are caught during table construction.  Generator
+        # meshes are conforming by construction and are not scanned.
+        if self.structure is not None:
             return
         cand_ids = np.unique(self.bface_vertex_ids)
-        q = self.vertices[cand_ids]  # (P, d)
-        fc = self.vertices[self.bface_vertex_ids]  # (B, dim, d)
-        tol = 1e-10 * max(self.h, 1.0)
-        # only the candidates in a face's bounding box, widened well past the
-        # projection test's tolerances, can lie on it.  Sorted on a key
-        # x . w with positive weights, the candidates a box can hold form one
-        # run, keyed in [lo . w, hi . w]; weights off the axes keep a whole
-        # grid plane of vertices from sharing one key
-        margin = 1e-6 * max(self.h, 1.0)
-        lo, hi = fc.min(axis=1) - margin, fc.max(axis=1) + margin
-        w = np.array([1.0, 0.62, 0.38])[:self.dim]
-        order = np.argsort(q @ w)
-        key = (q @ w)[order]
-        first = np.searchsorted(key, lo @ w, side="left")
-        count = np.searchsorted(key, hi @ w, side="right") - first
-        # face blocks in order: the first hanging pair found is the first overall
-        block = (np.cumsum(count) - count) // _HANGING_PAIRS
-        for faces in np.split(np.arange(B), np.flatnonzero(np.diff(block)) + 1):
-            c = count[faces]
-            face = np.repeat(faces, c)
-            # each face's run of candidates, face after face
-            p = order[np.repeat(first[faces] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
-            boxed = np.all((q[p] >= lo[face]) & (q[p] <= hi[face]), axis=1)
-            face, p = face[boxed], p[boxed]
-            e = fc[face, 1:] - fc[face, :1]  # (pairs, dim-1, d) edge vectors
-            et = e.transpose(0, 2, 1)
-            rel = q[p] - fc[face, 0]  # (pairs, d)
-            # face coordinates of each point's projection: the (symmetric)
-            # Gram system e e^T s = e rel
-            gram = e @ et
-            if self.dim == 2:
-                gram_inv = 1.0 / gram
-            else:
-                det, cof = det_and_cofactor(gram)
-                gram_inv = cof / det[:, None, None]
-            s = (rel[:, None] @ et @ gram_inv)[:, 0]
-            dist = np.linalg.norm(rel - (s[:, None] @ e)[:, 0], axis=1)
+        for p, face, lam in self._search(self.vertices[cand_ids], self.bface_vertex_ids,
+                                         self.bface_cells, self.bface_diameters):
+            opposite = lam[np.arange(len(face)), self.bface_locals[face]]
             own = np.any(cand_ids[p][:, None] == self.bface_vertex_ids[face], axis=1)
-            hanging = (
-                (dist < tol)
-                & np.all(s > -1e-8, axis=1)
-                & (s.sum(axis=1) < 1 + 1e-8)
-                & ~own
-            )
+            hanging = (np.abs(opposite) <= 1e-10) & np.all(lam >= -1e-10, axis=1) & ~own
             if np.any(hanging):
                 b = face[hanging].min()
                 v = cand_ids[p[hanging & (face == b)].min()]
@@ -485,14 +449,46 @@ class SimplicialMesh:
                     f"{int(v)} hangs on face {tuple(int(i) for i in self.bface_vertex_ids[b])}"
                 )
 
+    def _search(self, points, box_vertex_ids, box_cells, box_diameters):
+        """Yield (p, b, lam) in blocks of pairs, box after box: the points
+        ``points[p]`` in the boxes b, and their barycentric coordinates lam
+        (pairs, d + 1) in the boxes' cells ``box_cells[b]``.  Box b bounds
+        the vertices ``box_vertex_ids[b]``, widened by 1e-6
+        ``box_diameters[b]``, a margin that scales with the mesh: a point
+        whose coordinates in a cell are all >= -1e-10 lies within d 1e-10
+        cell diameters of the box of the cell's vertices.
+
+        Sorted on a key x . w with positive weights, the points a box can
+        hold form one run, keyed in [lo . w, hi . w]; weights off the axes
+        keep a whole grid plane of vertices from sharing one key."""
+        margin = 1e-6 * box_diameters[:, None]
+        lo = functools.reduce(np.minimum, (self.vertices[i] for i in box_vertex_ids.T)) - margin
+        hi = functools.reduce(np.maximum, (self.vertices[i] for i in box_vertex_ids.T)) + margin
+        w = np.array([1.0, 0.62, 0.38])[:self.dim]
+        order = np.argsort(points @ w)
+        key = (points @ w)[order]
+        first = np.searchsorted(key, lo @ w, side="left")
+        count = np.searchsorted(key, hi @ w, side="right") - first
+        block = (np.cumsum(count) - count) // _SEARCH_PAIRS
+        for boxes in np.split(np.arange(len(lo)), np.flatnonzero(np.diff(block)) + 1):
+            c = count[boxes]
+            b = np.repeat(boxes, c)
+            # each box's run of points, box after box
+            p = order[np.repeat(first[boxes] - (np.cumsum(c) - c), c) + np.arange(c.sum())]
+            boxed = np.all((points[p] >= lo[b]) & (points[p] <= hi[b]), axis=1)
+            p, b = p[boxed], b[boxed]
+            x_ref = self.reference_coords(box_cells[b], points[p])
+            yield p, b, np.column_stack([1.0 - x_ref.sum(axis=1), x_ref])
+
     # --------------------------------------------------------------- location
 
     def locate(self, points):
         """Cell index containing each point; ValueError for a point outside
-        the mesh by more than 1e-10.  A point on a cell interface goes to the
-        lowest containing cell of its grid cube on a generator mesh, and to
-        the lowest-numbered containing cell on the scan (fields evaluated
-        there are continuous anyway)."""
+        the mesh by more than 1e-10: in unit-cube coordinates on a generator
+        mesh, and in each cell's barycentric coordinates on any other.  A
+        point on a cell interface goes to the lowest containing cell of its
+        grid cube on a generator mesh, and to the lowest-numbered containing
+        cell on any other (fields evaluated there are continuous anyway)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.structure is not None:
             outside = ~np.all((pts >= -1e-10) & (pts <= 1 + 1e-10), axis=1)
@@ -513,14 +509,14 @@ class SimplicialMesh:
         bad = ~np.all(np.isfinite(pts), axis=1)
         if np.any(bad):  # before any reduction, which would warn on NaN
             raise ValueError(f"point {pts[np.argmax(bad)]} not inside any cell")
-        found = np.full(len(pts), -1, dtype=np.int64)
-        for p in range(len(pts)):
-            lam = self.reference_coords(slice(None), pts[p])
-            ok = np.all(lam >= -1e-10, axis=1) & (lam.sum(axis=1) <= 1 + 1e-10)
-            hits = np.flatnonzero(ok)
-            if len(hits) == 0:
-                raise ValueError(f"point {pts[p]} not inside any cell")
-            found[p] = hits[0]
+        M = self.num_cells
+        found = np.full(len(pts), M)
+        for p, c, lam in self._search(pts, self.cells, np.arange(M), self.cell_diameters):
+            inside = np.all(lam >= -1e-10, axis=1)
+            np.minimum.at(found, p[inside], c[inside])
+        missing = found == M
+        if np.any(missing):
+            raise ValueError(f"point {pts[np.argmax(missing)]} not inside any cell")
         return found
 
 

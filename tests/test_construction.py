@@ -271,14 +271,12 @@ def test_construction_calls_no_batched_lapack(dim, monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_each_cell_map_is_computed_once(dim, monkeypatch):
     # the mesh passes its cells' edge matrices through the cofactor formula
-    # once, and again only the reoriented ones; spaces and the scan read the
-    # mesh's maps.  A batch of dim x dim matrices is a batch of edge
-    # matrices: the hanging-vertex check's face Gram matrices are smaller
+    # once, and again only the reoriented ones; spaces, the hanging-vertex
+    # check and the scan read the mesh's maps and form no matrix of their own
     batches = []
 
     def counting(H):
-        if np.ndim(H) == 3 and np.shape(H)[1:] == (dim, dim):
-            batches.append(len(H))
+        batches.append(np.shape(H))
         return det_and_cofactor(H)
 
     for name, module in list(sys.modules.items()):  # wherever it is imported
@@ -291,8 +289,9 @@ def test_each_cell_map_is_computed_once(dim, monkeypatch):
                   lambda: SimplicialMesh(dim, *shuffled)):
         batches.clear()
         mesh = build()
-        assert 1 <= len(batches) <= 2 and batches[0] == mesh.num_cells
-        assert all(size < mesh.num_cells for size in batches[1:])
+        assert 1 <= len(batches) <= 2 and batches[0] == (mesh.num_cells, dim, dim)
+        assert all(shape[0] < mesh.num_cells and shape[1:] == (dim, dim)
+                   for shape in batches[1:])
         batches.clear()
         spaces = [FeSpace(mesh, k) for k in (2, 3)]
         mesh._locate_scan(points)

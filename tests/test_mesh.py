@@ -179,23 +179,85 @@ def test_hanging_vertex_at_a_face_centroid_rejected():
 
 @pytest.mark.parametrize("pairs", [1, 12])
 def test_hanging_vertex_check_in_small_blocks(pairs, monkeypatch):
-    # the check scans blocks of boundary faces; blocks of one or two faces
-    # give the same verdicts and report the same vertex and face
+    # the point search scans blocks of (box, point) pairs; blocks of one pair
+    # or a few give the same verdicts, report the same vertex and face, and
+    # locate points in the same cells
     meshes = (HANGING_2D, HANGING_ON_EDGE, HANGING_AT_CENTROID)
     messages = []
     for mesh in meshes:
         with pytest.raises(ValueError) as whole:
             SimplicialMesh(*mesh)
         messages.append(str(whole.value))
-    monkeypatch.setattr("maviscid.mesh._HANGING_PAIRS", pairs)
-    for mesh, message in zip(meshes, messages):
-        with pytest.raises(ValueError) as blocked:
-            SimplicialMesh(*mesh)
-        assert str(blocked.value) == message
     mesh = build_structured_mesh(3, 3)
     perm = np.random.default_rng(5).permutation(mesh.num_cells)
+    pts = np.vstack([np.random.default_rng(6).uniform(0, 1, (40, 3)), mesh.vertices])
+    cells = SimplicialMesh(3, mesh.vertices, mesh.cells[perm]).locate(pts)
+    monkeypatch.setattr("maviscid.mesh._SEARCH_PAIRS", pairs)
+    for hanging, message in zip(meshes, messages):
+        with pytest.raises(ValueError) as blocked:
+            SimplicialMesh(*hanging)
+        assert str(blocked.value) == message
     shuffled = SimplicialMesh(3, mesh.vertices, mesh.cells[perm])
     assert len(shuffled.bface_vertex_ids) == len(mesh.bface_vertex_ids)
+    assert np.array_equal(shuffled.locate(pts), cells)
+
+
+# every check of a mesh given as arrays compares barycentric coordinates, so
+# a verdict does not depend on the mesh's scale.  Scales 1e+-40 stay inside
+# the float64 range; at 1e60 a 3D cell's squared Hadamard bound leaves it
+SCALES = (1.0, 1e-40, 1e40)
+
+
+@pytest.mark.parametrize("mesh, message", [
+    (HANGING_2D, "vertex 2 hangs on face (1, 3)"),
+    (HANGING_ON_EDGE, "vertex 5 hangs on face (0, 1, 3)"),
+    (HANGING_AT_CENTROID, "vertex 5 hangs on face (0, 1, 2)"),
+], ids=["2d", "on-edge", "at-centroid"])
+def test_hanging_vertex_verdict_is_scale_free(mesh, message):
+    dim, verts, cells = mesh
+    for scale in SCALES:
+        with pytest.raises(ValueError) as e:
+            SimplicialMesh(dim, scale * np.array(verts, dtype=float), cells)
+        assert str(e.value) == "non-conforming mesh: " + message
+
+
+def _shuffled_kuhn(dim, n, seed):
+    """The Kuhn mesh's vertices, and its cells in random order, each with
+    its vertices in random order."""
+    mesh = build_structured_mesh(dim, n)
+    rng = np.random.default_rng(seed)
+    return mesh.vertices, rng.permuted(mesh.cells[rng.permutation(mesh.num_cells)], axis=1)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 4), (3, 3)])
+def test_shuffled_kuhn_mesh_is_accepted_at_every_scale(dim, n):
+    verts, cells = _shuffled_kuhn(dim, n, 1)
+    pts = np.random.default_rng(2).uniform(0, 1, (50, dim))
+    want = SimplicialMesh(dim, verts, cells).locate(pts)
+    for scale in SCALES[1:]:
+        mesh = SimplicialMesh(dim, scale * verts, cells)
+        assert np.array_equal(mesh.locate(scale * pts), want)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 8), (3, 4)])
+def test_scan_locate_matches_a_brute_force_search(dim, n):
+    # each point goes to the lowest cell whose barycentric coordinates, from
+    # np.linalg.inv of its edge matrix, are all >= -1e-10.  Grid nodes and
+    # edge midpoints lie on several cells, which tie
+    verts, cells = _shuffled_kuhn(dim, n, 3)
+    ends = verts[cells]
+    midpoints = np.vstack([(ends[:, a] + ends[:, b]) / 2
+                           for a, b in itertools.combinations(range(dim + 1), 2)])
+    pts = np.vstack([np.random.default_rng(4).uniform(0, 1, (200, dim)), verts,
+                     np.unique(midpoints, axis=0)])
+    edges = ends[:, 1:] - ends[:, :1]
+    binv = np.linalg.inv(np.swapaxes(edges, 1, 2))
+    want = []
+    for p in pts:
+        x = np.einsum("cij,cj->ci", binv, p - ends[:, 0])
+        lam = np.column_stack([1 - x.sum(axis=1), x])
+        want.append(np.flatnonzero(np.all(lam >= -1e-10, axis=1))[0])
+    assert np.array_equal(SimplicialMesh(dim, verts, cells).locate(pts), want)
 
 
 def test_square_cell_layout():
@@ -347,6 +409,14 @@ def test_rejects_a_cell_outside_the_float64_range(dim, leg):
             SimplicialMesh(dim, _right_cell(dim, leg), [range(dim + 1)])
 
 
+@pytest.mark.parametrize("dim, leg", [(2, 1e-70), (3, 1e-45)])
+def test_accepts_a_tiny_cell_inside_the_float64_range(dim, leg):
+    # a length tolerance fixed in absolute terms would find vertex 0 on face
+    # (1, 2) of its own cell and call it hanging
+    mesh = SimplicialMesh(dim, _right_cell(dim, leg), [range(dim + 1)])
+    assert mesh.locate(np.full((1, dim), leg / (dim + 1))).tolist() == [0]
+
+
 @pytest.mark.parametrize("dim, leg", [(2, 1e76), (3, 1e51)])
 def test_accepts_a_large_cell_inside_the_float64_range(dim, leg):
     with warnings.catch_warnings():
@@ -430,7 +500,7 @@ def test_locate_structured():
         lam = np.einsum("pij,pj->pi", binv, pts - v0)
         assert np.all(lam >= -1e-10)
         assert np.all(lam.sum(axis=1) <= 1 + 1e-10)
-        assert np.all(scan >= 0)
+        assert np.array_equal(scan, cells)
 
 
 def test_locate_corners_and_walls():

@@ -915,6 +915,25 @@ def _without_structure(mesh):
     return SimplicialMesh(mesh.dim, mesh.vertices, mesh.cells)
 
 
+def test_generator_meshes_never_reach_the_point_search(monkeypatch):
+    # a generator mesh skips the hanging-vertex check and locates points by
+    # its grid: building it and its spaces, evaluating fields on it and a
+    # nested solve never run the search that meshes given as arrays use
+    def refuse(*args):
+        raise AssertionError("point search reached")
+
+    monkeypatch.setattr(SimplicialMesh, "_search", refuse)
+    with pytest.raises(AssertionError, match="point search reached"):
+        _without_structure(build_structured_mesh(2, 2))
+    rng = np.random.default_rng(8)
+    for dim in (2, 3):
+        space = FeSpace(build_structured_mesh(dim, 3), 2)
+        interpolate(space, lambda p: np.sin(p.sum(axis=1))).evaluate(rng.uniform(0, 1, (20, dim)))
+    _, report = _case_solve("III", 2, 4)
+    assert report.converged
+    assert report.rungs[0][1].ndofs == FeSpace(build_structured_mesh(2, 2), 2).ndofs
+
+
 def test_unstructured_mesh_takes_the_plain_ladder():
     spec = builtin_case("III")
     mesh = _without_structure(build_structured_mesh(2, 6))
